@@ -1,8 +1,9 @@
 """Stochastic noise trajectories: depolarizing, relaxation, readout error.
 
 Each shot runs its own pure-state trajectory with randomly inserted
-Pauli/reset events, so no density matrix is ever built and both backends
-share the code path.
+Pauli/reset events, so no density matrix is ever built. The events of
+all shots are drawn up front; the statevector advances every shot at
+once as one batch, and both backends read the same events.
 
 Run:  python3 demos/05_noise_trajectories.py
 """

@@ -8,8 +8,9 @@ combined as Q = V + A - mean(A).
 
 Forward passes cache every intermediate needed for the hand-written
 backward pass; gradients are exact (verified against central finite
-differences in the test suite). Everything is float64 so the checks are
-tight.
+differences in the test suite). Parameters and activations use the
+net's dtype: float32 by default, float64 on request, which the gradient
+checks use so their tolerances can be tight.
 """
 
 from __future__ import annotations

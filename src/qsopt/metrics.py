@@ -133,8 +133,10 @@ def shift_angle(circuit: Circuit, position: int, delta: float) -> Circuit:
 
 
 def _shift_statistic(p_plus: dict[str, float], p_minus: dict[str, float]) -> float:
+    """Sums in sorted outcome order, so the float does not depend on the
+    order of a hashed set of bitstrings (which changes with the process)."""
     total = 0.0
-    for outcome in p_plus.keys() | p_minus.keys():
+    for outcome in sorted(p_plus.keys() | p_minus.keys()):
         a = p_plus.get(outcome, 0.0)
         b = p_minus.get(outcome, 0.0)
         if a + b == 0.0:

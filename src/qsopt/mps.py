@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates as G
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate
 from .statevector import ENTROPY_FLOOR
 
 COMPLEX_BYTES = 16
+_BELOW_ONE = np.nextafter(1.0, 0.0)  # largest float < 1: rescaled uniforms stay in [0, 1)
 
 
 @dataclass(frozen=True)
@@ -36,16 +37,6 @@ class SchmidtSpectrum:
 class PeakStats:
     max_bond: int
     memory_bytes: int
-
-
-def _matrix_2q(kind: GateKind) -> np.ndarray:
-    if kind is GateKind.CX:
-        return G.CX
-    if kind is GateKind.CZ:
-        return G.CZ
-    if kind is GateKind.SWAP:
-        return G.SWAP
-    raise ValueError(f"not a two-qubit gate: {kind}")
 
 
 class MpsState:
@@ -152,16 +143,8 @@ class MpsState:
             self._apply_2q_adjacent(G.SWAP, j)
 
     def apply_gate(self, gate: Gate) -> None:
-        if gate.kind.n_qubits == 1:
-            if gate.kind is GateKind.H:
-                mat = G.H
-            elif gate.kind is GateKind.RX:
-                mat = G.rx(gate.angle)
-            else:
-                mat = G.rz(gate.angle)
-            self.apply_unitary_1q(mat, gate.qubits[0])
-        else:
-            self.apply_unitary_2q(_matrix_2q(gate.kind), *gate.qubits)
+        apply = self.apply_unitary_1q if gate.kind.n_qubits == 1 else self.apply_unitary_2q
+        apply(G.matrix(gate), *gate.qubits)
 
     def run(self, circuit: Circuit) -> "MpsState":
         for g in circuit.gates:
@@ -235,17 +218,44 @@ class MpsState:
     def measure_once(self, rng: np.random.Generator) -> str:
         return next(iter(self.sample(1, rng)))
 
-    def measure_reset0(self, qubit: int, rng: np.random.Generator) -> int:
-        """Projective Z measurement at qubit, then flip back to |0> if 1."""
+    def measure_at(self, u) -> np.ndarray:
+        """Z-basis outcomes fixed by uniforms in [0, 1), one per entry of
+        the 1-D array u: the basis state whose interval of the cumulative
+        distribution (basis order, qubit 0 most significant) contains u,
+        found site by site from the conditional bit probabilities, with u
+        rescaled into the chosen bit's interval. Returns (len(u), n) bits."""
+        self.move_center(0)
+        u = np.array(u, dtype=float)
+        vec = np.ones((len(u), 1), dtype=complex)
+        bits = np.empty((len(u), self.n_qubits), dtype=np.uint8)
+        for site in range(self.n_qubits):
+            a = self.tensors[site]
+            m0 = vec @ a[:, 0, :]
+            m1 = vec @ a[:, 1, :]
+            p0 = np.sum(np.abs(m0) ** 2, axis=1)
+            p1 = np.sum(np.abs(m1) ** 2, axis=1)
+            pr0 = p0 / (p0 + p1)
+            one = u >= pr0
+            bits[:, site] = one
+            # the chosen bit has positive probability: u < pr0 needs pr0 > 0,
+            # u >= pr0 needs pr0 < 1
+            u = (u - np.where(one, pr0, 0.0)) / np.where(one, 1.0 - pr0, pr0)
+            u = np.minimum(u, _BELOW_ONE)
+            vec = np.where(one[:, None], m1, m0) / np.sqrt(np.where(one, p1, p0))[:, None]
+        return bits
+
+    def measure_reset0(self, qubit: int, u: float) -> int:
+        """Projective Z measurement at qubit, then flip back to |0> if 1.
+        The outcome is 1 if the uniform u lies below p1, the |1> branch's
+        share of the center tensor's weight, so p1 is in [0, 1] and the
+        kept branch, renormalized, has positive weight."""
         self.move_center(qubit)
         a = self.tensors[qubit]
-        p1 = float(np.sum(np.abs(a[:, 1, :]) ** 2))
-        outcome = 1 if rng.random() < p1 else 0
+        w0 = float(np.sum(np.abs(a[:, 0, :]) ** 2))
+        w1 = float(np.sum(np.abs(a[:, 1, :]) ** 2))
+        outcome = 1 if u < w1 / (w0 + w1) else 0
         b = np.zeros_like(a)
-        if outcome == 1:
-            b[:, 0, :] = a[:, 1, :] / np.sqrt(p1)
-        else:
-            b[:, 0, :] = a[:, 0, :] / np.sqrt(1.0 - p1)
+        b[:, 0, :] = a[:, outcome, :] / np.sqrt(w1 if outcome else w0)
         self.tensors[qubit] = b
         return outcome
 

@@ -3,6 +3,11 @@
 Keeps all 2^n amplitudes; qubit 0 is the most significant bit, so the
 amplitude of bitstring b is amps[int(b, 2)]. Hard capacity cap because
 memory doubles per qubit (the cap may be raised explicitly).
+
+A state built with `batch=B` holds B independent states as the rows of a
+(B, 2^n) array: every gate, Pauli and reset acts on each row with the
+same elementwise arithmetic as on a single state, and a reset draws one
+outcome per row. The noise model runs its trajectories this way.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gates as G
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate
 
 DEFAULT_MAX_QUBITS = 14
 ENTROPY_FLOOR = 1e-12
@@ -20,33 +25,32 @@ class CapacityError(Exception):
     """Requested statevector exceeds the configured qubit cap."""
 
 
-def _matrix_1q(gate: Gate) -> np.ndarray:
-    if gate.kind is GateKind.H:
-        return G.H
-    if gate.kind is GateKind.RX:
-        return G.rx(gate.angle)
-    if gate.kind is GateKind.RZ:
-        return G.rz(gate.angle)
-    raise ValueError(f"not a single-qubit gate: {gate.kind}")
-
-
 class DenseState:
-    """Mutable dense state; gate application edits amplitudes in place."""
+    """Mutable dense state, or a batch of them; gate application edits
+    amplitudes in place."""
 
-    def __init__(self, n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS):
+    def __init__(self, n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS,
+                 batch: int | None = None):
         if n_qubits > max_qubits:
             raise CapacityError(f"{n_qubits} qubits exceeds the dense cap of {max_qubits}")
         self.n_qubits = n_qubits
-        self.amps = np.zeros(2 ** n_qubits, dtype=complex)
-        self.amps[0] = 1.0
+        shape = (2 ** n_qubits,) if batch is None else (batch, 2 ** n_qubits)
+        self.amps = np.zeros(shape, dtype=complex)
+        self.amps[..., 0] = 1.0
 
     def _axes(self) -> np.ndarray:
-        return self.amps.reshape([2] * self.n_qubits)
+        return self.amps.reshape(self.amps.shape[:-1] + (2,) * self.n_qubits)
+
+    def _panel(self, bits: dict[int, int]) -> tuple:
+        """Index of the amplitudes (of every row) with qubit q fixed to bits[q]."""
+        index = [slice(None)] * self.n_qubits
+        for qubit, bit in bits.items():
+            index[qubit] = bit
+        return (Ellipsis, *index)
 
     def apply_unitary_1q(self, matrix: np.ndarray, qubit: int) -> None:
         v = self._axes()
-        i0 = tuple(0 if a == qubit else slice(None) for a in range(self.n_qubits))
-        i1 = tuple(1 if a == qubit else slice(None) for a in range(self.n_qubits))
+        i0, i1 = self._panel({qubit: 0}), self._panel({qubit: 1})
         a0, a1 = v[i0].copy(), v[i1]
         v[i0] = matrix[0, 0] * a0 + matrix[0, 1] * a1
         v[i1] = matrix[1, 0] * a0 + matrix[1, 1] * a1
@@ -54,23 +58,16 @@ class DenseState:
     def apply_unitary_2q(self, matrix: np.ndarray, qa: int, qb: int) -> None:
         v = self._axes()
 
-        def panel(ba, bb):
-            return tuple(ba if a == qa else bb if a == qb else slice(None)
-                         for a in range(self.n_qubits))
+        def panel(b):
+            return self._panel({qa: b >> 1, qb: b & 1})
 
-        blocks = [v[panel(b >> 1, b & 1)].copy() for b in range(4)]
+        blocks = [v[panel(b)].copy() for b in range(4)]
         for r in range(4):
-            v[panel(r >> 1, r & 1)] = sum(matrix[r, c] * blocks[c] for c in range(4))
+            v[panel(r)] = sum(matrix[r, c] * blocks[c] for c in range(4))
 
     def apply_gate(self, gate: Gate) -> None:
-        if gate.kind.n_qubits == 1:
-            self.apply_unitary_1q(_matrix_1q(gate), gate.qubits[0])
-        elif gate.kind is GateKind.CX:
-            self.apply_unitary_2q(G.CX, *gate.qubits)
-        elif gate.kind is GateKind.CZ:
-            self.apply_unitary_2q(G.CZ, *gate.qubits)
-        else:
-            self.apply_unitary_2q(G.SWAP, *gate.qubits)
+        apply = self.apply_unitary_1q if gate.kind.n_qubits == 1 else self.apply_unitary_2q
+        apply(G.matrix(gate), *gate.qubits)
 
     def apply_pauli(self, name: str, qubit: int) -> None:
         self.apply_unitary_1q(G.PAULIS[name], qubit)
@@ -113,21 +110,36 @@ class DenseState:
         i = int(rng.choice(len(probs), p=probs / probs.sum()))
         return format(i, f"0{self.n_qubits}b")
 
-    def measure_reset0(self, qubit: int, rng: np.random.Generator) -> int:
+    def measure_at(self, u) -> np.ndarray:
+        """Z-basis outcomes fixed by uniforms in [0, 1): each u picks the
+        basis state whose interval of the cumulative distribution (basis
+        order, qubit 0 most significant) contains it. A batch takes one u
+        per row; a single state takes any number. Returns bits of shape
+        u.shape + (n,)."""
+        cdf = np.cumsum(self.probabilities(), axis=-1)
+        below = cdf <= (np.asarray(u) * cdf[..., -1])[..., None]
+        index = np.minimum(np.sum(below, axis=-1), cdf.shape[-1] - 1)
+        shifts = np.arange(self.n_qubits - 1, -1, -1)
+        return ((index[..., None] >> shifts) & 1).astype(np.uint8)
+
+    def measure_reset0(self, qubit: int, u):
         """Projective Z measurement followed by a flip back to |0> if the
-        outcome was 1. Collapses the state; returns the measured bit."""
+        outcome was 1; a batch collapses row by row. The outcome is 1 where
+        the uniform `u` (one per row) lies below p1, the |1> branch's share
+        of the row's weight, so p1 is in [0, 1] and the kept branch has
+        positive weight: its renormalization never divides by zero.
+        Returns the measured bit(s)."""
         v = self._axes()
-        i1 = tuple(1 if a == qubit else slice(None) for a in range(self.n_qubits))
-        i0 = tuple(0 if a == qubit else slice(None) for a in range(self.n_qubits))
-        p1 = float(np.sum(np.abs(v[i1]) ** 2))
-        outcome = 1 if rng.random() < p1 else 0
-        if outcome == 1:
-            v[i0] = v[i1] / np.sqrt(p1)
-            v[i1] = 0.0
-        else:
-            v[i0] = v[i0] / np.sqrt(1.0 - p1)
-            v[i1] = 0.0
-        return outcome
+        i0, i1 = self._panel({qubit: 0}), self._panel({qubit: 1})
+        rest = tuple(range(-(self.n_qubits - 1), 0))
+        w0 = np.sum(np.abs(v[i0]) ** 2, axis=rest)
+        w1 = np.sum(np.abs(v[i1]) ** 2, axis=rest)
+        one = np.reshape(u, w1.shape) < w1 / (w0 + w1)
+        scale = 1.0 / np.sqrt(np.where(one, w1, w0))
+        keep = (slice(None),) * one.ndim + (None,) * (self.n_qubits - 1)
+        v[i0] = np.where(one[keep], v[i1], v[i0]) * scale[keep]
+        v[i1] = 0.0
+        return one.astype(int)[()]
 
     def schmidt_values(self, bond: int) -> np.ndarray:
         """Singular values across the cut [0, bond) | [bond, n)."""

@@ -1,6 +1,10 @@
 """Figures of merit: ratios, reward, entropy aggregate, parameter-shift QFI."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,25 @@ def test_qfi_shot_mode_is_seeded():
     b = qfi(c, 400, SV, seed=12)
     assert a == b
     assert 0.0 <= a <= 1.0
+
+
+def test_qfi_is_independent_of_the_hash_seed():
+    # string hashing, and so the order of a set of bitstrings, changes with
+    # PYTHONHASHSEED; the estimate must not
+    code = ("from qsopt.backend import BackendSpec; from qsopt.circuit import ghz; "
+            "from qsopt.metrics import qfi; from qsopt.noise import NoiseParams; "
+            "c = ghz(4).rx(0, 0.7).rx(2, 1.9).rz(3, 0.4); "
+            "print(repr(qfi(c, 256, BackendSpec(kind='statevector'), NoiseParams(), seed=3)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        outs.append(run.stdout.strip())
+    assert outs[0] == outs[1]
+    assert 0.0 < float(outs[0]) <= 1.0
 
 
 def test_qfi_shot_estimate_tracks_exact():

@@ -143,7 +143,7 @@ def test_sampling_matches_dense_distribution():
 def test_measure_once_and_reset():
     rng = np.random.default_rng(2)
     s = run(ghz(3), trunc_tol=0.0)
-    bit = s.measure_reset0(0, rng)
+    bit = s.measure_reset0(0, rng.random())
     assert bit in (0, 1)
     # remaining qubits collapsed with the measured branch, qubit 0 cleared
     expected = "000" if bit == 0 else "011"

@@ -135,7 +135,7 @@ def test_measure_reset0_collapses_and_clears():
     outcomes = []
     for _ in range(200):
         s = run(Circuit(1).h(0))
-        bit = s.measure_reset0(0, rng)
+        bit = s.measure_reset0(0, rng.random())
         outcomes.append(bit)
         # regardless of outcome the qubit ends in |0>
         assert abs(s.amplitude("0")) == pytest.approx(1.0)
@@ -147,7 +147,7 @@ def test_measure_reset0_collapses_and_clears():
 def test_measure_reset0_on_ghz_breaks_correlation():
     rng = np.random.default_rng(3)
     s = run(ghz(3))
-    bit = s.measure_reset0(0, rng)
+    bit = s.measure_reset0(0, rng.random())
     d = s.distribution()
     # the other qubits stay in the collapsed branch
     assert set(d) == ({"000"} if bit == 0 else {"011"})
