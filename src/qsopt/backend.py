@@ -20,6 +20,12 @@ class BackendSpec:
     def __post_init__(self):
         if self.kind not in BACKENDS:
             raise ValueError(f"unknown backend {self.kind!r}; expected one of {BACKENDS}")
+        if self.chi_max < 1:
+            raise ValueError(f"chi_max must be positive, got {self.chi_max}")
+        if not self.trunc_tol >= 0.0:  # also rejects NaN
+            raise ValueError(f"trunc_tol must be nonnegative, got {self.trunc_tol}")
+        if self.dense_cap < 1:
+            raise ValueError(f"dense_cap must be positive, got {self.dense_cap}")
 
     def fresh(self, n_qubits: int):
         if self.kind == "mps":

@@ -177,8 +177,11 @@ def cmd_train(args) -> int:
 # --- simulate / compare ---------------------------------------------------
 
 def _spec_from_args(args, kind=None) -> BackendSpec:
-    return BackendSpec(kind=kind or args.backend, chi_max=args.chi_max,
-                       trunc_tol=args.trunc_tol, dense_cap=args.dense_cap)
+    try:
+        return BackendSpec(kind=kind or args.backend, chi_max=args.chi_max,
+                           trunc_tol=args.trunc_tol, dense_cap=args.dense_cap)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _timed_run(spec: BackendSpec, circuit):
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--chi-max", type=int, default=64, dest="chi_max")
         p.add_argument("--trunc-tol", type=float, default=1e-10, dest="trunc_tol")
         p.add_argument("--dense-cap", type=int, default=14, dest="dense_cap",
-                       help="statevector qubit cap (raise explicitly up to 20)")
+                       help="largest qubit count the statevector backend accepts")
 
     p_sim = sub.add_parser("simulate", help="simulate a circuit and sample it")
     p_sim.add_argument("--circuit", required=True)

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import metrics
 from .backend import BackendSpec
-from .circuit import Circuit, Gate, GateKind, cancel_pairs, moments, swap_adjacent
+from .circuit import (Circuit, Gate, GateKind, cancel_pairs, moments, remove_gate,
+                      replace_gate, swap_adjacent)
 from .noise import NoiseParams
 
 INVALID_PENALTY = -0.1
@@ -241,8 +242,7 @@ class CircuitEnv:
             i = self._last_touching(circuit, action.qubit)
             if i is None:
                 return None
-            gs = circuit.gates
-            return Circuit(circuit.n_qubits, gs[:i] + gs[i + 1:])
+            return remove_gate(circuit, i)
         if action.name == "swap_last_pair":
             i = self._last_touching(circuit, action.qubit)
             if i is None or i == 0:
@@ -256,9 +256,7 @@ class CircuitEnv:
                 if g.kind.n_qubits == 1 and g.qubits[0] == action.qubit:
                     if g.kind is GateKind.H:
                         return None
-                    gs = circuit.gates
-                    return Circuit(circuit.n_qubits,
-                                   gs[:i] + (Gate(GateKind.H, (action.qubit,)),) + gs[i + 1:])
+                    return replace_gate(circuit, i, Gate(GateKind.H, (action.qubit,)))
             return None
         if action.name == "cancel_pass":
             return cancel_pairs(circuit)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import statevector
 from .backend import BackendSpec
-from .circuit import Circuit, Gate, depth, gate_count
+from .circuit import Circuit, Gate, depth, gate_count, replace_gate
 from .mps import MpsState
 from .noise import NoiseParams, sample_counts
 
@@ -127,9 +127,7 @@ def rotation_positions(circuit: Circuit) -> list[int]:
 
 def shift_angle(circuit: Circuit, position: int, delta: float) -> Circuit:
     g = circuit.gates[position]
-    shifted = Gate(g.kind, g.qubits, g.angle + delta)
-    gs = circuit.gates
-    return Circuit(circuit.n_qubits, gs[:position] + (shifted,) + gs[position + 1:])
+    return replace_gate(circuit, position, Gate(g.kind, g.qubits, g.angle + delta))
 
 
 def _shift_statistic(p_plus: dict[str, float], p_minus: dict[str, float]) -> float:

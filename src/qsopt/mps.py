@@ -4,13 +4,17 @@ State is a chain of rank-3 tensors A[k] with axes (left bond, physical,
 right bond) and outer bonds of dimension 1. A mixed-canonical form is
 maintained around an orthogonality center: tensors left of the center are
 left-isometries, tensors right of it right-isometries, so Schmidt spectra,
-sampling probabilities and the norm read off locally.
+conditional bit probabilities and the norm read off locally.
 
 Two-qubit gates on non-adjacent qubits are routed with temporary SWAP
 layers and the qubit order is restored afterwards. Each two-site update
 runs an SVD, keeps at most chi_max singular values, drops the smallest
 ones while their total squared weight stays within trunc_tol, and
 renormalizes the rest.
+
+Readout (`measure_at`, under `QubitState.sample`) walks the chain once for
+all shots, each bit drawn from its conditional probability (Ferris & Vidal,
+PRB 85, 165146, 2012) with one uniform per shot.
 """
 
 from __future__ import annotations
@@ -20,17 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates as G
-from .circuit import Circuit, Gate
-from .statevector import ENTROPY_FLOOR
+from .circuit import Circuit
+from .statevector import QubitState
 
 COMPLEX_BYTES = 16
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # largest float < 1: rescaled uniforms stay in [0, 1)
-
-
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    bond: int
-    values: np.ndarray  # singular values, descending, squares sum to ~1
 
 
 @dataclass(frozen=True)
@@ -39,13 +37,13 @@ class PeakStats:
     memory_bytes: int
 
 
-class MpsState:
+class MpsState(QubitState):
     def __init__(self, n_qubits: int, chi_max: int = 64, trunc_tol: float = 1e-10):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
         if chi_max < 1:
             raise ValueError("chi_max must be positive")
-        if trunc_tol < 0.0:
+        if not trunc_tol >= 0.0:  # also rejects NaN
             raise ValueError("trunc_tol must be nonnegative")
         self.n_qubits = n_qubits
         self.chi_max = chi_max
@@ -96,9 +94,6 @@ class MpsState:
     def apply_unitary_1q(self, matrix: np.ndarray, qubit: int) -> None:
         self.tensors[qubit] = np.einsum("ab,lbr->lar", matrix, self.tensors[qubit])
 
-    def apply_pauli(self, name: str, qubit: int) -> None:
-        self.apply_unitary_1q(G.PAULIS[name], qubit)
-
     def _apply_2q_adjacent(self, matrix: np.ndarray, left: int) -> None:
         """Apply a 4x4 unitary to sites (left, left+1); matrix indexes the
         left site as its most significant bit."""
@@ -142,15 +137,6 @@ class MpsState:
         for j in range(lo + 1, hi):
             self._apply_2q_adjacent(G.SWAP, j)
 
-    def apply_gate(self, gate: Gate) -> None:
-        apply = self.apply_unitary_1q if gate.kind.n_qubits == 1 else self.apply_unitary_2q
-        apply(G.matrix(gate), *gate.qubits)
-
-    def run(self, circuit: Circuit) -> "MpsState":
-        for g in circuit.gates:
-            self.apply_gate(g)
-        return self
-
     # --- readout ----------------------------------------------------------
 
     def norm(self) -> float:
@@ -158,31 +144,19 @@ class MpsState:
         return float(np.sqrt(np.sum(np.abs(c) ** 2)))
 
     def amplitude(self, bitstring: str) -> complex:
-        if len(bitstring) != self.n_qubits or set(bitstring) - {"0", "1"}:
-            raise ValueError(f"bad bitstring {bitstring!r} for {self.n_qubits} qubits")
+        self._check_bitstring(bitstring)
         v = np.ones(1, dtype=complex)
         for site, ch in enumerate(bitstring):
             v = v @ self.tensors[site][:, int(ch), :]
         return complex(v[0])
 
-    def schmidt(self, bond: int) -> SchmidtSpectrum:
-        """Schmidt spectrum across [0, bond) | [bond, n); bond in [1, n-1]."""
-        if not 1 <= bond <= self.n_qubits - 1:
-            raise ValueError(f"bond {bond} out of range [1, {self.n_qubits - 1}]")
+    def schmidt_values(self, bond: int) -> np.ndarray:
+        """Singular values across the cut [0, bond) | [bond, n)."""
+        self._check_bond(bond)
         self.move_center(bond - 1)
         a = self.tensors[bond - 1]
         l, p, r = a.shape
-        s = np.linalg.svd(a.reshape(l * p, r), compute_uv=False)
-        return SchmidtSpectrum(bond, s[s > 0.0])
-
-    def bond_entropy(self, bond: int) -> float:
-        lam2 = self.schmidt(bond).values ** 2
-        lam2 = lam2[lam2 > ENTROPY_FLOOR]
-        lam2 = lam2 / lam2.sum()  # renormalize so a pure spectrum gives exactly 0
-        return float(-np.sum(lam2 * np.log2(lam2)) + 0.0)
-
-    def bond_entropies(self) -> list[float]:
-        return [self.bond_entropy(b) for b in range(1, self.n_qubits)]
+        return np.linalg.svd(a.reshape(l * p, r), compute_uv=False)
 
     def bond_dims(self) -> list[int]:
         return [t.shape[2] for t in self.tensors[:-1]]
@@ -192,31 +166,6 @@ class MpsState:
         return PeakStats(self.max_bond_seen, mem)
 
     # --- measurement ------------------------------------------------------
-
-    def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
-        """Draw shots bitstrings by conditional sampling along the chain.
-        Vectorized over shots: a batch of boundary vectors is advanced site
-        by site, conditioning on each drawn bit."""
-        self.move_center(0)
-        vec = np.ones((shots, 1), dtype=complex)
-        bits = np.empty((shots, self.n_qubits), dtype=np.uint8)
-        for site in range(self.n_qubits):
-            a = self.tensors[site]
-            m0 = vec @ a[:, 0, :]
-            m1 = vec @ a[:, 1, :]
-            p0 = np.sum(np.abs(m0) ** 2, axis=1)
-            p1 = np.sum(np.abs(m1) ** 2, axis=1)
-            pr1 = p1 / (p0 + p1)
-            chose1 = rng.random(shots) < pr1
-            bits[:, site] = chose1
-            vec = np.where(chose1[:, None], m1, m0)
-            norm = np.sqrt(np.where(chose1, p1, p0))
-            vec = vec / norm[:, None]
-        packed, counts = np.unique(bits, axis=0, return_counts=True)
-        return {"".join(str(b) for b in row): int(c) for row, c in zip(packed, counts)}
-
-    def measure_once(self, rng: np.random.Generator) -> str:
-        return next(iter(self.sample(1, rng)))
 
     def measure_at(self, u) -> np.ndarray:
         """Z-basis outcomes fixed by uniforms in [0, 1), one per entry of

@@ -24,6 +24,8 @@ definition of the noise semantics: the dense statevector evolves the
 shots together as the rows of a (shots, 2^n) array (split into batches
 of at most BATCH_AMPLITUDES amplitudes), the MPS runs the shots one by
 one. A disabled model draws the same arrays with every probability zero.
+Each shot is read out by the backend's `measure_at` at its measurement
+uniform and the flipped bits are counted by `bit_counts`, as in `sample`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .backend import BackendSpec
 from .circuit import Circuit, moments
-from .statevector import DenseState
+from .statevector import DenseState, bit_counts
 
 _PAULI_NAMES = ("x", "y", "z")  # event codes 1, 2, 3; 0 is no event
 # amplitudes one batch of dense trajectories holds (16 MiB of complex128);
@@ -225,5 +227,4 @@ def sample_counts(circuit: Circuit, spec: BackendSpec, shots: int, seed,
     bits = np.concatenate([
         _measured_bits(circuit, layers, spec, events.rows(slice(start, start + rows)))
         for start in range(0, shots, rows)])
-    outcomes, counts = np.unique(bits ^ events.flips, axis=0, return_counts=True)
-    return {"".join("01"[b] for b in row): int(c) for row, c in zip(outcomes, counts)}
+    return bit_counts(bits ^ events.flips)

@@ -8,6 +8,11 @@ A state built with `batch=B` holds B independent states as the rows of a
 (B, 2^n) array: every gate, Pauli and reset acts on each row with the
 same elementwise arithmetic as on a single state, and a reset draws one
 outcome per row. The noise model runs its trajectories this way.
+
+`QubitState` holds what the dense and MPS backends share: gate dispatch,
+entropies from per-bond Schmidt values, and one readout path. Every
+Z-basis outcome comes from a backend's `measure_at(u)`, which maps
+uniforms to basis states, and `bit_counts` turns bit rows into counts.
 """
 
 from __future__ import annotations
@@ -25,7 +30,60 @@ class CapacityError(Exception):
     """Requested statevector exceeds the configured qubit cap."""
 
 
-class DenseState:
+def bit_counts(bits) -> dict[str, int]:
+    """Counts of the rows of a (shots, n) array of 0/1 bits, keyed by
+    bitstring (qubit 0 first) in increasing order. Each row is read as
+    one n-byte ASCII string, so only the distinct outcomes are decoded."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    rows = np.ascontiguousarray(bits + ord("0")).view(f"S{bits.shape[-1]}")
+    keys, counts = np.unique(rows, return_counts=True)
+    return {k.decode(): c for k, c in zip(keys.tolist(), counts.tolist())}
+
+
+class QubitState:
+    """The surface both backends share. A backend provides n_qubits,
+    apply_unitary_1q/2q, schmidt_values(bond) and measure_at(u)."""
+
+    n_qubits: int
+
+    def apply_gate(self, gate: Gate) -> None:
+        apply = self.apply_unitary_1q if gate.kind.n_qubits == 1 else self.apply_unitary_2q
+        apply(G.matrix(gate), *gate.qubits)
+
+    def apply_pauli(self, name: str, qubit: int) -> None:
+        self.apply_unitary_1q(G.PAULIS[name], qubit)
+
+    def run(self, circuit: Circuit) -> "QubitState":
+        for g in circuit.gates:
+            self.apply_gate(g)
+        return self
+
+    def _check_bitstring(self, bitstring: str) -> None:
+        if len(bitstring) != self.n_qubits or set(bitstring) - {"0", "1"}:
+            raise ValueError(f"bad bitstring {bitstring!r} for {self.n_qubits} qubits")
+
+    def _check_bond(self, bond: int) -> None:
+        if not 1 <= bond <= self.n_qubits - 1:
+            raise ValueError(f"bond {bond} out of range [1, {self.n_qubits - 1}]")
+
+    def bond_entropy(self, bond: int) -> float:
+        lam2 = self.schmidt_values(bond) ** 2
+        lam2 = lam2[lam2 > ENTROPY_FLOOR]
+        lam2 = lam2 / lam2.sum()  # renormalize so a pure spectrum gives exactly 0
+        return float(-np.sum(lam2 * np.log2(lam2)) + 0.0)
+
+    def bond_entropies(self) -> list[float]:
+        return [self.bond_entropy(b) for b in range(1, self.n_qubits)]
+
+    def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
+        """Counts of `shots` Z-basis measurements, one uniform from rng each."""
+        return bit_counts(self.measure_at(rng.random(shots)))
+
+    def measure_once(self, rng: np.random.Generator) -> str:
+        return next(iter(self.sample(1, rng)))
+
+
+class DenseState(QubitState):
     """Mutable dense state, or a batch of them; gate application edits
     amplitudes in place."""
 
@@ -65,26 +123,13 @@ class DenseState:
         for r in range(4):
             v[panel(r)] = sum(matrix[r, c] * blocks[c] for c in range(4))
 
-    def apply_gate(self, gate: Gate) -> None:
-        apply = self.apply_unitary_1q if gate.kind.n_qubits == 1 else self.apply_unitary_2q
-        apply(G.matrix(gate), *gate.qubits)
-
-    def apply_pauli(self, name: str, qubit: int) -> None:
-        self.apply_unitary_1q(G.PAULIS[name], qubit)
-
-    def run(self, circuit: Circuit) -> "DenseState":
-        for g in circuit.gates:
-            self.apply_gate(g)
-        return self
-
     # --- readout ---------------------------------------------------------
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
 
     def amplitude(self, bitstring: str) -> complex:
-        if len(bitstring) != self.n_qubits or set(bitstring) - {"0", "1"}:
-            raise ValueError(f"bad bitstring {bitstring!r} for {self.n_qubits} qubits")
+        self._check_bitstring(bitstring)
         return complex(self.amps[int(bitstring, 2)])
 
     def probabilities(self) -> np.ndarray:
@@ -97,19 +142,6 @@ class DenseState:
         return {format(i, f"0{width}b"): float(p)
                 for i, p in enumerate(probs) if p > 0.0}
 
-    def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
-        probs = self.probabilities()
-        probs = probs / probs.sum()
-        draws = rng.choice(len(probs), size=shots, p=probs)
-        width = self.n_qubits
-        idx, counts = np.unique(draws, return_counts=True)
-        return {format(int(i), f"0{width}b"): int(c) for i, c in zip(idx, counts)}
-
-    def measure_once(self, rng: np.random.Generator) -> str:
-        probs = self.probabilities()
-        i = int(rng.choice(len(probs), p=probs / probs.sum()))
-        return format(i, f"0{self.n_qubits}b")
-
     def measure_at(self, u) -> np.ndarray:
         """Z-basis outcomes fixed by uniforms in [0, 1): each u picks the
         basis state whose interval of the cumulative distribution (basis
@@ -117,8 +149,12 @@ class DenseState:
         per row; a single state takes any number. Returns bits of shape
         u.shape + (n,)."""
         cdf = np.cumsum(self.probabilities(), axis=-1)
-        below = cdf <= (np.asarray(u) * cdf[..., -1])[..., None]
-        index = np.minimum(np.sum(below, axis=-1), cdf.shape[-1] - 1)
+        at = np.asarray(u) * cdf[..., -1]
+        if cdf.ndim == 1:
+            index = np.searchsorted(cdf, at, side="right")
+        else:  # searchsorted takes one sorted array; a batch has a CDF per row
+            index = np.sum(cdf <= at[:, None], axis=-1)
+        index = np.minimum(index, cdf.shape[-1] - 1)
         shifts = np.arange(self.n_qubits - 1, -1, -1)
         return ((index[..., None] >> shifts) & 1).astype(np.uint8)
 
@@ -143,19 +179,9 @@ class DenseState:
 
     def schmidt_values(self, bond: int) -> np.ndarray:
         """Singular values across the cut [0, bond) | [bond, n)."""
-        if not 1 <= bond <= self.n_qubits - 1:
-            raise ValueError(f"bond {bond} out of range [1, {self.n_qubits - 1}]")
+        self._check_bond(bond)
         m = self.amps.reshape(2 ** bond, 2 ** (self.n_qubits - bond))
         return np.linalg.svd(m, compute_uv=False)
-
-    def bond_entropy(self, bond: int) -> float:
-        lam2 = self.schmidt_values(bond) ** 2
-        lam2 = lam2[lam2 > ENTROPY_FLOOR]
-        lam2 = lam2 / lam2.sum()  # renormalize so a pure spectrum gives exactly 0
-        return float(-np.sum(lam2 * np.log2(lam2)) + 0.0)
-
-    def bond_entropies(self) -> list[float]:
-        return [self.bond_entropy(b) for b in range(1, self.n_qubits)]
 
 
 def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> DenseState:

@@ -221,6 +221,29 @@ def test_capacity_error_exits_1(tmp_path, capsys):
                  "--backend", "statevector"]) == 1
 
 
+BAD_BACKEND_VALUES = [("chi_max", 0), ("trunc_tol", -1.0), ("trunc_tol", math.nan),
+                      ("dense_cap", 0)]
+
+
+@pytest.mark.parametrize("key,value", BAD_BACKEND_VALUES)
+def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
+    env = {"n_qubits": 2, "max_gates": 8, "max_steps_per_episode": 5,
+           "shots": 0, "backend": "statevector", key: value}
+    path = write_config(tmp_path, env=env)
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", BAD_BACKEND_VALUES)
+def test_simulate_bad_backend_value_exits_1(tmp_path, capsys, key, value):
+    cpath = tmp_path / "bell.qc"
+    emit_file(ghz(2), cpath)
+    flag = "--" + key.replace("_", "-")
+    assert main(["simulate", "--circuit", str(cpath), flag, str(value)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+
+
 def test_thread_cap_sets_blas_variables(monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)

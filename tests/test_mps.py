@@ -30,6 +30,8 @@ def test_constructor_validation():
         MpsState(2, chi_max=0)
     with pytest.raises(ValueError):
         MpsState(2, trunc_tol=-1.0)
+    with pytest.raises(ValueError):
+        MpsState(2, trunc_tol=math.nan)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -86,8 +88,7 @@ def test_ghz_bond_structure():
     s = run(ghz(6), trunc_tol=0.0)
     assert s.bond_dims() == [2, 2, 2, 2, 2]
     for bond in range(1, 6):
-        spec = s.schmidt(bond)
-        assert spec.values == pytest.approx([INV_SQRT2, INV_SQRT2])
+        assert s.schmidt_values(bond) == pytest.approx([INV_SQRT2, INV_SQRT2])
         assert s.bond_entropy(bond) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -154,9 +155,9 @@ def test_measure_once_and_reset():
 def test_schmidt_bond_range():
     s = run(ghz(3))
     with pytest.raises(ValueError):
-        s.schmidt(0)
+        s.schmidt_values(0)
     with pytest.raises(ValueError):
-        s.schmidt(3)
+        s.schmidt_values(3)
 
 
 def test_product_state_entropies_exactly_zero():
