@@ -36,7 +36,7 @@ import numpy as np
 
 from . import circuit as circ
 from . import metrics, noise, plots
-from .backend import BackendSpec
+from .backend import BACKENDS, BackendSpec
 from .circuit import ParseError
 from .ddqn import AgentConfig, train
 from .env import EnvConfig
@@ -58,12 +58,12 @@ class ConfigError(Exception):
 # --- configuration --------------------------------------------------------
 
 def _build_backend(env_dict: dict) -> BackendSpec:
-    return BackendSpec(
-        kind=env_dict.pop("backend", "mps"),
-        chi_max=env_dict.pop("chi_max", 64),
-        trunc_tol=env_dict.pop("trunc_tol", 1e-10),
-        dense_cap=env_dict.pop("dense_cap", 14),
-    )
+    """Pop the backend fields (`backend` is the `kind` field) from a config's
+    env section; BackendSpec holds their defaults."""
+    keys = {"backend": "kind", "chi_max": "chi_max", "trunc_tol": "trunc_tol",
+            "dense_cap": "dense_cap"}
+    return BackendSpec(**{field: env_dict.pop(key) for key, field in keys.items()
+                          if key in env_dict})
 
 
 def load_run_config(path: Path):
@@ -322,11 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     def add_backend_flags(p, with_kind: bool):
+        default = BackendSpec()
         if with_kind:
-            p.add_argument("--backend", choices=["mps", "statevector"], default="mps")
-        p.add_argument("--chi-max", type=int, default=64, dest="chi_max")
-        p.add_argument("--trunc-tol", type=float, default=1e-10, dest="trunc_tol")
-        p.add_argument("--dense-cap", type=int, default=14, dest="dense_cap",
+            p.add_argument("--backend", choices=BACKENDS, default=default.kind)
+        p.add_argument("--chi-max", type=int, default=default.chi_max, dest="chi_max")
+        p.add_argument("--trunc-tol", type=float, default=default.trunc_tol, dest="trunc_tol")
+        p.add_argument("--dense-cap", type=int, default=default.dense_cap, dest="dense_cap",
                        help="largest qubit count the statevector backend accepts")
 
     p_sim = sub.add_parser("simulate", help="simulate a circuit and sample it")

@@ -28,6 +28,10 @@ from .circuit import (Circuit, Gate, GateKind, cancel_pairs, moments, remove_gat
 from .noise import NoiseParams
 
 INVALID_PENALTY = -0.1
+# Bond entropies that are equal in exact arithmetic can differ in their
+# last bits, so the weakest bond is the first one within this of the
+# minimum; otherwise rounding would decide where an injection lands.
+INJECTION_TIE_TOL = 1e-12
 
 # grid channel layout: one row per qubit, one column per moment
 CH_EMPTY, CH_H, CH_RX, CH_RZ, CH_CX_CTRL, CH_CX_TGT, CH_CZ, CH_SWAP, CH_ANGLE = range(9)
@@ -226,7 +230,8 @@ class CircuitEnv:
         return [k for k, s in enumerate(bonds, start=1) if s < self.threshold]
 
     def _inject(self, circuit: Circuit, record: metrics.MetricsRecord) -> Circuit:
-        bond = 1 + int(np.argmin(record.bond_entropies))
+        s = np.asarray(record.bond_entropies)
+        bond = 1 + int(np.flatnonzero(s <= s.min() + INJECTION_TIE_TOL)[0])
         left = bond - 1
         return circuit.h(left).cx(left, bond)
 

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevector
 from .backend import BackendSpec
 from .circuit import Circuit, Gate, depth, gate_count, replace_gate
-from .mps import MpsState
 from .noise import NoiseParams, sample_counts
 
 QFI_MAX = 8.0
@@ -107,10 +105,7 @@ def normalized_entropy(bond_entropies, n_qubits: int, chi_max: int | None = None
 
 
 def entropy_norm(state) -> float:
-    chi = state.chi_max if isinstance(state, MpsState) else None
-    if state.n_qubits < 2:
-        return 0.0
-    return normalized_entropy(state.bond_entropies(), state.n_qubits, chi)
+    return normalized_entropy(state.bond_entropies(), state.n_qubits, state.chi_max)
 
 
 def bell_unit_entropies(bond_entropies) -> list[float]:
@@ -164,7 +159,7 @@ def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
             raise ValueError("exact QFI mode (shots=0) requires the statevector backend")
 
         def distribution(c: Circuit, _seed) -> dict[str, float]:
-            return statevector.run(c, max_qubits=spec.dense_cap).distribution()
+            return spec.run(c).distribution()
     elif shots > 0:
         def distribution(c: Circuit, child) -> dict[str, float]:
             return _frequencies(sample_counts(c, spec, shots, child, noise), shots)
@@ -198,10 +193,9 @@ def evaluate(circuit: Circuit, spec: BackendSpec, shots: int,
     except QfiUndefinedError:
         q = 0.0
         flags += ("qfi_undefined",)
-    chi = spec.chi_max if spec.kind == "mps" else None
     return MetricsRecord(
         qfi_norm=q,
-        entropy_norm=normalized_entropy(entropies, circuit.n_qubits, chi),
+        entropy_norm=normalized_entropy(entropies, circuit.n_qubits, state.chi_max),
         bond_entropies=entropies,
         depth=depth(circuit),
         gate_count=gate_count(circuit),

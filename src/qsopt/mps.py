@@ -6,11 +6,14 @@ maintained around an orthogonality center: tensors left of the center are
 left-isometries, tensors right of it right-isometries, so Schmidt spectra,
 conditional bit probabilities and the norm read off locally.
 
+Every update is a matrix product on reshaped tensors. A 1q gate
+multiplies a site's physical axis. A two-site update (Schollwoeck, Ann.
+Phys. 326, 96, 2011) contracts the pair into theta of shape (l, 4, r),
+multiplies it by the 4x4 gate, and splits it again by an SVD that keeps
+at most chi_max singular values, drops the smallest ones while their
+total squared weight stays within trunc_tol, and renormalizes the rest.
 Two-qubit gates on non-adjacent qubits are routed with temporary SWAP
-layers and the qubit order is restored afterwards. Each two-site update
-runs an SVD, keeps at most chi_max singular values, drops the smallest
-ones while their total squared weight stays within trunc_tol, and
-renormalizes the rest.
+layers and the qubit order is restored afterwards.
 
 Readout (`measure_at`, under `QubitState.sample`) walks the chain once for
 all shots, each bit drawn from its conditional probability (Ferris & Vidal,
@@ -55,7 +58,6 @@ class MpsState(QubitState):
             self.tensors.append(t)
         self.center = 0
         self.max_bond_seen = 1
-        self.last_discarded = 0.0
         self.total_discarded = 0.0
 
     # --- canonical form ---------------------------------------------------
@@ -67,7 +69,8 @@ class MpsState(QubitState):
         q, rmat = np.linalg.qr(a.reshape(l * p, r))
         k = q.shape[1]
         self.tensors[c] = q.reshape(l, p, k)
-        self.tensors[c + 1] = np.einsum("kb,bpr->kpr", rmat, self.tensors[c + 1])
+        nxt = self.tensors[c + 1]
+        self.tensors[c + 1] = (rmat @ nxt.reshape(r, -1)).reshape(k, *nxt.shape[1:])
         self.center = c + 1
 
     def _shift_left(self) -> None:
@@ -80,7 +83,8 @@ class MpsState(QubitState):
         q_rows = q.conj().T
         lmat = rmat.conj().T
         self.tensors[c] = q_rows.reshape(k, p, r)
-        self.tensors[c - 1] = np.einsum("lpb,bk->lpk", self.tensors[c - 1], lmat)
+        prev = self.tensors[c - 1]
+        self.tensors[c - 1] = (prev.reshape(-1, l) @ lmat).reshape(*prev.shape[:2], k)
         self.center = c - 1
 
     def move_center(self, site: int) -> None:
@@ -92,26 +96,22 @@ class MpsState(QubitState):
     # --- gate application -------------------------------------------------
 
     def apply_unitary_1q(self, matrix: np.ndarray, qubit: int) -> None:
-        self.tensors[qubit] = np.einsum("ab,lbr->lar", matrix, self.tensors[qubit])
+        self.tensors[qubit] = matrix @ self.tensors[qubit]
 
     def _apply_2q_adjacent(self, matrix: np.ndarray, left: int) -> None:
         """Apply a 4x4 unitary to sites (left, left+1); matrix indexes the
         left site as its most significant bit."""
         self.move_center(left)
         a, b = self.tensors[left], self.tensors[left + 1]
-        l = a.shape[0]
+        l, _, chi = a.shape
         r = b.shape[2]
-        theta = np.einsum("lpm,mqr->lpqr", a, b)
-        u4 = matrix.reshape(2, 2, 2, 2)
-        theta = np.einsum("acbd,lbdr->lacr", u4, theta)
-        m = theta.reshape(l * 2, 2 * r)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        theta = (a.reshape(l * 2, chi) @ b.reshape(chi, 2 * r)).reshape(l, 4, r)
+        theta = matrix @ theta  # the 4 axis is (left bit, right bit)
+        u, s, vh = np.linalg.svd(theta.reshape(l * 2, 2 * r), full_matrices=False)
         k = self._truncation_rank(s)
         weight = float(np.sum(s ** 2))
-        kept = s[:k]
-        self.last_discarded = float(np.sum(s[k:] ** 2)) / weight
-        self.total_discarded += self.last_discarded
-        kept = kept / np.sqrt(np.sum(kept ** 2))
+        self.total_discarded += float(np.sum(s[k:] ** 2)) / weight
+        kept = s[:k] / np.sqrt(np.sum(s[:k] ** 2))
         self.tensors[left] = u[:, :k].reshape(l, 2, k)
         self.tensors[left + 1] = (kept[:, None] * vh[:k, :]).reshape(k, 2, r)
         self.center = left + 1
@@ -119,12 +119,15 @@ class MpsState(QubitState):
             self.max_bond_seen = k
 
     def _truncation_rank(self, s: np.ndarray) -> int:
+        """Number of singular values (descending) to keep: at most chi_max,
+        and no more than those whose tail weight, tail[i] = sum of s[i:]^2,
+        exceeds trunc_tol of the total; at least one. tail never increases,
+        so the kept ones are a prefix. trunc_tol = 0 keeps exact zeros."""
         k = min(len(s), self.chi_max)
         if self.trunc_tol > 0.0:
             weight = np.sum(s ** 2)
-            tail = np.cumsum((s ** 2)[::-1])[::-1]  # tail[i] = sum of s[i:]^2
-            while k > 1 and tail[k - 1] <= self.trunc_tol * weight:
-                k -= 1
+            tail = np.cumsum((s ** 2)[::-1])[::-1]
+            k = int(np.count_nonzero(tail[:k] > self.trunc_tol * weight))
         return max(k, 1)
 
     def apply_unitary_2q(self, matrix: np.ndarray, qa: int, qb: int) -> None:

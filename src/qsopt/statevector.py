@@ -4,10 +4,13 @@ Keeps all 2^n amplitudes; qubit 0 is the most significant bit, so the
 amplitude of bitstring b is amps[int(b, 2)]. Hard capacity cap because
 memory doubles per qubit (the cap may be raised explicitly).
 
+Every gate and Pauli is one matrix product: the gate's qubit axes move
+to the front of a (..., 2, ..., 2) view of the amplitudes, and the
+2^k x 2^k matrix multiplies that view reshaped to 2^k rows.
+
 A state built with `batch=B` holds B independent states as the rows of a
-(B, 2^n) array: every gate, Pauli and reset acts on each row with the
-same elementwise arithmetic as on a single state, and a reset draws one
-outcome per row. The noise model runs its trajectories this way.
+(B, 2^n) array: the same product acts on every row, and a reset draws
+one outcome per row. The noise model runs its trajectories this way.
 
 `QubitState` holds what the dense and MPS backends share: gate dispatch,
 entropies from per-bond Schmidt values, and one readout path. Every
@@ -45,6 +48,7 @@ class QubitState:
     apply_unitary_1q/2q, schmidt_values(bond) and measure_at(u)."""
 
     n_qubits: int
+    chi_max: int | None = None  # bond cap; None where nothing is truncated
 
     def apply_gate(self, gate: Gate) -> None:
         apply = self.apply_unitary_1q if gate.kind.n_qubits == 1 else self.apply_unitary_2q
@@ -96,32 +100,15 @@ class DenseState(QubitState):
         self.amps = np.zeros(shape, dtype=complex)
         self.amps[..., 0] = 1.0
 
-    def _axes(self) -> np.ndarray:
-        return self.amps.reshape(self.amps.shape[:-1] + (2,) * self.n_qubits)
+    def apply_unitary(self, matrix: np.ndarray, *qubits: int) -> None:
+        """Apply a 2^k x 2^k unitary to the listed qubits of every row; the
+        first listed qubit is the matrix's most significant bit."""
+        lead = self.amps.ndim - 1
+        view = self.amps.reshape(self.amps.shape[:-1] + (2,) * self.n_qubits)
+        front = np.moveaxis(view, [lead + q for q in qubits], range(len(qubits)))
+        front[...] = (matrix @ front.reshape(len(matrix), -1)).reshape(front.shape)
 
-    def _panel(self, bits: dict[int, int]) -> tuple:
-        """Index of the amplitudes (of every row) with qubit q fixed to bits[q]."""
-        index = [slice(None)] * self.n_qubits
-        for qubit, bit in bits.items():
-            index[qubit] = bit
-        return (Ellipsis, *index)
-
-    def apply_unitary_1q(self, matrix: np.ndarray, qubit: int) -> None:
-        v = self._axes()
-        i0, i1 = self._panel({qubit: 0}), self._panel({qubit: 1})
-        a0, a1 = v[i0].copy(), v[i1]
-        v[i0] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-        v[i1] = matrix[1, 0] * a0 + matrix[1, 1] * a1
-
-    def apply_unitary_2q(self, matrix: np.ndarray, qa: int, qb: int) -> None:
-        v = self._axes()
-
-        def panel(b):
-            return self._panel({qa: b >> 1, qb: b & 1})
-
-        blocks = [v[panel(b)].copy() for b in range(4)]
-        for r in range(4):
-            v[panel(r)] = sum(matrix[r, c] * blocks[c] for c in range(4))
+    apply_unitary_1q = apply_unitary_2q = apply_unitary
 
     # --- readout ---------------------------------------------------------
 
@@ -165,16 +152,13 @@ class DenseState(QubitState):
         of the row's weight, so p1 is in [0, 1] and the kept branch has
         positive weight: its renormalization never divides by zero.
         Returns the measured bit(s)."""
-        v = self._axes()
-        i0, i1 = self._panel({qubit: 0}), self._panel({qubit: 1})
-        rest = tuple(range(-(self.n_qubits - 1), 0))
-        w0 = np.sum(np.abs(v[i0]) ** 2, axis=rest)
-        w1 = np.sum(np.abs(v[i1]) ** 2, axis=rest)
+        v = self.amps.reshape(self.amps.shape[:-1] + (2 ** qubit, 2, -1))
+        w0, w1 = (np.sum(np.abs(v[..., b, :]) ** 2, axis=(-2, -1)) for b in (0, 1))
         one = np.reshape(u, w1.shape) < w1 / (w0 + w1)
         scale = 1.0 / np.sqrt(np.where(one, w1, w0))
-        keep = (slice(None),) * one.ndim + (None,) * (self.n_qubits - 1)
-        v[i0] = np.where(one[keep], v[i1], v[i0]) * scale[keep]
-        v[i1] = 0.0
+        keep = (..., None, None)
+        v[..., 0, :] = np.where(one[keep], v[..., 1, :], v[..., 0, :]) * scale[keep]
+        v[..., 1, :] = 0.0
         return one.astype(int)[()]
 
     def schmidt_values(self, bond: int) -> np.ndarray:

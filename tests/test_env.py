@@ -23,7 +23,7 @@ from qsopt.env import (
     aux_size,
     encode,
 )
-from qsopt.metrics import evaluate
+from qsopt.metrics import MetricsRecord, evaluate
 
 SV = BackendSpec(kind="statevector")
 
@@ -187,6 +187,16 @@ def test_inject_targets_weakest_bond():
     out = env.apply_action(env.circuit, a)
     assert out.gates[-2].kind is GateKind.H and out.gates[-2].qubits == (2,)
     assert out.gates[-1].kind is GateKind.CX and out.gates[-1].qubits == (2, 3)
+
+
+def test_inject_ignores_ulp_level_entropy_differences():
+    # bonds 2 and 3 tie up to the last bit; the lower bond wins, as it
+    # would in exact arithmetic
+    env = CircuitEnv(exact_cfg())
+    record = MetricsRecord(qfi_norm=0.0, entropy_norm=0.5, depth=0, gate_count=0,
+                           bond_entropies=(1.0, 0.9932367844349391, 0.993236784434939, 1.0))
+    out = env._inject(Circuit(5), record)
+    assert [g.qubits for g in out.gates] == [(1,), (1, 2)]
 
 
 def test_inject_needs_two_gate_budget():

@@ -110,6 +110,42 @@ def test_trunc_tol_drops_negligible_weight():
     assert loose.total_discarded < 1e-8
 
 
+def _truncation_rank_loop(s, chi_max, trunc_tol):
+    """Reference: the rank as a loop that drops the smallest kept value
+    while the tail from it on weighs at most trunc_tol of the total."""
+    k = min(len(s), chi_max)
+    if trunc_tol > 0.0:
+        weight = np.sum(s ** 2)
+        tail = np.cumsum((s ** 2)[::-1])[::-1]  # tail[i] = sum of s[i:]^2
+        while k > 1 and tail[k - 1] <= trunc_tol * weight:
+            k -= 1
+    return max(k, 1)
+
+
+def test_truncation_rank_matches_loop():
+    rng = np.random.default_rng(0)
+    spectra = [np.sort(rng.random(rng.integers(1, 12)) ** rng.uniform(1, 30))[::-1]
+               for _ in range(200)]
+    spectra += [
+        np.ones(4),  # tails 4, 3, 2, 1: exact ties at trunc_tol 0.25 and 0.5
+        np.array([2.0, 1.0, 1.0]),  # tail 1 is exactly 1/6 of the weight 6
+        np.array([1.0, 0.5, 0.0, 0.0]),  # zero tail
+        np.array([1.0, 1e-9, 1e-12, 0.0]),
+        np.zeros(3),
+    ]
+    for s in spectra:
+        for chi_max in (1, 2, 3, 64):
+            for tol in (0.0, 1e-10, 1e-3, 1.0 / 6.0, 0.25, 0.5):
+                got = MpsState(2, chi_max=chi_max, trunc_tol=tol)._truncation_rank(s)
+                assert got == _truncation_rank_loop(s, chi_max, tol), (s, chi_max, tol)
+
+
+def test_zero_trunc_tol_keeps_exact_zeros():
+    s = np.array([1.0, 0.5, 0.0, 0.0])
+    assert MpsState(2, trunc_tol=0.0)._truncation_rank(s) == 4
+    assert MpsState(2, trunc_tol=1e-10)._truncation_rank(s) == 2
+
+
 def test_peak_stats():
     s = run(ghz(5), trunc_tol=0.0)
     stats = s.peak_stats()
