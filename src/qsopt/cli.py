@@ -14,7 +14,8 @@ def _apply_thread_cap():
     cap = os.environ.get("QSOPT_THREADS")
     if not cap:
         return
-    if not cap.isdigit() or int(cap) < 1:
+    # str.isdigit() also accepts digits such as "²" that int() rejects
+    if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
         print(f"warning: ignoring QSOPT_THREADS={cap!r} (want a positive integer)",
               file=sys.stderr)
         return

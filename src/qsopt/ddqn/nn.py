@@ -11,14 +11,25 @@ backward pass; gradients are exact (verified against central finite
 differences in the test suite). Parameters and activations use the
 net's dtype: float32 by default, float64 on request, which the gradient
 checks use so their tolerances can be tight.
+
+Activations, patches and backward intermediates live in one workspace
+per (net shapes, batch size, dtype), shared by every QNet of those
+shapes (the online and the target net), so a warm pass allocates no
+large array. Returned Q values and gradients are fresh arrays. The
+arrays of a `forward_cached` cache belong to the workspace: a cache is
+valid until the next forward of a QNet with the same shapes and batch
+size, and `backward` consumes it. Adam keeps one scratch array per
+parameter. Every operation runs in the same order and on the same
+element layout as a plain allocating implementation, so results are
+bitwise equal to it (a test keeps that implementation as a reference).
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 CHECKPOINT_VERSION = 1
 
@@ -28,23 +39,100 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """(B,H,W,C) -> (B,H,W,C*9) patches of the zero-padded input."""
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B,H,W,C,3,3)
-    b, h, w = x.shape[:3]
-    return win.reshape(b, h, w, -1)
+# one 3x3 tap offset d along an axis: (patch cells, the input cells they
+# read). Patch cell i reads input cell i + d - 1; the patch cell at
+# _EDGE[d] reads the zero padding instead.
+_TAP = ((slice(1, None), slice(None, -1)),
+        (slice(None), slice(None)),
+        (slice(None, -1), slice(1, None)))
+_EDGE = (0, None, -1)
+# im2col/col2im work through the batch in blocks of about this many patch
+# bytes, so that the nine strided passes over a block hit cache
+_BLOCK_BYTES = 1 << 19
+# Adam works through a parameter in chunks of rows of about this many
+# elements, so that the passes of one update stay in cache
+_ADAM_CHUNK = 1 << 16
 
 
-def _col2im(dpatches: np.ndarray, x_shape) -> np.ndarray:
-    """Scatter patch gradients back onto the (unpadded) input."""
+def _blocks(b: int, patch_bytes: int):
+    step = max(1, _BLOCK_BYTES // patch_bytes)
+    return (slice(lo, lo + step) for lo in range(0, b, step))
+
+
+def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(B,H,W,C) -> (B,H,W,C*9) patches of the zero-padded input.
+
+    The patches fill `out`, a (B,H,W,C,3,3) buffer, if given: one slice copy
+    per tap plus zeros where the tap reads the padding, so `out` needs no
+    prior contents and no padded copy of x is made.
+    """
+    b, h, w, c = x.shape
+    if out is None:
+        out = np.empty((b, h, w, c, 3, 3), x.dtype)
+    for blk in _blocks(b, out[:1].nbytes):
+        xb, ob = x[blk], out[blk]
+        for di, (ti, si) in enumerate(_TAP):
+            for dj, (tj, sj) in enumerate(_TAP):
+                tap = ob[..., di, dj]
+                tap[:, ti, tj] = xb[:, si, sj]
+                if _EDGE[di] is not None:
+                    tap[:, _EDGE[di]] = 0
+                if _EDGE[dj] is not None:
+                    tap[:, :, _EDGE[dj]] = 0
+    return out.reshape(b, h, w, -1)
+
+
+def _col2im(dpatches: np.ndarray, x_shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Scatter patch gradients back onto the (unpadded) input, into `out`
+    if given. Taps add in the same order as a scatter onto a padded input,
+    so the sums round the same way."""
     b, h, w, c = x_shape
     dp = dpatches.reshape(b, h, w, c, 3, 3)
-    dxp = np.zeros((b, h + 2, w + 2, c), dtype=dpatches.dtype)
-    for di in range(3):
-        for dj in range(3):
-            dxp[:, di:di + h, dj:dj + w, :] += dp[:, :, :, :, di, dj]
-    return dxp[:, 1:-1, 1:-1, :]
+    if out is None:
+        out = np.zeros(x_shape, dtype=dpatches.dtype)
+    else:
+        out.fill(0)
+    for blk in _blocks(b, dp[:1].nbytes):
+        dpb, ob = dp[blk], out[blk]
+        for di, (ti, si) in enumerate(_TAP):
+            for dj, (tj, sj) in enumerate(_TAP):
+                ob[:, si, sj] += dpb[:, ti, tj, :, di, dj]
+    return out
+
+
+class _Workspace:
+    """Every large array of one forward and backward pass at one batch size."""
+
+    def __init__(self, grid_shape, aux_dim, n_actions, widths, dtype, b):
+        h, w, c = grid_shape
+        c1, c2, hidden = widths
+
+        def buf(*shape):
+            return np.empty(shape, dtype)
+
+        self.cols1, self.cols2 = buf(b, h, w, c, 3, 3), buf(b, h, w, c1, 3, 3)
+        self.z1, self.a1 = buf(b, h, w, c1), buf(b, h, w, c1)
+        self.z2 = buf(b, h, w, c2)
+        self.flat = buf(b, h * w * c2 + aux_dim)
+        self.a2 = self.flat[:, :h * w * c2].reshape(b, h, w, c2)  # a view into flat
+        self.z3, self.a3 = buf(b, hidden), buf(b, hidden)
+        self.adv, self.val = buf(b, n_actions), buf(b, 1)
+        self.da3, self.dz3 = buf(b, hidden), buf(b, hidden)
+        self.dflat = buf(*self.flat.shape)
+        self.dz2 = buf(b, h, w, c2)
+        self.da1 = buf(b, h, w, c1)
+        self._mask = np.empty(b * max(h * w * c1, h * w * c2, hidden), bool)
+
+    def positive(self, z: np.ndarray) -> np.ndarray:
+        """z > 0 in the shared mask buffer."""
+        return np.greater(z, 0.0, out=self._mask[:z.size].reshape(z.shape))
+
+
+# a training run uses two: batch 1 to act and the train batch
+@lru_cache(maxsize=4)
+def _workspace(shapes, batch: int) -> _Workspace:
+    """The one workspace of every QNet with these shapes at this batch size."""
+    return _Workspace(*shapes, batch)
 
 
 class QNet:
@@ -71,6 +159,7 @@ class QNet:
             "bv": np.zeros(1),
         }
         self.params = {k: v.astype(self.dtype) for k, v in self.params.items()}
+        self._shapes = (tuple(grid_shape), aux_dim, n_actions, self.widths, self.dtype)
 
     def n_params(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -84,28 +173,40 @@ class QNet:
 
     def _forward(self, grid: np.ndarray, aux: np.ndarray, keep: bool):
         p = self.params
-        grid = np.ascontiguousarray(grid, dtype=self.dtype)
-        aux = np.ascontiguousarray(aux, dtype=self.dtype)
-        b = grid.shape[0]
-        p1 = _im2col(grid)
-        z1 = p1 @ p["w1"] + p["b1"]
-        a1 = np.maximum(z1, 0.0)
-        p2 = _im2col(a1)
-        z2 = p2 @ p["w2"] + p["b2"]
-        a2 = np.maximum(z2, 0.0)
-        flat = np.concatenate([a2.reshape(b, -1), aux], axis=1)
-        z3 = flat @ p["w3"] + p["b3"]
-        a3 = np.maximum(z3, 0.0)
-        adv = a3 @ p["wa"] + p["ba"]
-        val = a3 @ p["wv"] + p["bv"]
-        q = val + adv - adv.mean(axis=1, keepdims=True)
+        grid, aux = np.asarray(grid), np.asarray(aux)
+        if aux.shape[0] != grid.shape[0]:
+            raise ValueError(f"{grid.shape[0]} grids but {aux.shape[0]} aux rows")
+        ws = _workspace(self._shapes, grid.shape[0])
+        p1 = _im2col(grid, ws.cols1)
+        z1 = np.matmul(p1, p["w1"], out=ws.z1)
+        z1 += p["b1"]
+        a1 = np.maximum(z1, 0.0, out=ws.a1)
+        p2 = _im2col(a1, ws.cols2)
+        z2 = np.matmul(p2, p["w2"], out=ws.z2)
+        z2 += p["b2"]
+        a2 = np.maximum(z2, 0.0, out=ws.a2)
+        flat = ws.flat
+        flat[:, flat.shape[1] - self.aux_dim:] = aux
+        z3 = np.matmul(flat, p["w3"], out=ws.z3)
+        z3 += p["b3"]
+        a3 = np.maximum(z3, 0.0, out=ws.a3)
+        adv = np.matmul(a3, p["wa"], out=ws.adv)
+        adv += p["ba"]
+        val = np.matmul(a3, p["wv"], out=ws.val)
+        val += p["bv"]
+        q = val + adv
+        q -= adv.mean(axis=1, keepdims=True)
         cache = (p1, z1, a1, p2, z2, a2, flat, z3, a3) if keep else None
         return q, cache
 
     def backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss with upstream derivative dq = dL/dQ."""
+        """Gradients of a scalar loss with upstream derivative dq = dL/dQ.
+
+        Consumes the cache: the conv2 patch gradient overwrites its patches.
+        """
         p = self.params
         p1, z1, a1, p2, z2, a2, flat, z3, a3 = cache
+        ws = _workspace(self._shapes, flat.shape[0])
         dq = np.asarray(dq, dtype=self.dtype)
         g = {}
         # dueling combination: dA = dQ - mean_a dQ, dV = sum_a dQ
@@ -115,18 +216,19 @@ class QNet:
         g["ba"] = dadv.sum(axis=0)
         g["wv"] = a3.T @ dval
         g["bv"] = dval.sum(axis=0)
-        da3 = dadv @ p["wa"].T + dval @ p["wv"].T
-        dz3 = da3 * (z3 > 0.0)
+        da3 = np.matmul(dadv, p["wa"].T, out=ws.da3)
+        da3 += np.matmul(dval, p["wv"].T, out=ws.dz3)
+        dz3 = np.multiply(da3, ws.positive(z3), out=ws.dz3)
         g["w3"] = flat.T @ dz3
         g["b3"] = dz3.sum(axis=0)
-        dflat = dz3 @ p["w3"].T
+        dflat = np.matmul(dz3, p["w3"].T, out=ws.dflat)
         split = flat.shape[1] - self.aux_dim
         da2 = dflat[:, :split].reshape(a2.shape)
-        dz2 = da2 * (z2 > 0.0)
+        dz2 = np.multiply(da2, ws.positive(z2), out=ws.dz2)
         g["w2"] = p2.reshape(-1, p2.shape[-1]).T @ dz2.reshape(-1, dz2.shape[-1])
         g["b2"] = dz2.sum(axis=(0, 1, 2))
-        da1 = _col2im(dz2 @ p["w2"].T, a1.shape)
-        dz1 = da1 * (z1 > 0.0)
+        da1 = _col2im(np.matmul(dz2, p["w2"].T, out=p2), a1.shape, ws.da1)
+        dz1 = np.multiply(da1, ws.positive(z1), out=da1)
         g["w1"] = p1.reshape(-1, p1.shape[-1]).T @ dz1.reshape(-1, dz1.shape[-1])
         g["b1"] = dz1.sum(axis=(0, 1, 2))
         return g
@@ -171,7 +273,14 @@ class QNet:
 
 
 class Adam:
-    """Standard first/second-moment optimizer with bias correction."""
+    """Standard first/second-moment optimizer with bias correction.
+
+    A parameter is updated in chunks of rows, each with the same operations
+    in the same order as the plain expression, computed in one scratch array
+    per parameter that holds a chunk's numerator and denominator. So a step
+    allocates nothing, and a chunk's passes stay in cache. Grads are
+    expected in the params' dtype, as QNet.backward returns them.
+    """
 
     def __init__(self, params: dict[str, np.ndarray],
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -179,6 +288,10 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.scratch = {}
+        for k, v in params.items():
+            rows = min(len(v), max(1, _ADAM_CHUNK // v[0].size))
+            self.scratch[k] = np.empty((2, rows) + v.shape[1:], v.dtype)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
@@ -186,11 +299,19 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for k, g in grads.items():
-            m = self.m[k]
-            v = self.v[k]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        for k, grad in grads.items():
+            scratch = self.scratch[k]
+            chunk = scratch.shape[1]
+            for lo in range(0, len(grad), chunk):
+                rows = slice(lo, lo + chunk)
+                m, v, g = self.m[k][rows], self.v[k][rows], grad[rows]
+                num, den = scratch[:, :len(g)]
+                m *= b1
+                m += np.multiply(1.0 - b1, g, out=num)
+                v *= b2
+                v += np.multiply(np.multiply(1.0 - b2, g, out=den), g, out=den)
+                # params -= lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.multiply(lr, np.divide(m, c1, out=num), out=num)
+                np.sqrt(np.divide(v, c2, out=den), out=den)
+                den += self.eps
+                params[k][rows] -= np.divide(num, den, out=num)

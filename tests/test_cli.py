@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,3 +263,22 @@ def test_thread_cap_ignores_garbage(monkeypatch, capsys):
     cli._apply_thread_cap()
     assert "OMP_NUM_THREADS" not in cli.os.environ
     assert "warning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["\u00b2", "\uff12"])
+def test_thread_cap_ignores_non_ascii_digits_at_import(tmp_path, value):
+    # str.isdigit() accepts both; the cap is read at import, so only a
+    # fresh process exercises it
+    cpath = tmp_path / "bell.qc"
+    emit_file(ghz(2), cpath)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "QSOPT_THREADS": value,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    done = subprocess.run([sys.executable, "-m", "qsopt.cli", "simulate", "--circuit",
+                           str(cpath), "--shots", "10"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert f"warning: ignoring QSOPT_THREADS={value!r}" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -57,6 +57,13 @@ def test_forward_shapes_and_param_count():
     assert net.n_params() == expected
 
 
+def test_forward_rejects_mismatched_batches():
+    net = tiny_net()
+    grid, aux = rand_batch_inputs(np.random.default_rng(1), b=4)
+    with pytest.raises(ValueError):
+        net.forward(grid, aux[:1])
+
+
 def test_im2col_col2im_are_adjoint():
     # <im2col(x), y> == <x, col2im(y)> pins the scatter against the gather
     rng = np.random.default_rng(2)

@@ -1,0 +1,208 @@
+"""The QNet workspace against the allocating implementation it replaced.
+
+`_im2col`, `_col2im`, `ref_forward`, `ref_backward` and `RefAdam.step`
+below are verbatim copies of the earlier allocating code (methods take
+their net as `self`). The workspace version must give bitwise-equal Q
+values, cache entries, gradients and parameters, and hand out nothing
+that a later pass overwrites.
+"""
+
+import tracemalloc
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from qsopt.ddqn import QNet, Transition, train_step
+from qsopt.ddqn.nn import Adam
+from qsopt.env import Observation
+
+
+# --- reference: the allocating implementation -----------------------------
+
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """(B,H,W,C) -> (B,H,W,C*9) patches of the zero-padded input."""
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B,H,W,C,3,3)
+    b, h, w = x.shape[:3]
+    return win.reshape(b, h, w, -1)
+
+
+def _col2im(dpatches: np.ndarray, x_shape) -> np.ndarray:
+    """Scatter patch gradients back onto the (unpadded) input."""
+    b, h, w, c = x_shape
+    dp = dpatches.reshape(b, h, w, c, 3, 3)
+    dxp = np.zeros((b, h + 2, w + 2, c), dtype=dpatches.dtype)
+    for di in range(3):
+        for dj in range(3):
+            dxp[:, di:di + h, dj:dj + w, :] += dp[:, :, :, :, di, dj]
+    return dxp[:, 1:-1, 1:-1, :]
+
+
+def ref_forward(self, grid: np.ndarray, aux: np.ndarray, keep: bool):
+    p = self.params
+    grid = np.ascontiguousarray(grid, dtype=self.dtype)
+    aux = np.ascontiguousarray(aux, dtype=self.dtype)
+    b = grid.shape[0]
+    p1 = _im2col(grid)
+    z1 = p1 @ p["w1"] + p["b1"]
+    a1 = np.maximum(z1, 0.0)
+    p2 = _im2col(a1)
+    z2 = p2 @ p["w2"] + p["b2"]
+    a2 = np.maximum(z2, 0.0)
+    flat = np.concatenate([a2.reshape(b, -1), aux], axis=1)
+    z3 = flat @ p["w3"] + p["b3"]
+    a3 = np.maximum(z3, 0.0)
+    adv = a3 @ p["wa"] + p["ba"]
+    val = a3 @ p["wv"] + p["bv"]
+    q = val + adv - adv.mean(axis=1, keepdims=True)
+    cache = (p1, z1, a1, p2, z2, a2, flat, z3, a3) if keep else None
+    return q, cache
+
+
+def ref_backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss with upstream derivative dq = dL/dQ."""
+    p = self.params
+    p1, z1, a1, p2, z2, a2, flat, z3, a3 = cache
+    dq = np.asarray(dq, dtype=self.dtype)
+    g = {}
+    # dueling combination: dA = dQ - mean_a dQ, dV = sum_a dQ
+    dval = dq.sum(axis=1, keepdims=True)
+    dadv = dq - dq.mean(axis=1, keepdims=True)
+    g["wa"] = a3.T @ dadv
+    g["ba"] = dadv.sum(axis=0)
+    g["wv"] = a3.T @ dval
+    g["bv"] = dval.sum(axis=0)
+    da3 = dadv @ p["wa"].T + dval @ p["wv"].T
+    dz3 = da3 * (z3 > 0.0)
+    g["w3"] = flat.T @ dz3
+    g["b3"] = dz3.sum(axis=0)
+    dflat = dz3 @ p["w3"].T
+    split = flat.shape[1] - self.aux_dim
+    da2 = dflat[:, :split].reshape(a2.shape)
+    dz2 = da2 * (z2 > 0.0)
+    g["w2"] = p2.reshape(-1, p2.shape[-1]).T @ dz2.reshape(-1, dz2.shape[-1])
+    g["b2"] = dz2.sum(axis=(0, 1, 2))
+    da1 = _col2im(dz2 @ p["w2"].T, a1.shape)
+    dz1 = da1 * (z1 > 0.0)
+    g["w1"] = p1.reshape(-1, p1.shape[-1]).T @ dz1.reshape(-1, dz1.shape[-1])
+    g["b1"] = dz1.sum(axis=(0, 1, 2))
+    return g
+
+
+class RefAdam:
+    def __init__(self, params: dict[str, np.ndarray],
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+             lr: float) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for k, g in grads.items():
+            m = self.m[k]
+            v = self.v[k]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+# --- workspace vs reference -------------------------------------------------
+
+# the train-exact net: 5 qubits x 30 moments x 9 channels, 7 aux features, 55 actions
+NETS = {
+    "exact-f32": dict(grid_shape=(5, 30, 9), aux_dim=7, n_actions=55),
+    "tiny-f64": dict(grid_shape=(3, 4, 2), aux_dim=3, n_actions=5,
+                     conv1=3, conv2=4, hidden=8, dtype=np.float64),
+}
+
+
+def _reference(net):
+    return SimpleNamespace(params={k: v.copy() for k, v in net.params.items()},
+                           dtype=net.dtype, aux_dim=net.aux_dim)
+
+
+def _inputs(rng, net, b):
+    return rng.normal(size=(b, *net.grid_shape)), rng.normal(size=(b, net.aux_dim))
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 128])
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_workspace_matches_allocating_reference_bitwise(kind, batch):
+    main = QNet(rng=np.random.default_rng(0), **NETS[kind])
+    target = QNet(rng=np.random.default_rng(1), **NETS[kind])
+    ref_main, ref_target = _reference(main), _reference(target)
+    opt, ref_opt = Adam(main.params), RefAdam(ref_main.params)
+    rng = np.random.default_rng(batch)
+    other = 2 if batch != 2 else 5
+    for _ in range(3):
+        grid, aux = _inputs(rng, main, batch)
+        dq = rng.normal(size=(batch, main.n_actions))
+        q, cache = main.forward_cached(grid, aux)
+        ref_q, ref_cache = ref_forward(ref_main, grid, aux, keep=True)
+        _assert_same(q, ref_q)
+        assert len(cache) == len(ref_cache)
+        for got, want in zip(cache, ref_cache):
+            _assert_same(got, want)
+        grads = main.backward(cache, dq)
+        ref_grads = ref_backward(ref_main, ref_cache, dq)
+        assert grads.keys() == ref_grads.keys()
+        for k in grads:
+            _assert_same(grads[k], ref_grads[k])
+        opt.step(main.params, grads, lr=1e-3)
+        ref_opt.step(ref_main.params, ref_grads, lr=1e-3)
+        for k in main.params:
+            _assert_same(main.params[k], ref_main.params[k])
+
+        # main and target share the workspace at each batch size; what one
+        # pass returned must survive the next
+        kept_q, kept_grads = q.copy(), {k: v.copy() for k, v in grads.items()}
+        for b in (batch, other, batch):
+            grid, aux = _inputs(rng, main, b)
+            for net, ref in ((main, ref_main), (target, ref_target)):
+                _assert_same(net.forward(grid, aux), ref_forward(ref, grid, aux, False)[0])
+            q2, cache2 = target.forward_cached(grid, aux)
+            _assert_same(q2, ref_forward(ref_target, grid, aux, False)[0])
+            target.backward(cache2, rng.normal(size=q2.shape))
+        _assert_same(q, kept_q)
+        for k in grads:
+            _assert_same(grads[k], kept_grads[k])
+
+
+def test_warm_train_step_allocates_no_large_array():
+    shapes = NETS["exact-f32"]
+    main = QNet(rng=np.random.default_rng(0), **shapes)
+    target = QNet(rng=np.random.default_rng(1), **shapes)
+    opt = Adam(main.params)
+    rng = np.random.default_rng(2)
+
+    def obs():
+        return Observation(rng.normal(size=shapes["grid_shape"]),
+                           rng.normal(size=shapes["aux_dim"]))
+
+    n_actions = shapes["n_actions"]
+    batch = [Transition(obs(), int(rng.integers(n_actions)), float(rng.normal()), obs(),
+                        i % 7 == 0, False, rng.random(n_actions) < 0.8)
+             for i in range(128)]
+    train_step(main, target, opt, batch, gamma=0.95, lr=1e-3)  # builds the workspace
+    tracemalloc.start()
+    try:
+        train_step(main, target, opt, batch, gamma=0.95, lr=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every activation, patch and Adam temporary of a step allocated afresh was 49.6 MB
+    assert peak < 16 * 2 ** 20
