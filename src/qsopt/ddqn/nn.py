@@ -227,7 +227,9 @@ class QNet:
         dz2 = np.multiply(da2, ws.positive(z2), out=ws.dz2)
         g["w2"] = p2.reshape(-1, p2.shape[-1]).T @ dz2.reshape(-1, dz2.shape[-1])
         g["b2"] = dz2.sum(axis=(0, 1, 2))
-        da1 = _col2im(np.matmul(dz2, p["w2"].T, out=p2), a1.shape, ws.da1)
+        # one 2-D product over the (B*H*W, c2) rows, written over the patches
+        np.matmul(dz2.reshape(-1, dz2.shape[-1]), p["w2"].T, out=p2.reshape(-1, p2.shape[-1]))
+        da1 = _col2im(p2, a1.shape, ws.da1)
         dz1 = np.multiply(da1, ws.positive(z1), out=da1)
         g["w1"] = p1.reshape(-1, p1.shape[-1]).T @ dz1.reshape(-1, dz1.shape[-1])
         g["b1"] = dz1.sum(axis=(0, 1, 2))

@@ -69,8 +69,20 @@ class EnvConfig:
             raise ValueError("shots must be >= 0")
         if self.shots == 0 and self.backend.kind != "statevector":
             raise ValueError("shots=0 (exact QFI) requires the statevector backend")
+        if self.shots == 0 and self.qfi_noise is not None:
+            raise ValueError("shots=0 (exact QFI) cannot model noise; use shots >= 1 "
+                             "or disable noise during training")
         if not self.angle_catalog:
             raise ValueError("angle_catalog must not be empty")
+
+    @property
+    def qfi_noise(self) -> NoiseParams | None:
+        """The noise the QFI estimate models: None unless noise is enabled
+        during training."""
+        noise = self.noise
+        if noise is not None and noise.enabled and noise.during_training:
+            return noise
+        return None
 
     @property
     def grid_depth(self) -> int:
@@ -206,13 +218,7 @@ class CircuitEnv:
 
     def _evaluate(self, circuit: Circuit) -> metrics.MetricsRecord:
         return metrics.evaluate(circuit, self.cfg.backend, self.cfg.shots,
-                                self._qfi_noise(), self._seeds.spawn(1)[0])
-
-    def _qfi_noise(self):
-        noise = self.cfg.noise
-        if noise is not None and noise.enabled and noise.during_training:
-            return noise
-        return None
+                                self.cfg.qfi_noise, self._seeds.spawn(1)[0])
 
     # --- actions ----------------------------------------------------------
 

@@ -9,6 +9,17 @@ shifted by +-pi/2, the two Z-basis outcome distributions are compared via
 and the per-parameter values are averaged and divided by the analytic
 maximum 8 (each term is bounded by 4(P+ + P-), which sums to 8), so the
 result always lands in [0, 1].
+
+On the statevector one estimate is one batched dense run. Its rows are
+ordered (rotation k, sign +-, shot), so each shifted circuit is a
+contiguous row group: every other gate is applied once to all rows, and
+rotation k as at most four row-slice views (its angle before the group,
++pi/2 and -pi/2 on the group's halves, its angle after). Under noise each
+shifted circuit draws its events from its own spawned child generator,
+as a per-circuit `sample_counts` would; BATCH_AMPLITUDES caps a batch.
+The statistic is computed on the (2R, 2^n) arrays of outcome
+probabilities or frequencies. The MPS runs the shifted circuits one by
+one.
 """
 
 from __future__ import annotations
@@ -20,7 +31,8 @@ import numpy as np
 
 from .backend import BackendSpec
 from .circuit import Circuit, Gate, depth, gate_count, replace_gate
-from .noise import NoiseParams, sample_counts
+from .noise import NoiseParams, batch_rows, sample_bits, sample_counts, whole_runs
+from .statevector import DenseState, outcome_index
 
 QFI_MAX = 8.0
 SHIFT = math.pi / 2.0
@@ -120,26 +132,93 @@ def rotation_positions(circuit: Circuit) -> list[int]:
     return [i for i, g in enumerate(circuit.gates) if g.kind.has_angle]
 
 
+def _shifted(gate: Gate, delta: float) -> Gate:
+    return Gate(gate.kind, gate.qubits, gate.angle + delta)
+
+
 def shift_angle(circuit: Circuit, position: int, delta: float) -> Circuit:
-    g = circuit.gates[position]
-    return replace_gate(circuit, position, Gate(g.kind, g.qubits, g.angle + delta))
+    return replace_gate(circuit, position, _shifted(circuit.gates[position], delta))
 
 
-def _shift_statistic(p_plus: dict[str, float], p_minus: dict[str, float]) -> float:
-    """Sums in sorted outcome order, so the float does not depend on the
-    order of a hashed set of bitstrings (which changes with the process)."""
-    total = 0.0
-    for outcome in sorted(p_plus.keys() | p_minus.keys()):
-        a = p_plus.get(outcome, 0.0)
-        b = p_minus.get(outcome, 0.0)
-        if a + b == 0.0:
-            continue
-        total += 4.0 * (a - b) ** 2 / (a + b)
-    return total
+def _shift_statistic(p_plus: np.ndarray, p_minus: np.ndarray) -> np.ndarray:
+    """Per row, sum_i 4 (P+_i - P-_i)^2 / (P+_i + P-_i) over the outcomes
+    i on the last axis, in sorted-bitstring order, skipping the terms with
+    P+_i + P-_i = 0. `np.cumsum` adds in sequence, so a row's sum does not
+    depend on how numpy blocks a reduction, and `np.float_power` squares
+    with the C library's pow, as Python's scalar `** 2` does (an array
+    `** 2` computes x*x, which rounds differently in a few cases)."""
+    total = p_plus + p_minus
+    terms = np.zeros_like(total)
+    np.divide(4.0 * np.float_power(p_plus - p_minus, 2.0), total, out=terms,
+              where=total != 0.0)
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _frequencies(counts: dict[str, int], shots: int) -> dict[str, float]:
-    return {k: v / shots for k, v in counts.items()}
+def _row_runs(circuit: Circuit, positions: list[int], group: int) -> list[tuple]:
+    """Per gate, the runs (`QubitState.apply_runs`) of the 2R shifted
+    circuits laid over the rows of one batch, ordered (rotation k, sign,
+    row), `group` rows per shifted circuit. A gate that is not a rotation
+    is one run over every row. Rotation k keeps its angle on the rows of
+    the other rotations, before and after its group, and is shifted by
+    +pi/2 and -pi/2 on the two halves of its group."""
+    total = 2 * len(positions) * group
+    runs = whole_runs(circuit, total)
+    for k, pos in enumerate(positions):
+        g = circuit.gates[pos]
+        plus, minus, end = 2 * k * group, (2 * k + 1) * group, (2 * k + 2) * group
+        runs[pos] = tuple(run for run in (
+            (0, plus, g),
+            (plus, minus, _shifted(g, SHIFT)),
+            (minus, end, _shifted(g, -SHIFT)),
+            (end, total, g)) if run[0] < run[1])
+    return runs
+
+
+def _dense_frequencies(circuit: Circuit, positions: list[int], shots: int,
+                       spec: BackendSpec, noise: NoiseParams | None,
+                       children) -> np.ndarray:
+    """The outcome distributions of the 2R shifted circuits as the rows of
+    a (2R, 2^n) array, ordered (rotation, sign), all from one batched
+    dense run. Exact probabilities for shots = 0, else frequencies.
+
+    Without noise each shifted circuit is one row, run gate by gate (at
+    most BATCH_AMPLITUDES amplitudes per batch); with shots its outcomes
+    come from default_rng(child) as `sample_counts` draws them. With noise
+    the rows are (circuit, shot), and each circuit's events come from its
+    own child (`noise.sample_bits`).
+    """
+    n, pairs = circuit.n_qubits, 2 * len(positions)
+    if noise is not None:
+        bits = sample_bits(circuit, spec, noise, shots, children,
+                           _row_runs(circuit, positions, shots))
+        index = bits @ (1 << np.arange(n - 1, -1, -1))
+        outcome = np.repeat(np.arange(pairs), shots) << n | index
+        return np.bincount(outcome, minlength=pairs << n).reshape(pairs, -1) / shots
+    runs = _row_runs(circuit, positions, 1)
+    rows = batch_rows(n)
+    probs = []
+    for start in range(0, pairs, rows):
+        stop = min(start + rows, pairs)
+        state = DenseState(n, spec.dense_cap, batch=stop - start)
+        for gate_runs in runs:
+            state.apply_runs(gate_runs, start, stop)
+        probs.append(state.probabilities())
+    probs = np.concatenate(probs)
+    if shots == 0:
+        return probs
+    counts = [np.bincount(outcome_index(p, np.random.default_rng(child).random(shots)),
+                          minlength=1 << n) for p, child in zip(probs, children)]
+    return np.array(counts) / shots
+
+
+def _sampled_pair(circuit: Circuit, pos: int, shots: int, spec: BackendSpec,
+                  noise: NoiseParams | None, plus_seed, minus_seed) -> tuple:
+    """Frequencies of the two shifted copies of rotation `pos`, one sampled
+    run each, over the sorted union of their outcomes."""
+    plus = sample_counts(shift_angle(circuit, pos, SHIFT), spec, shots, plus_seed, noise)
+    minus = sample_counts(shift_angle(circuit, pos, -SHIFT), spec, shots, minus_seed, noise)
+    keys = sorted(plus.keys() | minus.keys())
+    return tuple(np.array([counts.get(k, 0) for k in keys]) / shots for counts in (plus, minus))
 
 
 def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
@@ -147,32 +226,33 @@ def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
     """Normalized parameter-shift QFI in [0, 1].
 
     shots = 0 selects exact-distribution mode, which evaluates the dense
-    reference backend and needs no RNG; shots >= 1 samples measurement
-    outcomes (per-parameter child seeds keep results independent of
-    evaluation order).
+    reference backend, needs no RNG and cannot model noise; shots >= 1
+    samples measurement outcomes (per-parameter child seeds keep results
+    independent of evaluation order). On the statevector all 2R shifted
+    circuits run as the rows of one batch (`_dense_frequencies`); on the
+    MPS they run one after another.
     """
     positions = rotation_positions(circuit)
     if not positions:
         raise QfiUndefinedError("circuit has no RX/RZ gate; QFI undefined")
-    if shots == 0:
-        if spec.kind != "statevector":
-            raise ValueError("exact QFI mode (shots=0) requires the statevector backend")
-
-        def distribution(c: Circuit, _seed) -> dict[str, float]:
-            return spec.run(c).distribution()
-    elif shots > 0:
-        def distribution(c: Circuit, child) -> dict[str, float]:
-            return _frequencies(sample_counts(c, spec, shots, child, noise), shots)
-    else:
+    noisy = noise is not None and noise.enabled
+    if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
+    if shots == 0 and spec.kind != "statevector":
+        raise ValueError("exact QFI mode (shots=0) requires the statevector backend")
+    if shots == 0 and noisy:
+        raise ValueError("exact QFI mode (shots=0) cannot model noise; use shots >= 1")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = iter(root.spawn(2 * len(positions)))
-    raw = 0.0
-    for pos in positions:
-        p_plus = distribution(shift_angle(circuit, pos, SHIFT), next(children))
-        p_minus = distribution(shift_angle(circuit, pos, -SHIFT), next(children))
-        raw += _shift_statistic(p_plus, p_minus)
-    return raw / len(positions) / QFI_MAX
+    children = root.spawn(2 * len(positions))
+    if spec.kind == "statevector":
+        freqs = _dense_frequencies(circuit, positions, shots, spec,
+                                   noise if noisy else None, children)
+        stats = _shift_statistic(freqs[0::2], freqs[1::2])
+    else:
+        stats = np.array([_shift_statistic(*_sampled_pair(circuit, pos, shots, spec, noise,
+                                                          *children[2 * k:2 * k + 2]))
+                          for k, pos in enumerate(positions)])
+    return float(np.cumsum(stats)[-1] / len(positions) / QFI_MAX)
 
 
 # --- combined evaluation --------------------------------------------------

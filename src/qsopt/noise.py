@@ -18,19 +18,23 @@ amplitude-damping reset (quantum trajectories: Dalibard, Castin & Molmer,
 PRL 68, 580, 1992).
 
 `draw_events` draws every event of every shot up front, as arrays, from
-one generator; `sample_counts` makes one generator per call. Both
-backends read the same event arrays, so they share one RNG layout and one
-definition of the noise semantics: the dense statevector evolves the
-shots together as the rows of a (shots, 2^n) array (split into batches
-of at most BATCH_AMPLITUDES amplitudes), the MPS runs the shots one by
-one. A disabled model draws the same arrays with every probability zero.
-Each shot is read out by the backend's `measure_at` at its measurement
-uniform and the flipped bits are counted by `bit_counts`, as in `sample`.
+one generator; `sample_counts` makes one generator per call, and
+`sample_bits` one per circuit when it runs several circuits that differ
+only in angles (the parameter-shift QFI's shifted copies) as one set of
+rows. Both backends read the same event arrays, so they share one RNG
+layout and one definition of the noise semantics: the dense statevector
+evolves the shots together as the rows of a (shots, 2^n) array (split at
+row boundaries into batches of at most BATCH_AMPLITUDES amplitudes), the
+MPS runs the shots one by one. Each event is one state op over the rows
+it hits (`apply_paulis`, `reset_rows`, `flip_z`), and the same `_evolve`
+loop drives a dense batch and a single MPS trajectory. A disabled model
+draws the same arrays with every probability zero. Each shot is read out
+by the backend's `measure_at` at its measurement uniform and the flipped
+bits are counted by `bit_counts`, as in `sample`.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -40,9 +44,9 @@ from .backend import BackendSpec
 from .circuit import Circuit, moments
 from .statevector import DenseState, bit_counts
 
-_PAULI_NAMES = ("x", "y", "z")  # event codes 1, 2, 3; 0 is no event
-# amplitudes one batch of dense trajectories holds (16 MiB of complex128);
-# larger shot counts run in several batches with the same results
+# amplitudes one batch of dense trajectories holds (16 MiB of complex128,
+# and twice that in its scratch buffer); more rows run in several batches
+# with the same results
 BATCH_AMPLITUDES = 1 << 20
 
 
@@ -107,12 +111,14 @@ class NoiseEvents:
 
 
 def draw_events(circuit: Circuit, layers: list[list[int]], params: NoiseParams,
-                shots: int, rng: np.random.Generator) -> NoiseEvents:
+                shots: int, *rngs: np.random.Generator) -> NoiseEvents:
     """Draw the noise events of `shots` runs of `circuit` (scheduled into
-    `layers` by `moments`) from `rng`, in this order: depolarizing hit,
-    target qubit and Pauli per (shot, gate); reset, reset-outcome uniform
-    and Z flip per (shot, moment, qubit); the measurement uniform per shot;
-    readout flips per (shot, qubit)."""
+    `layers` by `moments`) from each generator of `rngs` in turn, their
+    shots concatenated. Each generator draws in this order: depolarizing
+    hit, target qubit and Pauli per (shot, gate); reset, reset-outcome
+    uniform and Z flip per (shot, moment, qubit); the measurement uniform
+    per shot; readout flips per (shot, qubit). Only the circuit's gate
+    kinds, qubits and moments matter, not its angles."""
     n = circuit.n_qubits
     scale = 1.0 if params.enabled else 0.0
     two = np.array([g.kind.n_qubits == 2 for g in circuit.gates], dtype=bool)
@@ -125,61 +131,56 @@ def draw_events(circuit: Circuit, layers: list[list[int]], params: NoiseParams,
     first = np.array([g.qubits[0] for g in circuit.gates], dtype=int)
     last = np.array([g.qubits[-1] for g in circuit.gates], dtype=int)
 
-    hit = rng.random((shots, len(two))) < p_gate
-    target = np.where(rng.integers(2, size=hit.shape) == 1, last, first)
-    pauli = np.where(hit, 1 + rng.integers(3, size=hit.shape), 0)
-    grid = (shots, len(layers), n)
-    reset = rng.random(grid) < p_amp[:, None]
-    reset_u = rng.random(grid)
-    phase = rng.random(grid) < p_phase[:, None]
-    meas_u = rng.random(shots)
-    flips = rng.random((shots, n)) < params.p_meas * scale
-    return NoiseEvents(pauli, target, reset, reset_u, phase, meas_u, flips)
+    def draw(rng):
+        hit = rng.random((shots, len(two))) < p_gate
+        target = np.where(rng.integers(2, size=hit.shape) == 1, last, first)
+        pauli = np.where(hit, 1 + rng.integers(3, size=hit.shape), 0)
+        grid = (shots, len(layers), n)
+        reset = rng.random(grid) < p_amp[:, None]
+        reset_u = rng.random(grid)
+        phase = rng.random(grid) < p_phase[:, None]
+        meas_u = rng.random(shots)
+        flips = rng.random((shots, n)) < params.p_meas * scale
+        return NoiseEvents(pauli, target, reset, reset_u, phase, meas_u, flips)
+
+    parts = [draw(rng) for rng in rngs]
+    return parts[0] if len(parts) == 1 else NoiseEvents(
+        *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(NoiseEvents)))
 
 
-def _on_rows(state, rows: np.ndarray, shots: int, op) -> None:
-    """Run `op(state, index)` on the trajectories `rows` of a state that
-    carries `shots` of them; `index` picks their per-shot event data. One
-    trajectory: op gets the state and index 0. Every row of a dense batch:
-    the state and `rows`. Some rows: a batch of copies of those rows,
-    written back after."""
-    if shots == 1:
-        op(state, 0)
-    elif len(rows) == shots:
-        op(state, rows)
-    else:
-        sub = copy.copy(state)
-        sub.amps = state.amps[rows]
-        op(sub, rows)
-        state.amps[rows] = sub.amps
+def batch_rows(n_qubits: int) -> int:
+    """Rows of n_qubits amplitudes in one dense batch (at least one)."""
+    return max(1, BATCH_AMPLITUDES >> n_qubits)
 
 
-def _evolve(state, circuit: Circuit, layers: list[list[int]], ev: NoiseEvents) -> None:
-    """Run the circuit on `state` with the events of ev, one trajectory per
+def _evolve(state, runs, layers: list[list[int]], ev: NoiseEvents, start: int = 0) -> None:
+    """Run a circuit on `state` with the events of ev, one trajectory per
     shot of ev: the rows of a dense batch, or a single state for one shot.
-    Inside a moment each gate is followed by its depolarizing Pauli; at
-    the moment's end every qubit gets its reset, then its Z flip."""
+    The state holds rows start.. of a batch layout, and runs[idx] lays gate
+    idx over that layout (`QubitState.apply_runs`). Inside a moment each
+    gate is followed by its depolarizing Paulis, all rows in one op. At the
+    moment's end each qubit with resets gets one reset op, then all Z flips
+    of the moment are one sign multiply: a sign flip changes no branch
+    weight and commutes with the reset's rescale, so this equals a reset
+    then a Z flip qubit by qubit."""
+    stop = start + ev.shots
     gate_hit = ev.pauli.any(axis=0)
-    moment_hit = ev.reset.any(axis=0) | ev.phase.any(axis=0)
+    reset_hit = ev.reset.any(axis=0)
+    phase_hit = ev.phase.any(axis=(0, 2))
     for m, layer in enumerate(layers):
         for idx in layer:
-            state.apply_gate(circuit.gates[idx])
-            if not gate_hit[idx]:
-                continue
-            codes, targets = ev.pauli[:, idx], ev.target[:, idx]
-            hit = np.flatnonzero(codes)
-            for code, qubit in sorted(set(zip(codes[hit].tolist(), targets[hit].tolist()))):
-                rows = hit[(codes[hit] == code) & (targets[hit] == qubit)]
-                _on_rows(state, rows, ev.shots,
-                         lambda s, _i: s.apply_pauli(_PAULI_NAMES[code - 1], qubit))
-        for qubit in np.flatnonzero(moment_hit[m]).tolist():
-            rows = np.flatnonzero(ev.reset[:, m, qubit])
-            if len(rows):
-                u = ev.reset_u[:, m, qubit]
-                _on_rows(state, rows, ev.shots, lambda s, i: s.measure_reset0(qubit, u[i]))
-            rows = np.flatnonzero(ev.phase[:, m, qubit])
-            if len(rows):
-                _on_rows(state, rows, ev.shots, lambda s, _i: s.apply_pauli("z", qubit))
+            state.apply_runs(runs[idx], start, stop)
+            if gate_hit[idx]:
+                state.apply_paulis(ev.pauli[:, idx], ev.target[:, idx])
+        for qubit in np.flatnonzero(reset_hit[m]).tolist():
+            state.reset_rows(qubit, ev.reset[:, m, qubit], ev.reset_u[:, m, qubit])
+        if phase_hit[m]:
+            state.flip_z(ev.phase[:, m])
+
+
+def whole_runs(circuit: Circuit, rows: int) -> list[tuple]:
+    """The runs that apply every gate of `circuit` to all `rows` rows."""
+    return [((0, rows, g),) for g in circuit.gates]
 
 
 def run_one_trajectory(circuit: Circuit, spec: BackendSpec, params: NoiseParams,
@@ -189,18 +190,38 @@ def run_one_trajectory(circuit: Circuit, spec: BackendSpec, params: NoiseParams,
     layers = moments(circuit)
     events = draw_events(circuit, layers, params, 1, rng)
     state = spec.fresh(circuit.n_qubits)
-    _evolve(state, circuit, layers, events)
+    _evolve(state, whole_runs(circuit, 1), layers, events)
     return state
 
 
-def _measured_bits(circuit: Circuit, layers, spec: BackendSpec, ev: NoiseEvents) -> np.ndarray:
-    """Readout bits, before readout flips, of the trajectories of ev."""
-    if spec.kind == "statevector":
-        state = DenseState(circuit.n_qubits, spec.dense_cap, batch=ev.shots)
-    else:
-        state = spec.fresh(circuit.n_qubits)
-    _evolve(state, circuit, layers, ev)
-    return state.measure_at(ev.meas_u)
+def sample_bits(circuit: Circuit, spec: BackendSpec, params: NoiseParams, shots: int,
+                seeds, runs=None) -> np.ndarray:
+    """Readout bits, readout flips applied, of `shots` noisy runs per seed,
+    as the rows of a (len(seeds) * shots, n) array ordered (seed, shot).
+
+    The shots of seeds[c] draw their events from default_rng(seeds[c]),
+    exactly as `sample_counts` draws them for one seed; `draw_events`
+    reads no angle, so one `moments(circuit)` serves circuits that differ
+    only in angles. `runs` lays such circuits over the rows (see
+    `QubitState.apply_runs`); by default every row runs `circuit`. On the
+    dense statevector the rows evolve together in batches of at most
+    BATCH_AMPLITUDES amplitudes, split at row boundaries, so a batch can
+    end inside a run; the MPS runs them one by one.
+    """
+    n = circuit.n_qubits
+    layers = moments(circuit)
+    events = draw_events(circuit, layers, params, shots,
+                         *(np.random.default_rng(s) for s in seeds))
+    runs = whole_runs(circuit, events.shots) if runs is None else runs
+    dense = spec.kind == "statevector"
+    rows = batch_rows(n) if dense else 1
+    bits = []
+    for start in range(0, events.shots, rows):
+        ev = events.rows(slice(start, start + rows))
+        state = DenseState(n, spec.dense_cap, batch=ev.shots) if dense else spec.fresh(n)
+        _evolve(state, runs, layers, ev, start)
+        bits.append(state.measure_at(ev.meas_u))
+    return np.concatenate(bits) ^ events.flips
 
 
 def sample_counts(circuit: Circuit, spec: BackendSpec, shots: int, seed,
@@ -210,21 +231,13 @@ def sample_counts(circuit: Circuit, spec: BackendSpec, shots: int, seed,
     One generator is made from the seed per call. Without noise the circuit
     is simulated once and its exact final distribution sampled. With noise
     every event of every shot is drawn from it up front (`draw_events`),
-    then each shot runs its own trajectory with its events: on the dense
-    statevector all shots advance together as the rows of one batch, on
-    the MPS one after another. Each shot's basis state is picked by its
-    measurement uniform and its bits XORed with its readout flips.
+    then each shot runs its own trajectory with its events (`sample_bits`).
+    Each shot's basis state is picked by its measurement uniform and its
+    bits XORed with its readout flips.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(root)
     if params is None or not params.enabled:
-        return spec.run(circuit).sample(shots, rng)
-    layers = moments(circuit)
-    events = draw_events(circuit, layers, params, shots, rng)
-    rows = max(1, BATCH_AMPLITUDES >> circuit.n_qubits) if spec.kind == "statevector" else 1
-    bits = np.concatenate([
-        _measured_bits(circuit, layers, spec, events.rows(slice(start, start + rows)))
-        for start in range(0, shots, rows)])
-    return bit_counts(bits ^ events.flips)
+        return spec.run(circuit).sample(shots, np.random.default_rng(root))
+    return bit_counts(sample_bits(circuit, spec, params, shots, [root]))

@@ -229,6 +229,13 @@ BAD_BACKEND_VALUES = [("chi_max", 0), ("trunc_tol", -1.0), ("trunc_tol", math.na
                       ("dense_cap", 0)]
 
 
+def test_train_exact_qfi_with_noise_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, noise={"enabled": True})  # the config has shots 0
+    assert main(["train", "--config", str(path)]) == 1
+    assert "noise" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key,value", BAD_BACKEND_VALUES)
 def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
     env = {"n_qubits": 2, "max_gates": 8, "max_steps_per_episode": 5,

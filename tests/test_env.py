@@ -24,6 +24,7 @@ from qsopt.env import (
     encode,
 )
 from qsopt.metrics import MetricsRecord, evaluate
+from qsopt.noise import NoiseParams
 
 SV = BackendSpec(kind="statevector")
 
@@ -57,6 +58,15 @@ def test_config_validation():
         exact_cfg(backend=BackendSpec(kind="mps"))  # shots=0 needs dense
     with pytest.raises(ValueError):
         exact_cfg(angle_catalog=())
+
+
+def test_exact_qfi_rejects_training_noise():
+    with pytest.raises(ValueError, match="noise"):
+        exact_cfg(noise=NoiseParams())
+    # noise that the QFI does not model is allowed with exact QFI
+    assert exact_cfg(noise=NoiseParams().disabled()).qfi_noise is None
+    assert exact_cfg(noise=NoiseParams(during_training=False)).qfi_noise is None
+    assert exact_cfg(shots=16, noise=NoiseParams()).qfi_noise == NoiseParams()
 
 
 def test_catalog_layout():

@@ -28,6 +28,7 @@ from qsopt.metrics import (
     shift_angle,
 )
 from qsopt.mps import run as mps_run
+from qsopt.noise import NoiseParams
 from qsopt.statevector import run as sv_run
 
 SV = BackendSpec(kind="statevector")
@@ -139,6 +140,14 @@ def test_qfi_errors():
         qfi(Circuit(1).rx(0, 0.5), 0, MPS)  # exact mode needs dense amplitudes
     with pytest.raises(ValueError):
         qfi(Circuit(1).rx(0, 0.5), -1, SV)
+
+
+def test_exact_qfi_rejects_noise():
+    c = Circuit(1).rx(0, 0.5)
+    with pytest.raises(ValueError, match="noise"):
+        qfi(c, 0, SV, NoiseParams())
+    # a disabled model is no noise
+    assert qfi(c, 0, SV, NoiseParams().disabled()) == qfi(c, 0, SV)
 
 
 def test_qfi_shot_mode_is_seeded():
