@@ -10,16 +10,16 @@ and the per-parameter values are averaged and divided by the analytic
 maximum 8 (each term is bounded by 4(P+ + P-), which sums to 8), so the
 result always lands in [0, 1].
 
-On the statevector one estimate is one batched dense run. Its rows are
+One estimate is one run of a row layout on either backend. Its rows are
 ordered (rotation k, sign +-, shot), so each shifted circuit is a
 contiguous row group: every other gate is applied once to all rows, and
-rotation k as at most four row-slice views (its angle before the group,
-+pi/2 and -pi/2 on the group's halves, its angle after). Under noise each
-shifted circuit draws its events from its own spawned child generator,
-as a per-circuit `sample_counts` would; BATCH_AMPLITUDES caps a batch.
-The statistic is computed on the (2R, 2^n) arrays of outcome
-probabilities or frequencies. The MPS runs the shifted circuits one by
-one.
+rotation k as at most four row runs (its angle before the group, +pi/2
+and -pi/2 on the group's halves, its angle after). `noise.row_states`
+holds the rows: dense batches of at most BATCH_AMPLITUDES amplitudes, or
+one MPS per row. Under noise each shifted circuit draws its events from
+its own spawned child generator, as a per-circuit `sample_counts` would.
+The statistic is computed on (2R, outcomes) arrays: exact probabilities
+over all 2^n outcomes, or frequencies over the sampled ones.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ import numpy as np
 
 from .backend import BackendSpec
 from .circuit import Circuit, Gate, depth, gate_count, replace_gate
-from .noise import NoiseParams, batch_rows, sample_bits, sample_counts, whole_runs
-from .statevector import DenseState, outcome_index
+from .noise import NoiseParams, row_states, sample_bits, whole_runs
+from .noise import sample_counts  # noqa: F401  (bench/tracing.py wraps it by this name)
+from .statevector import bit_keys
 
 QFI_MAX = 8.0
 SHIFT = math.pi / 2.0
@@ -136,6 +137,7 @@ def _shifted(gate: Gate, delta: float) -> Gate:
     return Gate(gate.kind, gate.qubits, gate.angle + delta)
 
 
+# not called by qfi: the tests' reference uses it, bench/tracing.py counts it by name
 def shift_angle(circuit: Circuit, position: int, delta: float) -> Circuit:
     return replace_gate(circuit, position, _shifted(circuit.gates[position], delta))
 
@@ -174,51 +176,41 @@ def _row_runs(circuit: Circuit, positions: list[int], group: int) -> list[tuple]
     return runs
 
 
-def _dense_frequencies(circuit: Circuit, positions: list[int], shots: int,
-                       spec: BackendSpec, noise: NoiseParams | None,
-                       children) -> np.ndarray:
+def _frequencies(circuit: Circuit, positions: list[int], shots: int,
+                 spec: BackendSpec, noise: NoiseParams | None, children) -> np.ndarray:
     """The outcome distributions of the 2R shifted circuits as the rows of
-    a (2R, 2^n) array, ordered (rotation, sign), all from one batched
-    dense run. Exact probabilities for shots = 0, else frequencies.
-
-    Without noise each shifted circuit is one row, run gate by gate (at
-    most BATCH_AMPLITUDES amplitudes per batch); with shots its outcomes
-    come from default_rng(child) as `sample_counts` draws them. With noise
-    the rows are (circuit, shot), and each circuit's events come from its
-    own child (`noise.sample_bits`).
+    one array, ordered (rotation, sign), from one run of their row layout
+    over the states of `noise.row_states`. shots = 0 gives the exact
+    (2R, 2^n) probabilities, else frequencies over the outcomes seen in any
+    row, in bitstring order (an outcome a pair never saw adds +0.0 to its
+    statistic). Without noise each shifted circuit is one row, read out at
+    default_rng(child).random(shots) as `sample_counts` draws it; with
+    noise the rows are (circuit, shot), and each circuit's events come
+    from its own child (`noise.sample_bits`).
     """
-    n, pairs = circuit.n_qubits, 2 * len(positions)
+    pairs = 2 * len(positions)
     if noise is not None:
         bits = sample_bits(circuit, spec, noise, shots, children,
                            _row_runs(circuit, positions, shots))
-        index = bits @ (1 << np.arange(n - 1, -1, -1))
-        outcome = np.repeat(np.arange(pairs), shots) << n | index
-        return np.bincount(outcome, minlength=pairs << n).reshape(pairs, -1) / shots
-    runs = _row_runs(circuit, positions, 1)
-    rows = batch_rows(n)
-    probs = []
-    for start in range(0, pairs, rows):
-        stop = min(start + rows, pairs)
-        state = DenseState(n, spec.dense_cap, batch=stop - start)
-        for gate_runs in runs:
-            state.apply_runs(gate_runs, start, stop)
-        probs.append(state.probabilities())
-    probs = np.concatenate(probs)
-    if shots == 0:
-        return probs
-    counts = [np.bincount(outcome_index(p, np.random.default_rng(child).random(shots)),
-                          minlength=1 << n) for p, child in zip(probs, children)]
-    return np.array(counts) / shots
-
-
-def _sampled_pair(circuit: Circuit, pos: int, shots: int, spec: BackendSpec,
-                  noise: NoiseParams | None, plus_seed, minus_seed) -> tuple:
-    """Frequencies of the two shifted copies of rotation `pos`, one sampled
-    run each, over the sorted union of their outcomes."""
-    plus = sample_counts(shift_angle(circuit, pos, SHIFT), spec, shots, plus_seed, noise)
-    minus = sample_counts(shift_angle(circuit, pos, -SHIFT), spec, shots, minus_seed, noise)
-    keys = sorted(plus.keys() | minus.keys())
-    return tuple(np.array([counts.get(k, 0) for k in keys]) / shots for counts in (plus, minus))
+    else:
+        runs = _row_runs(circuit, positions, 1)
+        parts = []
+        for start, stop, state in row_states(spec, circuit.n_qubits, pairs):
+            for gate_runs in runs:
+                state.apply_runs(gate_runs, start, stop)
+            if shots == 0:
+                parts.append(state.probabilities())
+                continue
+            # a one-row state (an MPS, or a dense batch of one) reads its shots itself
+            rows = [state] if stop - start == 1 else [state.rows(i) for i in range(stop - start)]
+            parts += [row.measure_at(np.random.default_rng(child).random(shots))
+                      for row, child in zip(rows, children[start:stop])]
+        if shots == 0:
+            return np.concatenate(parts)
+        bits = np.concatenate(parts)
+    keys, outcome = np.unique(bit_keys(bits), return_inverse=True)
+    cell = np.repeat(np.arange(pairs), shots) * len(keys) + outcome
+    return np.bincount(cell, minlength=pairs * len(keys)).reshape(pairs, -1) / shots
 
 
 def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
@@ -228,9 +220,8 @@ def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
     shots = 0 selects exact-distribution mode, which evaluates the dense
     reference backend, needs no RNG and cannot model noise; shots >= 1
     samples measurement outcomes (per-parameter child seeds keep results
-    independent of evaluation order). On the statevector all 2R shifted
-    circuits run as the rows of one batch (`_dense_frequencies`); on the
-    MPS they run one after another.
+    independent of evaluation order). On both backends the 2R shifted
+    circuits run as the rows of one layout (`_frequencies`).
     """
     positions = rotation_positions(circuit)
     if not positions:
@@ -244,14 +235,8 @@ def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
         raise ValueError("exact QFI mode (shots=0) cannot model noise; use shots >= 1")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(2 * len(positions))
-    if spec.kind == "statevector":
-        freqs = _dense_frequencies(circuit, positions, shots, spec,
-                                   noise if noisy else None, children)
-        stats = _shift_statistic(freqs[0::2], freqs[1::2])
-    else:
-        stats = np.array([_shift_statistic(*_sampled_pair(circuit, pos, shots, spec, noise,
-                                                          *children[2 * k:2 * k + 2]))
-                          for k, pos in enumerate(positions)])
+    freqs = _frequencies(circuit, positions, shots, spec, noise if noisy else None, children)
+    stats = _shift_statistic(freqs[0::2], freqs[1::2])
     return float(np.cumsum(stats)[-1] / len(positions) / QFI_MAX)
 
 

@@ -22,15 +22,16 @@ one generator; `sample_counts` makes one generator per call, and
 `sample_bits` one per circuit when it runs several circuits that differ
 only in angles (the parameter-shift QFI's shifted copies) as one set of
 rows. Both backends read the same event arrays, so they share one RNG
-layout and one definition of the noise semantics: the dense statevector
-evolves the shots together as the rows of a (shots, 2^n) array (split at
-row boundaries into batches of at most BATCH_AMPLITUDES amplitudes), the
-MPS runs the shots one by one. Each event is one state op over the rows
-it hits (`apply_paulis`, `reset_rows`, `flip_z`), and the same `_evolve`
-loop drives a dense batch and a single MPS trajectory. A disabled model
-draws the same arrays with every probability zero. Each shot is read out
-by the backend's `measure_at` at its measurement uniform and the flipped
-bits are counted by `bit_counts`, as in `sample`.
+layout and one definition of the noise semantics. `row_states` maps the
+rows of a layout to states, here and for the noiseless QFI: the dense
+statevector evolves rows together as a (rows, 2^n) array (in batches of
+at most BATCH_AMPLITUDES amplitudes), the MPS runs one row per state.
+Each event is one state op over the rows it hits (`apply_paulis`,
+`reset_rows`, `flip_z`), and the same `_evolve` loop drives a dense batch
+and a single MPS trajectory. A disabled model draws the same arrays with
+every probability zero. Each shot is read out by the backend's
+`measure_at` at its measurement uniform and the flipped bits are counted
+by `bit_counts`, as in `sample`.
 """
 
 from __future__ import annotations
@@ -148,11 +149,6 @@ def draw_events(circuit: Circuit, layers: list[list[int]], params: NoiseParams,
         *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(NoiseEvents)))
 
 
-def batch_rows(n_qubits: int) -> int:
-    """Rows of n_qubits amplitudes in one dense batch (at least one)."""
-    return max(1, BATCH_AMPLITUDES >> n_qubits)
-
-
 def _evolve(state, runs, layers: list[list[int]], ev: NoiseEvents, start: int = 0) -> None:
     """Run a circuit on `state` with the events of ev, one trajectory per
     shot of ev: the rows of a dense batch, or a single state for one shot.
@@ -194,6 +190,20 @@ def run_one_trajectory(circuit: Circuit, spec: BackendSpec, params: NoiseParams,
     return state
 
 
+def row_states(spec: BackendSpec, n_qubits: int, rows: int):
+    """The states that hold the `rows` rows of a batch layout, as (start,
+    stop, state) with rows start..stop-1 in state: on the dense statevector
+    batches of at most BATCH_AMPLITUDES amplitudes (at least one row),
+    split at row boundaries, so a batch can end inside a run; on the MPS
+    one `spec.fresh` state per row."""
+    dense = spec.kind == "statevector"
+    step = max(1, BATCH_AMPLITUDES >> n_qubits) if dense else 1
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        yield start, stop, (DenseState(n_qubits, spec.dense_cap, batch=stop - start)
+                            if dense else spec.fresh(n_qubits))
+
+
 def sample_bits(circuit: Circuit, spec: BackendSpec, params: NoiseParams, shots: int,
                 seeds, runs=None) -> np.ndarray:
     """Readout bits, readout flips applied, of `shots` noisy runs per seed,
@@ -203,22 +213,16 @@ def sample_bits(circuit: Circuit, spec: BackendSpec, params: NoiseParams, shots:
     exactly as `sample_counts` draws them for one seed; `draw_events`
     reads no angle, so one `moments(circuit)` serves circuits that differ
     only in angles. `runs` lays such circuits over the rows (see
-    `QubitState.apply_runs`); by default every row runs `circuit`. On the
-    dense statevector the rows evolve together in batches of at most
-    BATCH_AMPLITUDES amplitudes, split at row boundaries, so a batch can
-    end inside a run; the MPS runs them one by one.
+    `QubitState.apply_runs`); by default every row runs `circuit`. The
+    rows live in the states of `row_states`.
     """
-    n = circuit.n_qubits
     layers = moments(circuit)
     events = draw_events(circuit, layers, params, shots,
                          *(np.random.default_rng(s) for s in seeds))
     runs = whole_runs(circuit, events.shots) if runs is None else runs
-    dense = spec.kind == "statevector"
-    rows = batch_rows(n) if dense else 1
     bits = []
-    for start in range(0, events.shots, rows):
-        ev = events.rows(slice(start, start + rows))
-        state = DenseState(n, spec.dense_cap, batch=ev.shots) if dense else spec.fresh(n)
+    for start, stop, state in row_states(spec, circuit.n_qubits, events.shots):
+        ev = events.rows(slice(start, stop))
         _evolve(state, runs, layers, ev, start)
         bits.append(state.measure_at(ev.meas_u))
     return np.concatenate(bits) ^ events.flips

@@ -47,13 +47,18 @@ class CapacityError(Exception):
     """Requested statevector exceeds the configured qubit cap."""
 
 
+def bit_keys(bits) -> np.ndarray:
+    """The rows of a (shots, n) array of 0/1 bits as n-byte ASCII strings,
+    qubit 0 first: they sort like the bitstrings, at any n."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return np.ascontiguousarray(bits + ord("0")).view(f"S{bits.shape[-1]}")[..., 0]
+
+
 def bit_counts(bits) -> dict[str, int]:
     """Counts of the rows of a (shots, n) array of 0/1 bits, keyed by
-    bitstring (qubit 0 first) in increasing order. Each row is read as
-    one n-byte ASCII string, so only the distinct outcomes are decoded."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    rows = np.ascontiguousarray(bits + ord("0")).view(f"S{bits.shape[-1]}")
-    keys, counts = np.unique(rows, return_counts=True)
+    bitstring (qubit 0 first) in increasing order; only the distinct
+    outcomes are decoded."""
+    keys, counts = np.unique(bit_keys(bits), return_counts=True)
     return {k.decode(): c for k, c in zip(keys.tolist(), counts.tolist())}
 
 
@@ -152,9 +157,10 @@ class DenseState(QubitState):
         state.n_qubits, state.amps, state._scratch = self.n_qubits, amps, self._scratch
         return state
 
-    def rows(self, index: slice) -> "DenseState":
-        """Rows of a batch as a batch over a view of them: gates applied to
-        it change these rows in place."""
+    def rows(self, index) -> "DenseState":
+        """Rows of a batch as a batch over a view of them, or with an int
+        index one row as a single state: gates applied to it change these
+        rows in place."""
         return self._over(self.amps[index])
 
     def _table(self) -> np.ndarray:

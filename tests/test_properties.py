@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsopt import mps, statevector
+from qsopt import metrics, mps, statevector
 from qsopt.circuit import Circuit, Gate, GateKind, cancel_pairs, emit, parse
 
 # angles that make merges, full turns and cancellations likely
@@ -64,3 +64,21 @@ def test_sample_counts_sum_to_shots_inside_support(c, shots, seed, kind):
     counts = state.sample(shots, np.random.default_rng(seed))
     assert sum(counts.values()) == shots
     assert all(abs(state.amplitude(k)) > 0.0 for k in counts)
+
+
+FREQUENCY = st.floats(0.0, 1.0)
+
+
+@given(st.integers(1, 16).flatmap(lambda w: st.tuples(
+    st.lists(FREQUENCY, min_size=w, max_size=w),
+    st.lists(FREQUENCY, min_size=w, max_size=w),
+    st.lists(st.integers(0, w), max_size=8))))
+def test_unseen_outcomes_leave_the_shift_statistic_unchanged(pair):
+    # an outcome neither shifted circuit saw is a column with P+ = P- = 0
+    # anywhere in the sorted outcomes; the QFI counts samples over the
+    # union of every pair's outcomes and relies on such columns adding +0.0
+    plus, minus, at = pair
+    p, m = np.array(plus), np.array(minus)
+    want = metrics._shift_statistic(p, m)
+    got = metrics._shift_statistic(np.insert(p, at, 0.0), np.insert(m, at, 0.0))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -1,9 +1,13 @@
-"""The batched dense QFI against the per-circuit one it replaced.
+"""The row-layout QFI against the per-circuit one it replaced.
 
+`metrics.qfi` runs the 2R shifted circuits as the rows of one layout on
+either backend: dense batches on the statevector, one MPS per row.
 `ref_qfi` below is the earlier per-circuit estimator, kept verbatim with
 its shift statistic and noisy evolution loop: each shifted circuit was run
-(and, under noise, its shots evolved) on its own, and each noise event was
-applied to copies of the rows it hit.
+(and, under noise, its shots evolved) on its own, each noise event was
+applied to copies of the rows it hit, and the sampled outcomes of a pair
+were matched as bitstrings. Both estimators must agree bit for bit on the
+statevector and on an untruncated MPS.
 """
 
 import copy
@@ -140,9 +144,12 @@ def _circuits(n, count, seed):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_batched_qfi_equals_per_circuit_qfi(n, mode):
     shots, params = MODES[mode]
+    specs = (SV, MPS_EXACT) if shots else (SV,)  # exact mode is statevector-only
     for i, c in enumerate(_circuits(n, 6, 10 * n)):
-        want = ref_qfi(c, shots, SV, params, seed=i)
-        assert repr(qfi(c, shots, SV, params, seed=i)) == repr(want), (n, mode, i)
+        for spec in specs:
+            want = ref_qfi(c, shots, spec, params, seed=i)
+            assert repr(qfi(c, shots, spec, params, seed=i)) == repr(want), (n, mode, i,
+                                                                              spec.kind)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -170,6 +177,16 @@ def test_noisy_mps_qfi_is_unchanged():
     c = _circuits(3, 1, 4)[0]
     want = ref_qfi(c, 40, MPS_EXACT, HIGH, seed=5)
     assert repr(qfi(c, 40, MPS_EXACT, HIGH, seed=5)) == repr(want)
+
+
+@pytest.mark.parametrize("params", [None, HIGH], ids=["shots", "noisy"])
+def test_wide_mps_qfi_equals_per_circuit_qfi(params):
+    # 70 bits overflow an int64 outcome index; outcomes must be keyed by
+    # their bits at any width
+    c = Circuit(70).h(0).cx(0, 69).rx(69, .3).rz(5, 1.1)
+    want = ref_qfi(c, 16, MPS_EXACT, params, seed=2)
+    assert want > 0.0
+    assert repr(qfi(c, 16, MPS_EXACT, params, seed=2)) == repr(want)
 
 
 def test_shift_statistic_squares_like_python():
