@@ -27,10 +27,12 @@ class BackendSpec:
         if self.dense_cap < 1:
             raise ValueError(f"dense_cap must be positive, got {self.dense_cap}")
 
-    def fresh(self, n_qubits: int):
+    def fresh(self, n_qubits: int, batch: int | None = None):
+        """A state in |0..0>: a single one, or `batch` of them as rows."""
         if self.kind == "mps":
-            return mps.MpsState(n_qubits, chi_max=self.chi_max, trunc_tol=self.trunc_tol)
-        return statevector.DenseState(n_qubits, max_qubits=self.dense_cap)
+            return mps.MpsState(n_qubits, chi_max=self.chi_max, trunc_tol=self.trunc_tol,
+                                batch=batch)
+        return statevector.DenseState(n_qubits, max_qubits=self.dense_cap, batch=batch)
 
     def run(self, circuit: Circuit):
         return self.fresh(circuit.n_qubits).run(circuit)

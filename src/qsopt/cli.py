@@ -223,6 +223,7 @@ def cmd_simulate(args) -> int:
     }
     if spec.kind == "mps":
         report["max_bond"] = state.peak_stats().max_bond
+        report["discarded_weight"] = state.total_discarded
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -255,6 +256,7 @@ def cmd_compare(args) -> int:
                 "peak_memory_bytes": _memory_estimate(mps_spec, mps_state),
                 "entropy_norm": metrics.entropy_norm(mps_state),
                 "max_bond": mps_state.peak_stats().max_bond,
+                "discarded_weight": mps_state.total_discarded,
                 "chi_max": mps_spec.chi_max},
     }
     print(json.dumps(report, indent=2, sort_keys=True))

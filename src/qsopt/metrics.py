@@ -16,7 +16,9 @@ contiguous row group: every other gate is applied once to all rows, and
 rotation k as at most four row runs (its angle before the group, +pi/2
 and -pi/2 on the group's halves, its angle after). `noise.row_states`
 holds the rows: dense batches of at most BATCH_AMPLITUDES amplitudes, or
-one MPS per row. Under noise each shifted circuit draws its events from
+one MPS whose tensors stack the rows of a noiseless layout (one MPS per
+row under noise). Each state reads the shots of all its rows with one
+`measure_at` call. Under noise each shifted circuit draws its events from
 its own spawned child generator, as a per-circuit `sample_counts` would.
 The statistic is computed on (2R, outcomes) arrays: exact probabilities
 over all 2^n outcomes, or frequencies over the sampled ones.
@@ -184,7 +186,8 @@ def _frequencies(circuit: Circuit, positions: list[int], shots: int,
     (2R, 2^n) probabilities, else frequencies over the outcomes seen in any
     row, in bitstring order (an outcome a pair never saw adds +0.0 to its
     statistic). Without noise each shifted circuit is one row, read out at
-    default_rng(child).random(shots) as `sample_counts` draws it; with
+    default_rng(child).random(shots) as `sample_counts` draws it, all rows
+    of a state in one `measure_at` call over a (rows, shots) array; with
     noise the rows are (circuit, shot), and each circuit's events come
     from its own child (`noise.sample_bits`).
     """
@@ -201,10 +204,9 @@ def _frequencies(circuit: Circuit, positions: list[int], shots: int,
             if shots == 0:
                 parts.append(state.probabilities())
                 continue
-            # a one-row state (an MPS, or a dense batch of one) reads its shots itself
-            rows = [state] if stop - start == 1 else [state.rows(i) for i in range(stop - start)]
-            parts += [row.measure_at(np.random.default_rng(child).random(shots))
-                      for row, child in zip(rows, children[start:stop])]
+            u = np.stack([np.random.default_rng(child).random(shots)
+                          for child in children[start:stop]])
+            parts.append(state.measure_at(u).reshape(-1, circuit.n_qubits))
         if shots == 0:
             return np.concatenate(parts)
         bits = np.concatenate(parts)

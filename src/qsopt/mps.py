@@ -1,27 +1,36 @@
 """Matrix product state circuit engine with bond-capped SVD truncation.
 
-State is a chain of rank-3 tensors A[k] with axes (left bond, physical,
-right bond) and outer bonds of dimension 1. A mixed-canonical form is
-maintained around an orthogonality center: tensors left of the center are
-left-isometries, tensors right of it right-isometries, so Schmidt spectra,
-conditional bit probabilities and the norm read off locally.
+State is a chain of tensors A[k] with axes (row, left bond, physical,
+right bond) and outer bonds of dimension 1. The row axis stacks
+independent states over one chain, as a dense batch stacks them over one
+amplitude array: the parameter-shift QFI runs its shifted circuits as the
+rows of one MPS. A single state is one row. A mixed-canonical form is
+maintained around an orthogonality center that all rows share: tensors
+left of the center are left-isometries, tensors right of it
+right-isometries, so Schmidt spectra, conditional bit probabilities and
+the norm read off locally.
 
-Every update is a matrix product on reshaped tensors. A 1q gate
-multiplies a site's physical axis. A two-site update (Schollwoeck, Ann.
-Phys. 326, 96, 2011) contracts the pair into theta of shape (l, 4, r),
-multiplies it by the 4x4 gate, and splits it again by an SVD that keeps
-at most chi_max singular values, drops the smallest ones while their
-total squared weight stays within trunc_tol, and renormalizes the rest.
-Two-qubit gates on non-adjacent qubits are routed with temporary SWAP
-layers and the qubit order is restored afterwards.
+Every update is one matrix product, QR or SVD over all rows at once. A
+1q gate multiplies a site's physical axis, of every row or of a row
+slice (`rows`). A center shift is a QR of the center tensor. A two-site
+update (Schollwoeck, Ann. Phys. 326, 96, 2011) contracts the pair into
+theta of shape (rows, l, 4, r), multiplies it by the 4x4 gate, and
+splits it again by an SVD. Each row keeps at most chi_max singular
+values, drops its smallest ones while their total squared weight stays
+within trunc_tol, renormalizes the rest and adds the dropped weight to
+its own discarded total. The new bond is the largest rank over the rows;
+a row of smaller rank keeps its dropped tail as exact zeros. Two-qubit
+gates on non-adjacent qubits are routed with temporary SWAP layers and
+the qubit order is restored afterwards.
 
 Readout (`measure_at`, under `QubitState.sample`) walks the chain once for
-all shots, each bit drawn from its conditional probability (Ferris & Vidal,
-PRB 85, 165146, 2012) with one uniform per shot.
+all rows and shots, each bit drawn from its conditional probability
+(Ferris & Vidal, PRB 85, 165146, 2012) with one uniform per shot.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,50 +50,82 @@ class PeakStats:
 
 
 class MpsState(QubitState):
-    def __init__(self, n_qubits: int, chi_max: int = 64, trunc_tol: float = 1e-10):
+    """One MPS, or with `batch=B` a stack of B of them over one chain. A
+    single state reads out as one (a float discarded weight, a 1-D
+    `to_dense`), a batch as one value per row."""
+
+    _view = False  # set on the row views of `rows`
+
+    def __init__(self, n_qubits: int, chi_max: int = 64, trunc_tol: float = 1e-10,
+                 batch: int | None = None):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
         if chi_max < 1:
             raise ValueError("chi_max must be positive")
         if not trunc_tol >= 0.0:  # also rejects NaN
             raise ValueError("trunc_tol must be nonnegative")
+        if batch is not None and batch < 1:
+            raise ValueError("batch must be positive")
         self.n_qubits = n_qubits
         self.chi_max = chi_max
         self.trunc_tol = trunc_tol
+        self.batch = batch
+        rows = 1 if batch is None else batch
         self.tensors = []
         for _ in range(n_qubits):
-            t = np.zeros((1, 2, 1), dtype=complex)
-            t[0, 0, 0] = 1.0
+            t = np.zeros((rows, 1, 2, 1), dtype=complex)
+            t[:, 0, 0, 0] = 1.0
             self.tensors.append(t)
         self.center = 0
         self.max_bond_seen = 1
-        self.total_discarded = 0.0
+        self._discarded = np.zeros(rows)
+
+    def _per_row(self, values: np.ndarray):
+        """values, one per row, as a batch reads them; a single state's one."""
+        return values if self.batch is not None else values[0]
+
+    @property
+    def total_discarded(self):
+        """Squared weight dropped by truncation, relative to the weight
+        before each update, summed over the updates; one per row."""
+        return float(self._discarded[0]) if self.batch is None else self._discarded.copy()
+
+    def rows(self, index: slice) -> "MpsState":
+        """Rows of the stack as a batch over views of their tensors, as
+        `DenseState.rows` gives them: a 1q gate applied to it changes those
+        rows in place. The view shares this state's bonds, so it takes no
+        two-site update."""
+        view = copy.copy(self)
+        view.tensors = [t[index] for t in self.tensors]
+        view.batch = len(view.tensors[0])
+        view._view = True
+        return view
 
     # --- canonical form ---------------------------------------------------
 
     def _shift_right(self) -> None:
         c = self.center
         a = self.tensors[c]
-        l, p, r = a.shape
-        q, rmat = np.linalg.qr(a.reshape(l * p, r))
-        k = q.shape[1]
-        self.tensors[c] = q.reshape(l, p, k)
+        rows, l, p, r = a.shape
+        q, rmat = np.linalg.qr(a.reshape(rows, l * p, r))
+        k = q.shape[-1]
+        self.tensors[c] = q.reshape(rows, l, p, k)
         nxt = self.tensors[c + 1]
-        self.tensors[c + 1] = (rmat @ nxt.reshape(r, -1)).reshape(k, *nxt.shape[1:])
+        self.tensors[c + 1] = (rmat @ nxt.reshape(rows, r, -1)).reshape(rows, k, *nxt.shape[2:])
         self.center = c + 1
 
     def _shift_left(self) -> None:
         c = self.center
         a = self.tensors[c]
-        l, p, r = a.shape
+        rows, l, p, r = a.shape
         # LQ via QR of the conjugate transpose: rows of q_rows are orthonormal
-        q, rmat = np.linalg.qr(a.reshape(l, p * r).conj().T)
-        k = q.shape[1]
-        q_rows = q.conj().T
-        lmat = rmat.conj().T
-        self.tensors[c] = q_rows.reshape(k, p, r)
+        q, rmat = np.linalg.qr(a.reshape(rows, l, p * r).conj().swapaxes(1, 2))
+        k = q.shape[-1]
+        q_rows = q.conj().swapaxes(1, 2)
+        lmat = rmat.conj().swapaxes(1, 2)
+        self.tensors[c] = q_rows.reshape(rows, k, p, r)
         prev = self.tensors[c - 1]
-        self.tensors[c - 1] = (prev.reshape(-1, l) @ lmat).reshape(*prev.shape[:2], k)
+        self.tensors[c - 1] = (prev.reshape(rows, -1, l) @ lmat).reshape(*prev.shape[:3], k)
         self.center = c - 1
 
     def move_center(self, site: int) -> None:
@@ -96,41 +137,54 @@ class MpsState(QubitState):
     # --- gate application -------------------------------------------------
 
     def apply_unitary_1q(self, matrix: np.ndarray, qubit: int) -> None:
-        self.tensors[qubit] = matrix @ self.tensors[qubit]
+        t = self.tensors[qubit]
+        t[...] = matrix @ t  # in place, so a row view changes its rows
 
     def _apply_2q_adjacent(self, matrix: np.ndarray, left: int) -> None:
-        """Apply a 4x4 unitary to sites (left, left+1); matrix indexes the
-        left site as its most significant bit."""
+        """Apply a 4x4 unitary to sites (left, left+1) of every row; matrix
+        indexes the left site as its most significant bit."""
         self.move_center(left)
         a, b = self.tensors[left], self.tensors[left + 1]
-        l, _, chi = a.shape
-        r = b.shape[2]
-        theta = (a.reshape(l * 2, chi) @ b.reshape(chi, 2 * r)).reshape(l, 4, r)
+        rows, l, _, chi = a.shape
+        r = b.shape[-1]
+        theta = (a.reshape(rows, l * 2, chi) @ b.reshape(rows, chi, 2 * r)).reshape(rows, l, 4, r)
         theta = matrix @ theta  # the 4 axis is (left bit, right bit)
-        u, s, vh = np.linalg.svd(theta.reshape(l * 2, 2 * r), full_matrices=False)
-        k = self._truncation_rank(s)
-        weight = float(np.sum(s ** 2))
-        self.total_discarded += float(np.sum(s[k:] ** 2)) / weight
-        kept = s[:k] / np.sqrt(np.sum(s[:k] ** 2))
-        self.tensors[left] = u[:, :k].reshape(l, 2, k)
-        self.tensors[left + 1] = (kept[:, None] * vh[:k, :]).reshape(k, 2, r)
+        u, s, vh = np.linalg.svd(theta.reshape(rows, l * 2, 2 * r), full_matrices=False)
+        ranks = self._truncation_rank(s)
+        # the bond takes the largest rank; a row of smaller rank keeps
+        # zeros past its own, which leaves its state as it was
+        keep = int(ranks.max())
+        kept = np.zeros((rows, keep))
+        dropped = np.empty(rows)
+        for k in np.unique(ranks).tolist():  # rows of one rank, usually all
+            sel = ranks == k
+            part = s[sel]
+            dropped[sel] = np.sum(part[:, k:] ** 2, axis=-1)
+            kept[sel, :k] = part[:, :k] / np.sqrt(np.sum(part[:, :k] ** 2, axis=-1))[:, None]
+        self._discarded += dropped / np.sum(s ** 2, axis=-1)
+        self.tensors[left] = u[..., :keep].reshape(rows, l, 2, keep)
+        self.tensors[left + 1] = (kept[..., None] * vh[:, :keep, :]).reshape(rows, keep, 2, r)
         self.center = left + 1
-        if k > self.max_bond_seen:
-            self.max_bond_seen = k
+        if keep > self.max_bond_seen:
+            self.max_bond_seen = keep
 
-    def _truncation_rank(self, s: np.ndarray) -> int:
-        """Number of singular values (descending) to keep: at most chi_max,
-        and no more than those whose tail weight, tail[i] = sum of s[i:]^2,
-        exceeds trunc_tol of the total; at least one. tail never increases,
-        so the kept ones are a prefix. trunc_tol = 0 keeps exact zeros."""
-        k = min(len(s), self.chi_max)
-        if self.trunc_tol > 0.0:
-            weight = np.sum(s ** 2)
-            tail = np.cumsum((s ** 2)[::-1])[::-1]
-            k = int(np.count_nonzero(tail[:k] > self.trunc_tol * weight))
-        return max(k, 1)
+    def _truncation_rank(self, s: np.ndarray):
+        """Number of singular values (descending, on the last axis) to
+        keep: at most chi_max, and no more than those whose tail weight,
+        tail[i] = sum of s[i:]^2, exceeds trunc_tol of the total; at least
+        one. tail never increases, so the kept ones are a prefix.
+        trunc_tol = 0 keeps exact zeros."""
+        k = min(s.shape[-1], self.chi_max)
+        if self.trunc_tol == 0.0:
+            return np.full(s.shape[:-1], max(k, 1))
+        sq = s ** 2
+        weight = np.sum(sq, axis=-1, keepdims=True)
+        tail = np.cumsum(sq[..., ::-1], axis=-1)[..., ::-1]
+        return np.maximum(np.count_nonzero(tail[..., :k] > self.trunc_tol * weight, axis=-1), 1)
 
     def apply_unitary_2q(self, matrix: np.ndarray, qa: int, qb: int) -> None:
+        if self._view:
+            raise ValueError("a row view shares its bonds; apply 2q gates to the whole stack")
         lo, hi = min(qa, qb), max(qa, qb)
         # route the upper qubit next to the lower one with SWAP updates
         for j in range(hi, lo + 1, -1):
@@ -142,27 +196,28 @@ class MpsState(QubitState):
 
     # --- readout ----------------------------------------------------------
 
-    def norm(self) -> float:
+    def norm(self):
         c = self.tensors[self.center]
-        return float(np.sqrt(np.sum(np.abs(c) ** 2)))
+        return self._per_row(np.sqrt(np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
 
-    def amplitude(self, bitstring: str) -> complex:
+    def amplitude(self, bitstring: str):
         self._check_bitstring(bitstring)
-        v = np.ones(1, dtype=complex)
+        v = np.ones((len(self.tensors[0]), 1, 1), dtype=complex)
         for site, ch in enumerate(bitstring):
-            v = v @ self.tensors[site][:, int(ch), :]
-        return complex(v[0])
+            v = v @ self.tensors[site][:, :, int(ch), :]
+        return self._per_row(v[:, 0, 0])
 
     def schmidt_values(self, bond: int) -> np.ndarray:
-        """Singular values across the cut [0, bond) | [bond, n)."""
+        """Singular values across the cut [0, bond) | [bond, n) of a
+        one-row state."""
         self._check_bond(bond)
         self.move_center(bond - 1)
-        a = self.tensors[bond - 1]
+        (a,) = self.tensors[bond - 1]
         l, p, r = a.shape
         return np.linalg.svd(a.reshape(l * p, r), compute_uv=False)
 
     def bond_dims(self) -> list[int]:
-        return [t.shape[2] for t in self.tensors[:-1]]
+        return [t.shape[-1] for t in self.tensors[:-1]]
 
     def peak_stats(self) -> PeakStats:
         mem = sum(t.size for t in self.tensors) * COMPLEX_BYTES
@@ -171,52 +226,62 @@ class MpsState(QubitState):
     # --- measurement ------------------------------------------------------
 
     def measure_at(self, u) -> np.ndarray:
-        """Z-basis outcomes fixed by uniforms in [0, 1), one per entry of
-        the 1-D array u: the basis state whose interval of the cumulative
-        distribution (basis order, qubit 0 most significant) contains u,
-        found site by site from the conditional bit probabilities, with u
-        rescaled into the chosen bit's interval. Returns (len(u), n) bits."""
+        """Z-basis outcomes fixed by uniforms in [0, 1): the basis state
+        whose interval of the cumulative distribution (basis order, qubit
+        0 most significant) contains u, found site by site from the
+        conditional bit probabilities, with u rescaled into the chosen
+        bit's interval. A single state takes any number of uniforms, a
+        batch a leading row axis: (rows,) or (rows, shots). All rows and
+        shots walk the chain once. Returns bits of shape u.shape + (n,)."""
         self.move_center(0)
         u = np.array(u, dtype=float)
-        vec = np.ones((len(u), 1), dtype=complex)
-        bits = np.empty((len(u), self.n_qubits), dtype=np.uint8)
+        shape = u.shape
+        rows = len(self.tensors[0])
+        if self.batch is not None and shape[:1] != (rows,):
+            raise ValueError(f"a batch of {rows} rows takes uniforms of shape ({rows}, ...)")
+        u = u.reshape(rows, -1)
+        vec = np.ones(u.shape + (1,), dtype=complex)
+        bits = np.empty(u.shape + (self.n_qubits,), dtype=np.uint8)
         for site in range(self.n_qubits):
             a = self.tensors[site]
-            m0 = vec @ a[:, 0, :]
-            m1 = vec @ a[:, 1, :]
-            p0 = np.sum(np.abs(m0) ** 2, axis=1)
-            p1 = np.sum(np.abs(m1) ** 2, axis=1)
+            m0 = vec @ a[:, :, 0, :]
+            m1 = vec @ a[:, :, 1, :]
+            p0 = np.sum(np.abs(m0) ** 2, axis=-1)
+            p1 = np.sum(np.abs(m1) ** 2, axis=-1)
             pr0 = p0 / (p0 + p1)
             one = u >= pr0
-            bits[:, site] = one
+            bits[..., site] = one
             # the chosen bit has positive probability: u < pr0 needs pr0 > 0,
             # u >= pr0 needs pr0 < 1
             u = (u - np.where(one, pr0, 0.0)) / np.where(one, 1.0 - pr0, pr0)
             u = np.minimum(u, _BELOW_ONE)
-            vec = np.where(one[:, None], m1, m0) / np.sqrt(np.where(one, p1, p0))[:, None]
-        return bits
+            vec = np.where(one[..., None], m1, m0) / np.sqrt(np.where(one, p1, p0))[..., None]
+        return bits.reshape(shape + (self.n_qubits,))
 
     def measure_reset0(self, qubit: int, u: float) -> int:
-        """Projective Z measurement at qubit, then flip back to |0> if 1.
-        The outcome is 1 if the uniform u lies below p1, the |1> branch's
-        share of the center tensor's weight, so p1 is in [0, 1] and the
-        kept branch, renormalized, has positive weight."""
+        """Projective Z measurement at qubit of a one-row state, then flip
+        back to |0> if 1. The outcome is 1 if the uniform u lies below p1,
+        the |1> branch's share of the center tensor's weight, so p1 is in
+        [0, 1] and the kept branch, renormalized, has positive weight. A
+        stack takes no reset: it would move the center every row shares."""
         self.move_center(qubit)
-        a = self.tensors[qubit]
+        (a,) = self.tensors[qubit]
         w0 = float(np.sum(np.abs(a[:, 0, :]) ** 2))
         w1 = float(np.sum(np.abs(a[:, 1, :]) ** 2))
         outcome = 1 if u < w1 / (w0 + w1) else 0
         b = np.zeros_like(a)
         b[:, 0, :] = a[:, outcome, :] / np.sqrt(w1 if outcome else w0)
-        self.tensors[qubit] = b
+        self.tensors[qubit] = b[None]
         return outcome
 
     def to_dense(self) -> np.ndarray:
-        """Contract to the full 2^n amplitude vector (small n only)."""
-        v = self.tensors[0]
+        """Contract to the full 2^n amplitude vector (small n only), one
+        per row of a batch."""
+        rows = len(self.tensors[0])
+        v = self.tensors[0].reshape(rows, 2, -1)
         for t in self.tensors[1:]:
-            v = np.einsum("...a,apb->...pb", v, t)
-        return v.reshape(-1)
+            v = (v @ t.reshape(rows, t.shape[1], -1)).reshape(rows, -1, t.shape[-1])
+        return self._per_row(v.reshape(rows, -1))
 
 
 def run(circuit: Circuit, chi_max: int = 64, trunc_tol: float = 1e-10) -> MpsState:

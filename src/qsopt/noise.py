@@ -25,7 +25,9 @@ rows. Both backends read the same event arrays, so they share one RNG
 layout and one definition of the noise semantics. `row_states` maps the
 rows of a layout to states, here and for the noiseless QFI: the dense
 statevector evolves rows together as a (rows, 2^n) array (in batches of
-at most BATCH_AMPLITUDES amplitudes), the MPS runs one row per state.
+at most BATCH_AMPLITUDES amplitudes); the MPS stacks the rows of a
+noiseless layout over one chain, whose orthogonality center they share,
+and runs noisy rows one per state, since a reset moves that center.
 Each event is one state op over the rows it hits (`apply_paulis`,
 `reset_rows`, `flip_z`), and the same `_evolve` loop drives a dense batch
 and a single MPS trajectory. A disabled model draws the same arrays with
@@ -43,7 +45,7 @@ import numpy as np
 
 from .backend import BackendSpec
 from .circuit import Circuit, moments
-from .statevector import DenseState, bit_counts
+from .statevector import bit_counts
 
 # amplitudes one batch of dense trajectories holds (16 MiB of complex128,
 # and twice that in its scratch buffer); more rows run in several batches
@@ -190,18 +192,22 @@ def run_one_trajectory(circuit: Circuit, spec: BackendSpec, params: NoiseParams,
     return state
 
 
-def row_states(spec: BackendSpec, n_qubits: int, rows: int):
+def row_states(spec: BackendSpec, n_qubits: int, rows: int, noisy: bool = False):
     """The states that hold the `rows` rows of a batch layout, as (start,
-    stop, state) with rows start..stop-1 in state: on the dense statevector
+    stop, state) with rows start..stop-1 in state, each from
+    `spec.fresh(n_qubits, batch)`. On the dense statevector they are
     batches of at most BATCH_AMPLITUDES amplitudes (at least one row),
-    split at row boundaries, so a batch can end inside a run; on the MPS
-    one `spec.fresh` state per row."""
-    dense = spec.kind == "statevector"
-    step = max(1, BATCH_AMPLITUDES >> n_qubits) if dense else 1
+    split at row boundaries, so a batch can end inside a run. The MPS
+    holds a noiseless layout as one stack of rows, and a `noisy` one as
+    one state per row: a reset moves the orthogonality center, which the
+    rows of a stack share."""
+    if spec.kind == "statevector":
+        step = max(1, BATCH_AMPLITUDES >> n_qubits)
+    else:
+        step = 1 if noisy else rows
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        yield start, stop, (DenseState(n_qubits, spec.dense_cap, batch=stop - start)
-                            if dense else spec.fresh(n_qubits))
+        yield start, stop, spec.fresh(n_qubits, batch=stop - start)
 
 
 def sample_bits(circuit: Circuit, spec: BackendSpec, params: NoiseParams, shots: int,
@@ -221,7 +227,7 @@ def sample_bits(circuit: Circuit, spec: BackendSpec, params: NoiseParams, shots:
                          *(np.random.default_rng(s) for s in seeds))
     runs = whole_runs(circuit, events.shots) if runs is None else runs
     bits = []
-    for start, stop, state in row_states(spec, circuit.n_qubits, events.shots):
+    for start, stop, state in row_states(spec, circuit.n_qubits, events.shots, noisy=True):
         ev = events.rows(slice(start, stop))
         _evolve(state, runs, layers, ev, start)
         bits.append(state.measure_at(ev.meas_u))

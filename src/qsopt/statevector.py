@@ -64,7 +64,8 @@ def bit_counts(bits) -> dict[str, int]:
 
 class QubitState:
     """The surface both backends share. A backend provides n_qubits,
-    apply_unitary_1q/2q, schmidt_values(bond) and measure_at(u)."""
+    apply_unitary_1q/2q, schmidt_values(bond), measure_at(u) and, for a
+    run over part of a batch, rows(index)."""
 
     n_qubits: int
     chi_max: int | None = None  # bond cap; None where nothing is truncated
@@ -108,8 +109,10 @@ class QubitState:
     def apply_runs(self, runs, start: int, stop: int) -> None:
         """Apply one gate laid over the rows of a batch layout: each run
         (lo, hi, gate) applies `gate` to layout rows lo..hi-1, of which
-        this state holds rows start..stop-1. Only a dense batch takes a run
-        that covers part of its rows."""
+        this state holds rows start..stop-1. A run that covers part of a
+        batch goes to a view of its rows (`rows`); on the MPS, whose rows
+        share their bonds, only a 1q gate may, and the QFI's shifted
+        rotations are 1q."""
         for lo, hi, gate in runs:
             lo, hi = max(lo, start), min(hi, stop)
             if (lo, hi) == (start, stop):
@@ -241,9 +244,9 @@ class DenseState(QubitState):
 
     def measure_at(self, u) -> np.ndarray:
         """Z-basis outcomes fixed by uniforms in [0, 1), as `outcome_index`
-        picks them from this state's probabilities. A batch takes one u per
-        row; a single state takes any number. Returns bits of shape
-        u.shape + (n,)."""
+        picks them from this state's probabilities. A single state takes
+        any number of uniforms, a batch a leading row axis: (rows,) or
+        (rows, shots). Returns bits of shape u.shape + (n,)."""
         index = outcome_index(self.probabilities(), u)
         shifts = np.arange(self.n_qubits - 1, -1, -1)
         return ((index[..., None] >> shifts) & 1).astype(np.uint8)
@@ -274,14 +277,18 @@ class DenseState(QubitState):
 def outcome_index(probs: np.ndarray, u) -> np.ndarray:
     """Basis states picked by uniforms in [0, 1): each u picks the one whose
     interval of the cumulative distribution (basis order, qubit 0 most
-    significant) contains it. A (rows, 2^n) array takes one u per row; a
-    single distribution takes any number."""
+    significant) contains it. A single distribution takes any number of
+    uniforms; a (rows, 2^n) array takes a leading row axis, (rows,) or
+    (rows, shots)."""
     cdf = np.cumsum(probs, axis=-1)
-    at = np.asarray(u) * cdf[..., -1]
+    u = np.asarray(u)
     if cdf.ndim == 1:
-        index = np.searchsorted(cdf, at, side="right")
+        index = np.searchsorted(cdf, u * cdf[-1], side="right")
+    elif u.ndim == 1:  # one uniform per row, compared with its row's whole CDF
+        index = np.sum(cdf <= (u * cdf[:, -1])[:, None], axis=-1)
     else:  # searchsorted takes one sorted array; a batch has a CDF per row
-        index = np.sum(cdf <= at[:, None], axis=-1)
+        index = np.stack([np.searchsorted(row, at * row[-1], side="right")
+                          for row, at in zip(cdf, u)])
     return np.minimum(index, cdf.shape[-1] - 1)
 
 

@@ -148,7 +148,12 @@ def test_simulate_reports_json(tmp_path, capsys):
     assert set(report["counts"]) <= {"00", "11"}
     assert report["bond_entropies"] == pytest.approx([1.0])
     assert report["max_bond"] == 2
+    assert report["discarded_weight"] == pytest.approx(0.0, abs=1e-12)
     assert report["depth"] == 2 and report["gate_count"] == 2
+    # a product approximation of the Bell pair drops half its weight
+    assert main(["simulate", "--circuit", str(cpath), "--backend", "mps",
+                 "--chi-max", "1", "--shots", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["discarded_weight"] == pytest.approx(0.5)
 
 
 def test_simulate_statevector_backend(tmp_path, capsys):
@@ -159,7 +164,7 @@ def test_simulate_statevector_backend(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["backend"] == "statevector"
     assert report["peak_memory_bytes"] == 4 * 16
-    assert "max_bond" not in report
+    assert "max_bond" not in report and "discarded_weight" not in report
 
 
 def test_simulate_rejects_zero_shots(tmp_path, capsys):
@@ -175,6 +180,7 @@ def test_compare_backends_agree(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["tv_distance"] < 1e-10
     assert report["mps"]["max_bond"] >= 2
+    assert report["mps"]["discarded_weight"] == pytest.approx(0.0, abs=1e-12)
     assert report["statevector"]["peak_memory_bytes"] == 2 ** 4 * 16
     assert report["mps"]["entropy_norm"] == pytest.approx(
         report["statevector"]["entropy_norm"], abs=1e-9)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qsopt import statevector
-from qsopt.circuit import Circuit, ghz, random_circuit
+from qsopt.circuit import Circuit, Gate, ghz, random_circuit
 from qsopt.mps import COMPLEX_BYTES, MpsState, run
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -73,12 +73,12 @@ def test_canonical_form_isometries():
     s = run(c, trunc_tol=0.0)
     s.move_center(3)
     for k in range(3):  # left of center: A^dag A = I
-        a = s.tensors[k]
+        (a,) = s.tensors[k]  # a single state's tensors have one row
         l, p, r = a.shape
         m = a.reshape(l * p, r)
         assert np.allclose(m.conj().T @ m, np.eye(r), atol=1e-12)
     for k in range(4, 6):  # right of center: B B^dag = I
-        b = s.tensors[k]
+        (b,) = s.tensors[k]
         l, p, r = b.shape
         m = b.reshape(l, p * r)
         assert np.allclose(m @ m.conj().T, np.eye(l), atol=1e-12)
@@ -208,3 +208,79 @@ def test_deep_circuit_respects_chi_cap():
     assert max(s.bond_dims()) <= 4
     assert s.max_bond_seen <= 4
     assert s.norm() == pytest.approx(1.0)
+
+
+# --- stacked rows ---------------------------------------------------------
+
+def _stacked_run(circuits, **kw):
+    """Circuits that differ only in rotation angles, run as the rows of
+    one MPS: each rotation is one run per row, every other gate one run
+    over all rows (`QubitState.apply_runs`)."""
+    rows = len(circuits)
+    state = MpsState(circuits[0].n_qubits, batch=rows, **kw)
+    for gates in zip(*(c.gates for c in circuits)):
+        if gates[0].kind.has_angle:
+            runs = tuple((r, r + 1, g) for r, g in enumerate(gates))
+        else:
+            runs = ((0, rows, gates[0]),)
+        state.apply_runs(runs, 0, rows)
+    return state
+
+
+def _with_angles(circuit, rng):
+    return Circuit(circuit.n_qubits, tuple(
+        Gate(g.kind, g.qubits, float(rng.uniform(0.0, 2 * math.pi))) if g.kind.has_angle else g
+        for g in circuit.gates))
+
+
+@pytest.mark.parametrize("chi_max", [64, 2])
+def test_stacked_rows_equal_one_row_runs(chi_max):
+    # trunc_tol = 0 keeps min(len(s), chi_max) values in every row, so the
+    # rows share their ranks and each follows its one-row run bit for bit
+    rng = np.random.default_rng(17)
+    base = random_circuit(5, 40, rng)
+    circuits = [_with_angles(base, rng) for _ in range(4)]
+    stacked = _stacked_run(circuits, chi_max=chi_max, trunc_tol=0.0)
+    dense = stacked.to_dense()
+    assert dense.shape == (4, 32)
+    for row, c in enumerate(circuits):
+        single = run(c, chi_max=chi_max, trunc_tol=0.0)
+        assert np.array_equal(dense[row], single.to_dense()), row
+        assert stacked.total_discarded[row] == single.total_discarded, row
+    if chi_max == 2:
+        assert (stacked.total_discarded > 0.0).all()
+
+
+def test_stacked_rows_pad_to_the_largest_rank():
+    # the shifted rows of rx(0, .) leave qubit 0 in |0> or |1>, so cx makes
+    # a product state (rank 1); those of rx(1, .) entangle (rank 2); a last
+    # row entangles so weakly that trunc_tol drops its second value
+    angles = [(math.pi, 0.3), (0.0, 0.3), (math.pi / 2, 0.3 + math.pi / 2),
+              (math.pi / 2, 0.3 - math.pi / 2), (1e-5, 0.3)]
+    circuits = [Circuit(2).rx(0, a).rx(1, b).cx(0, 1) for a, b in angles]
+    stacked = _stacked_run(circuits, trunc_tol=1e-10)
+    singles = [run(c, trunc_tol=1e-10) for c in circuits]
+    assert [s.bond_dims() for s in singles] == [[1], [1], [2], [2], [1]]
+    assert stacked.bond_dims() == [2]
+    assert np.max(np.abs(stacked.norm() - 1.0)) < 1e-12
+    dense = stacked.to_dense()
+    for row, single in enumerate(singles):
+        assert np.max(np.abs(dense[row] - single.to_dense())) < 1e-12
+        assert stacked.total_discarded[row] == pytest.approx(single.total_discarded,
+                                                             rel=1e-9, abs=1e-20)
+    assert stacked.total_discarded[-1] == pytest.approx(0.25e-10, rel=1e-3)
+
+
+def test_single_state_reads_out_as_one():
+    s = run(ghz(3), chi_max=1)
+    assert type(s.total_discarded) is float
+    assert s.to_dense().shape == (8,)
+    batch = MpsState(3, chi_max=1, batch=1).run(ghz(3))
+    assert batch.total_discarded.shape == (1,) and batch.to_dense().shape == (1, 8)
+    assert batch.total_discarded[0] == s.total_discarded
+
+
+def test_row_view_takes_no_two_qubit_gate():
+    s = MpsState(3, batch=4)
+    with pytest.raises(ValueError):
+        s.rows(slice(1, 3)).apply_gate(Circuit(3).cx(0, 1).gates[0])

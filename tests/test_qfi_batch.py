@@ -1,7 +1,9 @@
 """The row-layout QFI against the per-circuit one it replaced.
 
 `metrics.qfi` runs the 2R shifted circuits as the rows of one layout on
-either backend: dense batches on the statevector, one MPS per row.
+either backend: dense batches on the statevector, one stacked MPS (rows
+over one chain, sharing its center) without noise, and one MPS per row
+under noise.
 `ref_qfi` below is the earlier per-circuit estimator, kept verbatim with
 its shift statistic and noisy evolution loop: each shifted circuit was run
 (and, under noise, its shots evolved) on its own, each noise event was

@@ -53,11 +53,14 @@ def test_readout_at_edge_uniforms_is_finite_and_agrees(name):
     c = EDGE_CIRCUITS[name]
     dense = statevector.run(c)
     exact = mps.run(c, chi_max=2 ** (c.n_qubits // 2), trunc_tol=0.0)
+    stacked = mps.MpsState(c.n_qubits, chi_max=2 ** (c.n_qubits // 2), trunc_tol=0.0,
+                           batch=2).run(c)
     probs = dense.probabilities()
     with np.errstate(all="raise"):
         for u in EDGE_U:
             bits = dense.measure_at(np.array([u]))
             assert np.array_equal(exact.measure_at(np.array([u])), bits), u
+            assert np.array_equal(stacked.measure_at(np.full((2, 1), u)), [bits, bits]), u
             (outcome,) = bit_counts(bits)
             assert probs[int(outcome, 2)] > 0.0, u
         for state in (dense, exact):
@@ -85,11 +88,27 @@ def test_dense_measure_once_matches_rng_choice():
 
 
 def test_single_state_measure_at_matches_batch_rows():
-    state = statevector.run(random_circuit(5, 30, np.random.default_rng(2)))
+    c = random_circuit(5, 30, np.random.default_rng(2))
+    state = statevector.run(c)
     u = np.concatenate([EDGE_U, np.random.default_rng(3).random(500)])
     batch = DenseState(5, batch=len(u))
     batch.amps[:] = state.amps
     assert np.array_equal(state.measure_at(u), batch.measure_at(u))
+    # a row axis of shots per row, on both backends
+    shots = np.random.default_rng(4).random((3, 200))
+    shots[:, :3] = EDGE_U
+    dense_rows = DenseState(5, batch=3)
+    dense_rows.amps[:] = state.amps
+    single = mps.run(c, trunc_tol=0.0)
+    stacked = mps.MpsState(5, trunc_tol=0.0, batch=3).run(c)
+    for rows, one in ((dense_rows, state), (stacked, single)):
+        bits = rows.measure_at(shots)
+        assert bits.shape == (3, 200, 5)
+        for r in range(3):
+            assert np.array_equal(bits[r], one.measure_at(shots[r])), (one, r)
+    # one uniform per row
+    stacked = mps.MpsState(5, trunc_tol=0.0, batch=len(u)).run(c)
+    assert np.array_equal(stacked.measure_at(u), single.measure_at(u))
 
 
 def test_dense_sample_memory_stays_small():
