@@ -83,6 +83,8 @@ def load_run_config(path: Path):
         if not 1 <= episodes <= 10_000:
             raise ConfigError(f"episodes={episodes} outside [1, 10000]")
         seed = int(raw.get("seed", 0))
+        if seed < 0:
+            raise ConfigError(f"seed={seed} must be >= 0")
         env_dict = dict(raw.get("env") or {})
         backend = _build_backend(env_dict)
         angle_catalog = tuple(float(a) for a in env_dict.pop(
@@ -127,14 +129,13 @@ def _write_csv(path: Path, fieldnames, rows) -> None:
 def _summary_text(env_cfg, result) -> str:
     base = result.baseline_record
     best = result.best_record
-    d_pct = 100.0 * metrics.depth_ratio(base.depth, best.depth)
-    g_pct = 100.0 * metrics.gate_ratio(base.gate_count, best.gate_count)
+    deltas = best.deltas_vs(base)
     lines = [
         "Run summary (best circuit vs episode-initial baseline)",
         "",
         f"{'Qubits':>8} {'QFI':>8} {'Entropy':>8} {'Depth red %':>12} {'Gates red %':>12}",
         f"{env_cfg.n_qubits:>8} {best.qfi_norm:>8.4f} {best.entropy_norm:>8.4f} "
-        f"{d_pct:>12.2f} {g_pct:>12.2f}",
+        f"{100.0 * deltas.depth:>12.2f} {100.0 * deltas.gates:>12.2f}",
         "",
         f"{'':>10} {'initial':>10} {'final':>10}",
         f"{'qfi':>10} {base.qfi_norm:>10.4f} {best.qfi_norm:>10.4f}",
@@ -185,29 +186,46 @@ def _spec_from_args(args, kind=None) -> BackendSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _timed_run(spec: BackendSpec, circuit):
+def _check_sampling(args) -> None:
+    if args.shots < 1:
+        raise ConfigError(f"shots must be >= 1, got {args.shots}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+
+
+def _run_backend(spec: BackendSpec, circuit, shots: int, seed: int,
+                 probabilities: bool = False):
+    """Simulate `circuit` on one backend and sample `shots` outcomes at
+    `seed`; the wall time covers both, like a real workload. Returns the
+    counts, the bond entropies, the backend's report fields and, if asked,
+    the 2^n outcome probabilities. Those are read before the entropy
+    sweep, which moves the MPS centre and so the last bits of `to_dense`."""
+    n = circuit.n_qubits
     t0 = time.perf_counter()
     state = spec.run(circuit)
-    return state, time.perf_counter() - t0
-
-
-def _memory_estimate(spec: BackendSpec, state) -> int:
+    counts = state.sample(shots, np.random.default_rng(seed))
+    fields = {"wall_time_s": time.perf_counter() - t0}
+    probs = None
     if spec.kind == "mps":
-        return state.peak_stats().memory_bytes
-    return (2 ** state.n_qubits) * 16
+        stats = state.peak_stats()
+        fields.update(peak_memory_bytes=stats.memory_bytes, max_bond=stats.max_bond,
+                      discarded_weight=state.total_discarded)
+        if probabilities:
+            probs = np.abs(state.to_dense()) ** 2
+    else:
+        fields["peak_memory_bytes"] = (2 ** n) * 16
+        if probabilities:
+            probs = state.probabilities()
+    entropies = state.bond_entropies() if n >= 2 else []
+    fields["entropy_norm"] = metrics.normalized_entropy(entropies, n, state.chi_max)
+    return counts, entropies, fields, probs
 
 
 def cmd_simulate(args) -> int:
-    if args.shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {args.shots}")
+    _check_sampling(args)
     circuit = circ.parse_file(args.circuit)
     spec = _spec_from_args(args)
-    state, elapsed = _timed_run(spec, circuit)
-    rng = np.random.default_rng(args.seed)
-    t0 = time.perf_counter()
-    counts = state.sample(args.shots, rng)
-    elapsed += time.perf_counter() - t0
-    entropies = state.bond_entropies() if circuit.n_qubits >= 2 else []
+    counts, entropies, fields, _ = _run_backend(spec, circuit, args.shots, args.seed)
     report = {
         "backend": spec.kind,
         "n_qubits": circuit.n_qubits,
@@ -215,49 +233,29 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "counts": counts,
         "bond_entropies": entropies,
-        "entropy_norm": metrics.entropy_norm(state),
         "depth": circ.depth(circuit),
         "gate_count": circ.gate_count(circuit),
-        "wall_time_s": elapsed,
-        "peak_memory_bytes": _memory_estimate(spec, state),
+        **fields,
     }
-    if spec.kind == "mps":
-        report["max_bond"] = state.peak_stats().max_bond
-        report["discarded_weight"] = state.total_discarded
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_compare(args) -> int:
-    if args.shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {args.shots}")
+    _check_sampling(args)
     circuit = circ.parse_file(args.circuit)
     dense_spec = _spec_from_args(args, kind="statevector")
     mps_spec = _spec_from_args(args, kind="mps")
-    dense_state, dense_time = _timed_run(dense_spec, circuit)  # raises over cap
-    mps_state, mps_time = _timed_run(mps_spec, circuit)
-    # wall times cover simulation plus a sampling pass, like a real workload
-    t0 = time.perf_counter()
-    dense_state.sample(args.shots, np.random.default_rng(args.seed))
-    dense_time += time.perf_counter() - t0
-    t0 = time.perf_counter()
-    mps_state.sample(args.shots, np.random.default_rng(args.seed))
-    mps_time += time.perf_counter() - t0
-    p_dense = dense_state.probabilities()
-    p_mps = np.abs(mps_state.to_dense()) ** 2
-    tv = 0.5 * float(np.sum(np.abs(p_dense - p_mps)))
+    # dense first: a circuit over its cap fails before any MPS work
+    _, _, dense, p_dense = _run_backend(dense_spec, circuit, args.shots, args.seed,
+                                        probabilities=True)
+    _, _, mps, p_mps = _run_backend(mps_spec, circuit, args.shots, args.seed,
+                                    probabilities=True)
     report = {
         "n_qubits": circuit.n_qubits,
-        "tv_distance": tv,
-        "statevector": {"wall_time_s": dense_time,
-                        "peak_memory_bytes": _memory_estimate(dense_spec, dense_state),
-                        "entropy_norm": metrics.entropy_norm(dense_state)},
-        "mps": {"wall_time_s": mps_time,
-                "peak_memory_bytes": _memory_estimate(mps_spec, mps_state),
-                "entropy_norm": metrics.entropy_norm(mps_state),
-                "max_bond": mps_state.peak_stats().max_bond,
-                "discarded_weight": mps_state.total_discarded,
-                "chi_max": mps_spec.chi_max},
+        "tv_distance": 0.5 * float(np.sum(np.abs(p_dense - p_mps))),
+        "statevector": dense,
+        "mps": {**mps, "chi_max": mps_spec.chi_max},
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..circuit import Circuit
-from ..env import CircuitEnv, EnvConfig, Observation, aux_size
-from ..metrics import MetricsRecord, reward as objective_value
+from ..env import N_CHANNELS, CircuitEnv, EnvConfig, Observation, aux_size
+from ..metrics import MetricsRecord
 from .nn import Adam, QNet
 
 
@@ -44,15 +44,16 @@ class AgentConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.epsilon_floor >= self.epsilon_start:
+        # each check is negated so that NaN fails it too
+        if not self.epsilon_floor < self.epsilon_start:
             raise ValueError("epsilon floor must be below its start value")
         for name in ("memory_size", "batch_size", "plateau_patience",
                      "plateau_window", "target_sync_every"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be positive")
         for name in ("epsilon_decay", "lr_initial", "lr_decay", "plateau_factor",
                      "entangling_priority_weight"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -209,7 +210,7 @@ def train(agent_cfg: AgentConfig, env_cfg: EnvConfig, initial_circuits: list[Cir
     root = np.random.SeedSequence(seed)
     ss_main, ss_target, ss_act, ss_replay, ss_env = root.spawn(5)
     environment = CircuitEnv(env_cfg)
-    grid_shape = (env_cfg.n_qubits, env_cfg.grid_depth, 9)
+    grid_shape = (env_cfg.n_qubits, env_cfg.grid_depth, N_CHANNELS)
     n_actions = len(environment.catalog)
     main = QNet(grid_shape, aux_size(env_cfg), n_actions, np.random.default_rng(ss_main))
     target = QNet(grid_shape, aux_size(env_cfg), n_actions, np.random.default_rng(ss_target))
@@ -217,85 +218,74 @@ def train(agent_cfg: AgentConfig, env_cfg: EnvConfig, initial_circuits: list[Cir
     buffer = ReplayBuffer(agent_cfg.memory_size)
     rng_act = np.random.default_rng(ss_act)
     rng_replay = np.random.default_rng(ss_replay)
-    episode_seeds = ss_env.spawn(episodes) if episodes > 0 else []
+    episode_seeds = ss_env.spawn(episodes)
     plateau = PlateauTracker(agent_cfg)
     result = TrainResult(net=main)
-
+    selections = 0
     try:
-        _run_episodes(agent_cfg, environment, main, target, optimizer, buffer,
-                      rng_act, rng_replay, episode_seeds, initial_circuits,
-                      episodes, plateau, result)
+        for episode in range(episodes):
+            t_start = time.perf_counter()
+            lr = lr_at(episode, plateau.events, agent_cfg)
+            initial = initial_circuits[episode % len(initial_circuits)]
+            obs = environment.reset(initial, seed=episode_seeds[episode])
+            if episode == 0:
+                result.baseline_record = environment.baseline_record
+                result.initial_circuit = initial
+            _consider_best(result, environment)
+            mask = environment.valid_mask()
+            episode_return = 0.0
+            done = False
+            step = 0
+            losses = []
+            while not done:
+                eps = epsilon_at(selections, agent_cfg)
+                action = select_action(main, obs, eps, mask, rng_act)
+                selections += 1
+                next_obs, reward, done, info = environment.step(action)
+                episode_return += reward
+                buffer.push(Transition(obs, action, reward, next_obs, done,
+                                       info["action"].entangling and not info["invalid"],
+                                       info["mask"]))
+                if len(buffer) >= agent_cfg.batch_size:
+                    batch = buffer.sample(agent_cfg.batch_size, rng_replay,
+                                          agent_cfg.entangling_priority_weight)
+                    losses.append(train_step(main, target, optimizer, batch,
+                                             agent_cfg.gamma, lr))
+                    result.train_steps += 1
+                    if result.train_steps % agent_cfg.target_sync_every == 0:
+                        sync_target(main, target)
+                        result.syncs += 1
+                step += 1
+                record = info["record"]
+                result.step_rows.append({
+                    "episode": episode, "step": step, "action": action,
+                    "action_name": info["action"].label(), "reward": reward,
+                    "invalid": int(info["invalid"]), "injected": int(info["injected"]),
+                    "qfi": record.qfi_norm, "entropy": record.entropy_norm,
+                    "depth": record.depth, "gates": record.gate_count,
+                    "epsilon": eps,
+                })
+                _consider_best(result, environment)
+                obs, mask = next_obs, info["mask"]
+            plateau.update(episode_return)
+            threshold = environment.adjust_threshold()
+            record = environment.record
+            result.episode_rows.append({
+                "episode": episode, "return": episode_return, "steps": step,
+                "final_qfi": record.qfi_norm, "final_entropy": record.entropy_norm,
+                "final_depth": record.depth, "final_gates": record.gate_count,
+                "epsilon": epsilon_at(selections, agent_cfg), "lr": lr,
+                "threshold": threshold, "loss": losses[-1] if losses else "",
+                "wall_time_s": time.perf_counter() - t_start,
+            })
+            result.final_threshold = threshold
     except KeyboardInterrupt:
         result.interrupted = True
     return result
 
 
-def _run_episodes(agent_cfg, environment, main, target, optimizer, buffer,
-                  rng_act, rng_replay, episode_seeds, initial_circuits,
-                  episodes, plateau, result) -> None:
-    selections = 0
-    for episode in range(episodes):
-        t_start = time.perf_counter()
-        lr = lr_at(episode, plateau.events, agent_cfg)
-        initial = initial_circuits[episode % len(initial_circuits)]
-        obs = environment.reset(initial, seed=episode_seeds[episode])
-        if episode == 0:
-            result.baseline_record = environment.baseline_record
-            result.initial_circuit = initial
-        _consider_best(result, environment)
-        mask = environment.valid_mask()
-        episode_return = 0.0
-        done = False
-        step = 0
-        losses = []
-        while not done:
-            eps = epsilon_at(selections, agent_cfg)
-            action = select_action(main, obs, eps, mask, rng_act)
-            selections += 1
-            next_obs, reward, done, info = environment.step(action)
-            episode_return += reward
-            buffer.push(Transition(obs, action, reward, next_obs, done,
-                                   info["action"].entangling and not info["invalid"],
-                                   info["mask"]))
-            if len(buffer) >= agent_cfg.batch_size:
-                batch = buffer.sample(agent_cfg.batch_size, rng_replay,
-                                      agent_cfg.entangling_priority_weight)
-                losses.append(train_step(main, target, optimizer, batch,
-                                         agent_cfg.gamma, lr))
-                result.train_steps += 1
-                if result.train_steps % agent_cfg.target_sync_every == 0:
-                    sync_target(main, target)
-                    result.syncs += 1
-            step += 1
-            record = info["record"]
-            result.step_rows.append({
-                "episode": episode, "step": step, "action": action,
-                "action_name": info["action"].label(), "reward": reward,
-                "invalid": int(info["invalid"]), "injected": int(info["injected"]),
-                "qfi": record.qfi_norm, "entropy": record.entropy_norm,
-                "depth": record.depth, "gates": record.gate_count,
-                "epsilon": eps,
-            })
-            _consider_best(result, environment)
-            obs, mask = next_obs, info["mask"]
-        plateau.update(episode_return)
-        threshold = environment.adjust_threshold()
-        record = environment.record
-        result.episode_rows.append({
-            "episode": episode, "return": episode_return, "steps": step,
-            "final_qfi": record.qfi_norm, "final_entropy": record.entropy_norm,
-            "final_depth": record.depth, "final_gates": record.gate_count,
-            "epsilon": epsilon_at(selections, agent_cfg), "lr": lr,
-            "threshold": threshold, "loss": losses[-1] if losses else "",
-            "wall_time_s": time.perf_counter() - t_start,
-        })
-        result.final_threshold = threshold
-
-
 def _consider_best(result: TrainResult, environment: CircuitEnv) -> None:
-    value = objective_value(environment.record.deltas_vs(environment.baseline_record),
-                            environment.cfg.weights)
-    if value > result.best_objective:
-        result.best_objective = value
+    if environment.objective > result.best_objective:
+        result.best_objective = environment.objective
         result.best_circuit = environment.circuit
         result.best_record = environment.record

@@ -74,6 +74,8 @@ class EnvConfig:
                              "or disable noise during training")
         if not self.angle_catalog:
             raise ValueError("angle_catalog must not be empty")
+        if not all(math.isfinite(a) for a in self.angle_catalog):
+            raise ValueError(f"angle_catalog must hold finite angles, got {self.angle_catalog}")
 
     @property
     def qfi_noise(self) -> NoiseParams | None:
@@ -176,7 +178,7 @@ class CircuitEnv:
         self._record: metrics.MetricsRecord | None = None
         self._seeds: np.random.SeedSequence | None = None
         self._steps = 0
-        self._prev_value = 0.0
+        self._objective = 0.0
         self._episode_entropies: list[float] = []
 
     # --- lifecycle --------------------------------------------------------
@@ -193,7 +195,7 @@ class CircuitEnv:
         self._baseline = self._evaluate(initial)
         self._record = self._baseline
         self._steps = 0
-        self._prev_value = 0.0
+        self._objective = 0.0
         self._episode_entropies = [self._baseline.entropy_norm]
         return encode(initial, self._record, self.cfg)
 
@@ -211,6 +213,13 @@ class CircuitEnv:
     def record(self) -> metrics.MetricsRecord:
         self._require_reset()
         return self._record
+
+    @property
+    def objective(self) -> float:
+        """The weighted objective of the current circuit against the
+        baseline: `info["objective"]` after a step, 0.0 after a reset."""
+        self._require_reset()
+        return self._objective
 
     def _require_reset(self):
         if self._circuit is None:
@@ -308,8 +317,8 @@ class CircuitEnv:
                 record = self._evaluate(edited)
                 injected = True
             value = metrics.reward(record.deltas_vs(self._baseline), self.cfg.weights)
-            reward = value - self._prev_value
-            self._prev_value = value
+            reward = value - self._objective
+            self._objective = value
             self._circuit = edited
             self._record = record
         self._steps += 1
@@ -320,7 +329,7 @@ class CircuitEnv:
             "mask": self.valid_mask(),
             "invalid": edited is None,
             "injected": injected,
-            "objective": self._prev_value,
+            "objective": self._objective,
             "action": action,
         }
         return encode(self._circuit, self._record, self.cfg), reward, done, info

@@ -76,7 +76,7 @@ class NoiseParams:
                 raise NoiseConfigError(f"{name}={p} outside [0, 1]")
         for name in ("t1_us", "t2_us", "dur_1q_us", "dur_2q_us"):
             v = getattr(self, name)
-            if v <= 0.0:
+            if not v > 0.0:  # also rejects NaN
                 raise NoiseConfigError(f"{name}={v} must be positive")
         if self.t2_us > 2.0 * self.t1_us:
             raise NoiseConfigError(f"t2={self.t2_us} exceeds 2*t1={2.0 * self.t1_us}; "

@@ -252,6 +252,31 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,overrides", [
+    ("t1_us", {"noise": {"t1_us": math.nan},
+               "env": {"n_qubits": 2, "max_gates": 8, "shots": 8, "backend": "statevector"}}),
+    ("angle_catalog", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 0,
+                               "backend": "statevector", "angle_catalog": [math.nan]}}),
+    ("angle_catalog", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 0,
+                               "backend": "statevector", "angle_catalog": [math.inf]}}),
+    ("lr_initial", {"agent": {"memory_size": 32, "batch_size": 4, "lr_initial": math.nan}}),
+    ("seed", {"seed": -1}),
+], ids=["t1-nan", "angle-nan", "angle-inf", "lr-nan", "seed-negative"])
+def test_train_bad_config_value_exits_1(tmp_path, capsys, key, overrides):
+    path = write_config(tmp_path, **overrides)
+    assert main(["train", "--config", str(path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_negative_seed_exits_1(tmp_path, capsys, command):
+    cpath = tmp_path / "bell.qc"
+    emit_file(ghz(2), cpath)
+    assert main([command, "--circuit", str(cpath), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed")
+
+
 @pytest.mark.parametrize("key,value", BAD_BACKEND_VALUES)
 def test_simulate_bad_backend_value_exits_1(tmp_path, capsys, key, value):
     cpath = tmp_path / "bell.qc"
@@ -295,3 +320,17 @@ def test_thread_cap_ignores_non_ascii_digits_at_import(tmp_path, value):
     assert done.returncode == 0, done.stderr
     assert f"warning: ignoring QSOPT_THREADS={value!r}" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_bench_tracing_installs_on_every_traced_name():
+    # bench/tracing.py wraps qsopt functions by name; a rename breaks
+    # `bench/run.py --trace 1`. A fresh process keeps the patches out of
+    # the other tests.
+    root = Path(cli.__file__).resolve().parents[2]
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import qsopt.cli, tracing; "
+              "tracing.install(tracing.Tracer())")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(root / "bench")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

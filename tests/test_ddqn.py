@@ -213,6 +213,10 @@ def test_agent_config_validation():
         AgentConfig(batch_size=0)
     with pytest.raises(ValueError):
         AgentConfig(lr_decay=0.0)
+    for name in ("epsilon_start", "epsilon_floor", "epsilon_decay", "lr_initial",
+                 "lr_decay", "plateau_factor", "entangling_priority_weight"):
+        with pytest.raises(ValueError):
+            AgentConfig(**{name: float("nan")})
 
 
 def test_plateau_tracker():

@@ -58,6 +58,9 @@ def test_config_validation():
         exact_cfg(backend=BackendSpec(kind="mps"))  # shots=0 needs dense
     with pytest.raises(ValueError):
         exact_cfg(angle_catalog=())
+    for angle in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="angle_catalog"):
+            exact_cfg(angle_catalog=(math.pi / 4, angle))
 
 
 def test_exact_qfi_rejects_training_noise():

@@ -42,6 +42,7 @@ def test_defaults_are_valid():
 @pytest.mark.parametrize("kwargs", [
     {"p_meas": -0.1}, {"p_1q": 1.5}, {"t1_us": 0.0}, {"dur_2q_us": -1.0},
     {"t1_us": 50.0, "t2_us": 101.0},  # t2 > 2*t1 is unphysical
+    {"t1_us": math.nan},  # would turn thermal relaxation off silently
 ])
 def test_invalid_parameters_rejected(kwargs):
     with pytest.raises(NoiseConfigError):

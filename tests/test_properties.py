@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qsopt import metrics, mps, statevector
-from qsopt.circuit import Circuit, Gate, GateKind, cancel_pairs, emit, parse
+from qsopt.backend import BackendSpec
+from qsopt.circuit import Circuit, Gate, GateKind, cancel_pairs, emit, ghz, parse
+from qsopt.env import INVALID_PENALTY, CircuitEnv, EnvConfig
 
 # angles that make merges, full turns and cancellations likely
 NICE_ANGLES = st.sampled_from([math.pi / 4, math.pi / 2, -math.pi / 2, math.pi,
@@ -82,3 +84,25 @@ def test_unseen_outcomes_leave_the_shift_statistic_unchanged(pair):
     want = metrics._shift_statistic(p, m)
     got = metrics._shift_statistic(np.insert(p, at, 0.0), np.insert(m, at, 0.0))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# a small gate budget makes adds and injections run out, so episodes mix
+# valid and invalid steps
+SMALL_ENV = EnvConfig(n_qubits=3, max_gates=6, max_steps_per_episode=5, shots=0,
+                      backend=BackendSpec(kind="statevector"))
+
+
+@given(st.lists(st.integers(0, len(CircuitEnv(SMALL_ENV).catalog) - 1),
+                min_size=SMALL_ENV.max_steps_per_episode,
+                max_size=SMALL_ENV.max_steps_per_episode))
+def test_return_telescopes_with_invalid_steps(actions):
+    env = CircuitEnv(SMALL_ENV)
+    env.reset(ghz(3).rx(0, 0.3), seed=0)
+    assert env.objective == 0.0
+    total, invalid = 0.0, 0
+    for action in actions:
+        _, r, done, info = env.step(action)
+        total += r
+        invalid += info["invalid"]
+    assert done and env.objective == info["objective"]
+    assert total == pytest.approx(env.objective + INVALID_PENALTY * invalid, abs=1e-12)
