@@ -5,15 +5,26 @@ The online net picks the next-state action, the target net prices it:
     y = r + gamma * Q_target(s', argmax_a Q_online(s', a))    (y = r when done)
 
 with the argmax restricted to the next state's valid-action mask. Replay
-is a fixed-capacity ring; sampling is weighted without replacement, with
-entangling transitions (two-qubit adds, injections, boosts) drawn at
-twice the base weight. Epsilon decays per action selection, the learning
-rate decays per episode with extra halvings when the moving-average
-return plateaus, and the target net hard-syncs on a fixed step cadence.
+is a fixed-capacity ring of arrays; sampling is weighted without
+replacement, with entangling transitions (two-qubit adds, injections,
+boosts) drawn at twice the base weight. Epsilon decays per action
+selection, the learning rate decays per episode with extra halvings when
+the moving-average return plateaus, and the target net hard-syncs on a
+fixed step cadence.
+
+The target net changes only at a sync, so replay caches its Q on every
+stored next state: a push prices its transition with one batch-1
+forward, and a sync reprices every stored transition. A train step then
+runs two batch forwards (the online net on next and on current states)
+instead of three. A cached row equals a batch-size forward of the same
+net up to float32 rounding, since a batch-1 product sums in a different
+order.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import time
 from dataclasses import dataclass, field
 
@@ -47,14 +58,17 @@ class AgentConfig:
         # each check is negated so that NaN fails it too
         if not self.epsilon_floor < self.epsilon_start:
             raise ValueError("epsilon floor must be below its start value")
+        if not (math.isfinite(self.epsilon_floor) and math.isfinite(self.epsilon_start)):
+            raise ValueError("epsilon floor and start must be finite")
         for name in ("memory_size", "batch_size", "plateau_patience",
                      "plateau_window", "target_sync_every"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be positive")
         for name in ("epsilon_decay", "lr_initial", "lr_decay", "plateau_factor",
                      "entangling_priority_weight"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def epsilon_at(selections: int, cfg: AgentConfig) -> float:
@@ -102,33 +116,100 @@ class Transition:
     next_mask: np.ndarray
 
 
-class ReplayBuffer:
-    """Ring of capacity `memory_size`; oldest entries evicted first."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._items: list[Transition] = []
-        self._cursor = 0
+@dataclass(frozen=True)
+class Batch:
+    """Replay rows, one array per field with the row on the first axis.
+    `next_q` is the target net's Q on each next observation."""
+    grid: np.ndarray
+    aux: np.ndarray
+    action: np.ndarray
+    reward: np.ndarray
+    done: np.ndarray
+    next_grid: np.ndarray
+    next_aux: np.ndarray
+    next_mask: np.ndarray
+    next_q: np.ndarray
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.action)
+
+
+def _lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros whose pages become resident only when written: an anonymous
+    mapping. (`np.zeros` marks arrays of 4 MiB and more for transparent
+    huge pages, and then one write makes 2 MiB resident.)"""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, max(1, count * dtype.itemsize)), dtype,
+                         count).reshape(shape)
+
+
+class ReplayBuffer:
+    """Ring of capacity `memory_size`, one preallocated array per field;
+    oldest entries evicted first, so slot k holds push k mod capacity.
+
+    Beside each transition it keeps `next_q`, the target net's Q on the
+    next observation. `push` computes a row with one batch-1 forward, and
+    `refresh` recomputes every filled row after the target net changes.
+    Observations are stored in the net's dtype, which the net casts its
+    inputs to anyway. Slots not yet filled take no memory (`_lazy_zeros`).
+    """
+
+    def __init__(self, capacity: int, target: QNet):
+        self.capacity = capacity
+        self.target = target
+        obs_dtype = target.dtype
+
+        def ring(shape=(), dtype=obs_dtype):
+            return _lazy_zeros((capacity, *shape), dtype)
+
+        self.grid, self.next_grid = ring(target.grid_shape), ring(target.grid_shape)
+        self.aux, self.next_aux = ring((target.aux_dim,)), ring((target.aux_dim,))
+        self.action = ring(dtype=np.int64)
+        self.reward = ring(dtype=np.float64)
+        self.done = ring(dtype=bool)
+        self.entangling = ring(dtype=bool)
+        self.next_mask = ring((target.n_actions,), bool)
+        self.next_q = ring((target.n_actions,))
+        self._pushes = 0
+
+    def __len__(self) -> int:
+        return min(self._pushes, self.capacity)
 
     def push(self, t: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(t)
-        else:
-            self._items[self._cursor] = t
-            self._cursor = (self._cursor + 1) % self.capacity
+        k = self._pushes % self.capacity
+        self._pushes += 1
+        self.grid[k], self.aux[k] = t.obs.grid, t.obs.aux
+        self.action[k], self.reward[k], self.done[k] = t.action, t.reward, t.done
+        self.entangling[k] = t.entangling
+        self.next_grid[k], self.next_aux[k] = t.next_obs.grid, t.next_obs.aux
+        self.next_mask[k] = t.next_mask
+        self.next_q[k] = self.target.forward(self.next_grid[k:k + 1],
+                                             self.next_aux[k:k + 1])[0]
+
+    def refresh(self, chunk: int) -> None:
+        """Recompute every filled `next_q` row in forwards of `chunk` rows;
+        the last chunk ends at the last filled row and overlaps the one
+        before, so every forward has the same batch size."""
+        n = len(self)
+        chunk = max(1, min(chunk, n))
+        for lo in range(0, n, chunk):
+            lo = min(lo, n - chunk)
+            rows = slice(lo, lo + chunk)
+            self.next_q[rows] = self.target.forward(self.next_grid[rows],
+                                                    self.next_aux[rows])
 
     def sample(self, batch_size: int, rng: np.random.Generator,
-               entangling_weight: float) -> list[Transition]:
-        if len(self._items) < batch_size:
-            raise ValueError(f"buffer holds {len(self._items)} < batch {batch_size}")
-        weights = np.array([entangling_weight if t.entangling else 1.0
-                            for t in self._items])
+               entangling_weight: float) -> Batch:
+        n = len(self)
+        if n < batch_size:
+            raise ValueError(f"buffer holds {n} < batch {batch_size}")
+        weights = np.where(self.entangling[:n], entangling_weight, 1.0)
         probs = weights / weights.sum()
-        idx = rng.choice(len(self._items), size=batch_size, replace=False, p=probs)
-        return [self._items[i] for i in idx]
+        idx = rng.choice(n, size=batch_size, replace=False, p=probs)
+        return Batch(self.grid[idx], self.aux[idx], self.action[idx], self.reward[idx],
+                     self.done[idx], self.next_grid[idx], self.next_aux[idx],
+                     self.next_mask[idx], self.next_q[idx])
 
 
 def select_action(net: QNet, obs: Observation, epsilon: float,
@@ -143,31 +224,20 @@ def select_action(net: QNet, obs: Observation, epsilon: float,
     return int(np.argmax(np.where(mask, q, -np.inf)))
 
 
-def _stack(observations: list[Observation]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.stack([o.grid for o in observations]),
-            np.stack([o.aux for o in observations]))
+def td_targets(batch: Batch, main: QNet, gamma: float) -> np.ndarray:
+    """Double-DQN targets: the online net picks, the cached target Q prices."""
+    q_main = main.forward(batch.next_grid, batch.next_aux)
+    picked = np.argmax(np.where(batch.next_mask, q_main, -np.inf), axis=1)
+    live = np.where(batch.done, 0.0, 1.0)
+    return batch.reward + gamma * live * batch.next_q[np.arange(len(batch)), picked]
 
 
-def td_targets(batch: list[Transition], main: QNet, target: QNet,
-               gamma: float) -> np.ndarray:
-    grids, aux = _stack([t.next_obs for t in batch])
-    q_main = main.forward(grids, aux)
-    q_target = target.forward(grids, aux)
-    masks = np.stack([t.next_mask for t in batch])
-    picked = np.argmax(np.where(masks, q_main, -np.inf), axis=1)
-    rewards = np.array([t.reward for t in batch])
-    live = np.array([0.0 if t.done else 1.0 for t in batch])
-    return rewards + gamma * live * q_target[np.arange(len(batch)), picked]
-
-
-def train_step(main: QNet, target: QNet, optimizer: Adam,
-               batch: list[Transition], gamma: float, lr: float) -> float:
-    y = td_targets(batch, main, target, gamma)
-    grids, aux = _stack([t.obs for t in batch])
-    q, cache = main.forward_cached(grids, aux)
+def train_step(main: QNet, optimizer: Adam, batch: Batch, gamma: float,
+               lr: float) -> float:
+    y = td_targets(batch, main, gamma)
+    q, cache = main.forward_cached(batch.grid, batch.aux)
     rows = np.arange(len(batch))
-    actions = np.array([t.action for t in batch])
-    err = q[rows, actions] - y
+    err = q[rows, batch.action] - y
     loss = float(np.mean(err ** 2))
     if not np.isfinite(loss):
         raise RuntimeError(
@@ -175,14 +245,17 @@ def train_step(main: QNet, target: QNet, optimizer: Adam,
             f"|err| max {np.max(np.abs(err))}, targets range "
             f"[{np.min(y)}, {np.max(y)}], lr {lr}")
     dq = np.zeros_like(q)
-    dq[rows, actions] = 2.0 * err / len(batch)
+    dq[rows, batch.action] = 2.0 * err / len(batch)
     grads = main.backward(cache, dq)
     optimizer.step(main.params, grads, lr)
     return loss
 
 
-def sync_target(main: QNet, target: QNet) -> None:
-    target.copy_params_from(main)
+def sync_target(main: QNet, buffer: ReplayBuffer, chunk: int) -> None:
+    """Copy the online net into the buffer's target net and reprice every
+    stored transition with it, `chunk` rows per forward."""
+    buffer.target.copy_params_from(main)
+    buffer.refresh(chunk)
 
 
 @dataclass
@@ -215,7 +288,7 @@ def train(agent_cfg: AgentConfig, env_cfg: EnvConfig, initial_circuits: list[Cir
     main = QNet(grid_shape, aux_size(env_cfg), n_actions, np.random.default_rng(ss_main))
     target = QNet(grid_shape, aux_size(env_cfg), n_actions, np.random.default_rng(ss_target))
     optimizer = Adam(main.params)
-    buffer = ReplayBuffer(agent_cfg.memory_size)
+    buffer = ReplayBuffer(agent_cfg.memory_size, target)
     rng_act = np.random.default_rng(ss_act)
     rng_replay = np.random.default_rng(ss_replay)
     episode_seeds = ss_env.spawn(episodes)
@@ -249,11 +322,10 @@ def train(agent_cfg: AgentConfig, env_cfg: EnvConfig, initial_circuits: list[Cir
                 if len(buffer) >= agent_cfg.batch_size:
                     batch = buffer.sample(agent_cfg.batch_size, rng_replay,
                                           agent_cfg.entangling_priority_weight)
-                    losses.append(train_step(main, target, optimizer, batch,
-                                             agent_cfg.gamma, lr))
+                    losses.append(train_step(main, optimizer, batch, agent_cfg.gamma, lr))
                     result.train_steps += 1
                     if result.train_steps % agent_cfg.target_sync_every == 0:
-                        sync_target(main, target)
+                        sync_target(main, buffer, agent_cfg.batch_size)
                         result.syncs += 1
                 step += 1
                 record = info["record"]

@@ -12,16 +12,25 @@ differences in the test suite). Parameters and activations use the
 net's dtype: float32 by default, float64 on request, which the gradient
 checks use so their tolerances can be tight.
 
-Activations, patches and backward intermediates live in one workspace
-per (net shapes, batch size, dtype), shared by every QNet of those
-shapes (the online and the target net), so a warm pass allocates no
-large array. Returned Q values and gradients are fresh arrays. The
-arrays of a `forward_cached` cache belong to the workspace: a cache is
-valid until the next forward of a QNet with the same shapes and batch
-size, and `backward` consumes it. Adam keeps one scratch array per
-parameter. Every operation runs in the same order and on the same
-element layout as a plain allocating implementation, so results are
-bitwise equal to it (a test keeps that implementation as a reference).
+Convolutions run as one product over im2col patches laid out tap-major:
+patch column (3*di + dj)*C + c holds channel c at offset (di-1, dj-1), so
+each kernel row of a patch is one contiguous span of the zero-padded
+input. The conv weights keep their stored (C,3,3) row order (the init
+draw and the checkpoint layout); a pass reorders a small copy to the
+patch order, and the weight gradients are reordered back.
+
+Activations, patches, padded inputs and backward intermediates live in
+one workspace per (net shapes, batch size, dtype), shared by every QNet
+of those shapes (the online and the target net), so a warm pass
+allocates no large array. Returned Q values and gradients are fresh
+arrays. The arrays of a `forward_cached` cache belong to the workspace:
+a cache is valid until the next forward of a QNet with the same shapes
+and batch size, and `backward` consumes it. Adam keeps one scratch array
+per parameter. Every operation runs in the same order and on the same
+element layout as a plain allocating implementation on tap-major
+patches, so results are bitwise equal to it (a test keeps that
+implementation as a reference, and checks it against channel-major
+patches in float64).
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import json
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 CHECKPOINT_VERSION = 1
 
@@ -40,15 +50,14 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
 
 
 # one 3x3 tap offset d along an axis: (patch cells, the input cells they
-# read). Patch cell i reads input cell i + d - 1; the patch cell at
-# _EDGE[d] reads the zero padding instead.
+# add to). Patch cell i belongs to input cell i + d - 1.
 _TAP = ((slice(1, None), slice(None, -1)),
         (slice(None), slice(None)),
         (slice(None, -1), slice(1, None)))
-_EDGE = (0, None, -1)
-# im2col/col2im work through the batch in blocks of about this many patch
-# bytes, so that the nine strided passes over a block hit cache
-_BLOCK_BYTES = 1 << 19
+# col2im works through the batch in blocks of about this many patch bytes,
+# so that the nine strided passes over a block hit cache; on tap-major
+# patches smaller blocks measured slower, each pass being many short runs
+_BLOCK_BYTES = 1 << 21
 # Adam works through a parameter in chunks of rows of about this many
 # elements, so that the passes of one update stay in cache
 _ADAM_CHUNK = 1 << 16
@@ -59,35 +68,34 @@ def _blocks(b: int, patch_bytes: int):
     return (slice(lo, lo + step) for lo in range(0, b, step))
 
 
-def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(B,H,W,C) -> (B,H,W,C*9) patches of the zero-padded input.
+def _im2col(x: np.ndarray, out: np.ndarray | None = None,
+            pad: np.ndarray | None = None) -> np.ndarray:
+    """(B,H,W,C) -> (B,H,W,9*C) tap-major patches of the zero-padded input.
 
-    The patches fill `out`, a (B,H,W,C,3,3) buffer, if given: one slice copy
-    per tap plus zeros where the tap reads the padding, so `out` needs no
-    prior contents and no padded copy of x is made.
+    Patch column (3*di + dj)*C + c holds input channel c at offset
+    (di - 1, dj - 1). The input is copied once into the interior of
+    `pad`, a (B,H+2,W+2,C) buffer whose border must be zero, and the
+    patches fill `out`, a (B,H,W,3,3,C) buffer, in one copy from a window
+    view of it: each kernel row is one contiguous span of 3*C padded
+    values. Either buffer is made here if not given.
     """
     b, h, w, c = x.shape
     if out is None:
-        out = np.empty((b, h, w, c, 3, 3), x.dtype)
-    for blk in _blocks(b, out[:1].nbytes):
-        xb, ob = x[blk], out[blk]
-        for di, (ti, si) in enumerate(_TAP):
-            for dj, (tj, sj) in enumerate(_TAP):
-                tap = ob[..., di, dj]
-                tap[:, ti, tj] = xb[:, si, sj]
-                if _EDGE[di] is not None:
-                    tap[:, _EDGE[di]] = 0
-                if _EDGE[dj] is not None:
-                    tap[:, :, _EDGE[dj]] = 0
+        out = np.empty((b, h, w, 3, 3, c), x.dtype)
+    if pad is None:
+        pad = np.zeros((b, h + 2, w + 2, c), x.dtype)
+    pad[:, 1:-1, 1:-1] = x
+    windows = sliding_window_view(pad, (3, 3), axis=(1, 2))
+    np.copyto(out, windows.transpose(0, 1, 2, 4, 5, 3))
     return out.reshape(b, h, w, -1)
 
 
 def _col2im(dpatches: np.ndarray, x_shape, out: np.ndarray | None = None) -> np.ndarray:
-    """Scatter patch gradients back onto the (unpadded) input, into `out`
-    if given. Taps add in the same order as a scatter onto a padded input,
-    so the sums round the same way."""
+    """Scatter tap-major patch gradients back onto the (unpadded) input,
+    into `out` if given. Taps add in the same order as a scatter onto a
+    padded input, so the sums round the same way."""
     b, h, w, c = x_shape
-    dp = dpatches.reshape(b, h, w, c, 3, 3)
+    dp = dpatches.reshape(b, h, w, 3, 3, c)
     if out is None:
         out = np.zeros(x_shape, dtype=dpatches.dtype)
     else:
@@ -96,8 +104,19 @@ def _col2im(dpatches: np.ndarray, x_shape, out: np.ndarray | None = None) -> np.
         dpb, ob = dp[blk], out[blk]
         for di, (ti, si) in enumerate(_TAP):
             for dj, (tj, sj) in enumerate(_TAP):
-                ob[:, si, sj] += dpb[:, ti, tj, :, di, dj]
+                ob[:, si, sj] += dpb[:, ti, tj, di, dj]
     return out
+
+
+def _tap_major(w: np.ndarray, c: int) -> np.ndarray:
+    """Conv weights stored with (C,3,3) rows, reordered to the (3,3,C) rows
+    of the patches: a fresh (9*C, n) array."""
+    return w.reshape(c, 9, -1).transpose(1, 0, 2).reshape(9 * c, -1)
+
+
+def _channel_major(g: np.ndarray, c: int) -> np.ndarray:
+    """The inverse of `_tap_major`, for weight gradients."""
+    return g.reshape(9, c, -1).transpose(1, 0, 2).reshape(9 * c, -1)
 
 
 class _Workspace:
@@ -110,7 +129,10 @@ class _Workspace:
         def buf(*shape):
             return np.empty(shape, dtype)
 
-        self.cols1, self.cols2 = buf(b, h, w, c, 3, 3), buf(b, h, w, c1, 3, 3)
+        self.cols1, self.cols2 = buf(b, h, w, 3, 3, c), buf(b, h, w, 3, 3, c1)
+        # zero borders, written once: a pass writes only the interiors
+        self.pad1 = np.zeros((b, h + 2, w + 2, c), dtype)
+        self.pad2 = np.zeros((b, h + 2, w + 2, c1), dtype)
         self.z1, self.a1 = buf(b, h, w, c1), buf(b, h, w, c1)
         self.z2 = buf(b, h, w, c2)
         self.flat = buf(b, h * w * c2 + aux_dim)
@@ -177,12 +199,13 @@ class QNet:
         if aux.shape[0] != grid.shape[0]:
             raise ValueError(f"{grid.shape[0]} grids but {aux.shape[0]} aux rows")
         ws = _workspace(self._shapes, grid.shape[0])
-        p1 = _im2col(grid, ws.cols1)
-        z1 = np.matmul(p1, p["w1"], out=ws.z1)
+        c, c1 = self.grid_shape[2], self.widths[0]
+        p1 = _im2col(grid, ws.cols1, ws.pad1)
+        z1 = np.matmul(p1, _tap_major(p["w1"], c), out=ws.z1)
         z1 += p["b1"]
         a1 = np.maximum(z1, 0.0, out=ws.a1)
-        p2 = _im2col(a1, ws.cols2)
-        z2 = np.matmul(p2, p["w2"], out=ws.z2)
+        p2 = _im2col(a1, ws.cols2, ws.pad2)
+        z2 = np.matmul(p2, _tap_major(p["w2"], c1), out=ws.z2)
         z2 += p["b2"]
         a2 = np.maximum(z2, 0.0, out=ws.a2)
         flat = ws.flat
@@ -225,13 +248,16 @@ class QNet:
         split = flat.shape[1] - self.aux_dim
         da2 = dflat[:, :split].reshape(a2.shape)
         dz2 = np.multiply(da2, ws.positive(z2), out=ws.dz2)
-        g["w2"] = p2.reshape(-1, p2.shape[-1]).T @ dz2.reshape(-1, dz2.shape[-1])
+        c, c1 = self.grid_shape[2], self.widths[0]
+        dz2_rows = dz2.reshape(-1, dz2.shape[-1])
+        p2_rows = p2.reshape(-1, p2.shape[-1])
+        g["w2"] = _channel_major(p2_rows.T @ dz2_rows, c1)
         g["b2"] = dz2.sum(axis=(0, 1, 2))
         # one 2-D product over the (B*H*W, c2) rows, written over the patches
-        np.matmul(dz2.reshape(-1, dz2.shape[-1]), p["w2"].T, out=p2.reshape(-1, p2.shape[-1]))
+        np.matmul(dz2_rows, _tap_major(p["w2"], c1).T, out=p2_rows)
         da1 = _col2im(p2, a1.shape, ws.da1)
         dz1 = np.multiply(da1, ws.positive(z1), out=da1)
-        g["w1"] = p1.reshape(-1, p1.shape[-1]).T @ dz1.reshape(-1, dz1.shape[-1])
+        g["w1"] = _channel_major(p1.reshape(-1, p1.shape[-1]).T @ dz1.reshape(-1, dz1.shape[-1]), c)
         g["b1"] = dz1.sum(axis=(0, 1, 2))
         return g
 

@@ -250,54 +250,63 @@ class CircuitEnv:
         left = bond - 1
         return circuit.h(left).cx(left, bond)
 
+    def _last_1q(self, circuit: Circuit, qubit: int) -> int | None:
+        for i in range(len(circuit.gates) - 1, -1, -1):
+            g = circuit.gates[i]
+            if g.kind.n_qubits == 1 and g.qubits[0] == qubit:
+                return i
+        return None
+
+    def _is_valid(self, circuit: Circuit, action: Action) -> bool:
+        """Whether `action` can edit `circuit` now; the one statement of the
+        rules, so the mask needs no edited circuit."""
+        if action.name.startswith("add_"):
+            return self._budget_left(circuit) >= 1
+        if action.name == "remove_last":
+            return self._last_touching(circuit, action.qubit) is not None
+        if action.name == "swap_last_pair":
+            i = self._last_touching(circuit, action.qubit)
+            return (i is not None and i > 0
+                    and not circuit.gates[i].support & circuit.gates[i - 1].support)
+        if action.name == "replace_last":
+            i = self._last_1q(circuit, action.qubit)
+            return i is not None and circuit.gates[i].kind is not GateKind.H
+        if action.name == "cancel_pass":
+            return True
+        if action.name == "inject":
+            return self._budget_left(circuit) >= 2
+        if action.name == "boost":
+            bonds = self._below_threshold_bonds()
+            return bool(bonds) and self._budget_left(circuit) >= len(bonds)
+        raise EnvError(f"unknown action {action.name}")
+
     def apply_action(self, circuit: Circuit, action: Action) -> Circuit | None:
         """The edit an action denotes, or None when it is invalid now."""
+        if not self._is_valid(circuit, action):
+            return None
         if action.name.startswith("add_"):
-            if self._budget_left(circuit) < 1:
-                return None
             kind = GateKind[action.name[4:].upper()]
             qubits = action.pair if action.pair is not None else (action.qubit,)
             return circuit.append(Gate(kind, tuple(qubits), action.angle))
         if action.name == "remove_last":
-            i = self._last_touching(circuit, action.qubit)
-            if i is None:
-                return None
-            return remove_gate(circuit, i)
+            return remove_gate(circuit, self._last_touching(circuit, action.qubit))
         if action.name == "swap_last_pair":
-            i = self._last_touching(circuit, action.qubit)
-            if i is None or i == 0:
-                return None
-            if circuit.gates[i].support & circuit.gates[i - 1].support:
-                return None
-            return swap_adjacent(circuit, i - 1)
+            return swap_adjacent(circuit, self._last_touching(circuit, action.qubit) - 1)
         if action.name == "replace_last":
-            for i in range(len(circuit.gates) - 1, -1, -1):
-                g = circuit.gates[i]
-                if g.kind.n_qubits == 1 and g.qubits[0] == action.qubit:
-                    if g.kind is GateKind.H:
-                        return None
-                    return replace_gate(circuit, i, Gate(GateKind.H, (action.qubit,)))
-            return None
+            return replace_gate(circuit, self._last_1q(circuit, action.qubit),
+                                Gate(GateKind.H, (action.qubit,)))
         if action.name == "cancel_pass":
             return cancel_pairs(circuit)
         if action.name == "inject":
-            if self._budget_left(circuit) < 2:
-                return None
             return self._inject(circuit, self._record)
-        if action.name == "boost":
-            bonds = self._below_threshold_bonds()
-            if not bonds or self._budget_left(circuit) < len(bonds):
-                return None
-            out = circuit
-            for k in bonds:
-                out = out.cz(k - 1, k)
-            return out
-        raise EnvError(f"unknown action {action.name}")
+        out = circuit  # boost
+        for k in self._below_threshold_bonds():
+            out = out.cz(k - 1, k)
+        return out
 
     def valid_mask(self) -> np.ndarray:
         self._require_reset()
-        return np.array([self.apply_action(self._circuit, a) is not None
-                         for a in self.catalog], dtype=bool)
+        return np.array([self._is_valid(self._circuit, a) for a in self.catalog], dtype=bool)
 
     def step(self, action_id: int):
         self._require_reset()

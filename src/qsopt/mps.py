@@ -45,6 +45,8 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)  # largest float < 1: rescaled uniforms stay
 
 @dataclass(frozen=True)
 class PeakStats:
+    """The largest bond and the largest total tensor size, in bytes, that
+    the state has held."""
     max_bond: int
     memory_bytes: int
 
@@ -78,6 +80,8 @@ class MpsState(QubitState):
             self.tensors.append(t)
         self.center = 0
         self.max_bond_seen = 1
+        # a centre shift never grows a bond, so the peak follows a 2q update
+        self.peak_size = sum(t.size for t in self.tensors)
         self._discarded = np.zeros(rows)
 
     def _per_row(self, values: np.ndarray):
@@ -167,6 +171,9 @@ class MpsState(QubitState):
         self.center = left + 1
         if keep > self.max_bond_seen:
             self.max_bond_seen = keep
+        size = sum(t.size for t in self.tensors)
+        if size > self.peak_size:
+            self.peak_size = size
 
     def _truncation_rank(self, s: np.ndarray):
         """Number of singular values (descending, on the last axis) to
@@ -220,8 +227,7 @@ class MpsState(QubitState):
         return [t.shape[-1] for t in self.tensors[:-1]]
 
     def peak_stats(self) -> PeakStats:
-        mem = sum(t.size for t in self.tensors) * COMPLEX_BYTES
-        return PeakStats(self.max_bond_seen, mem)
+        return PeakStats(self.max_bond_seen, self.peak_size * COMPLEX_BYTES)
 
     # --- measurement ------------------------------------------------------
 

@@ -141,8 +141,12 @@ def test_06_exploration_and_lr_schedules():
 
 
 class _FixedNet:
+    # observations of (2, 2, 9) grids and 4 aux features
+    grid_shape, aux_dim, dtype = (2, 2, 9), 4, np.dtype(np.float64)
+
     def __init__(self, row):
         self.row = np.asarray(row, dtype=float)
+        self.n_actions = len(self.row)
 
     def forward(self, grids, aux):
         return np.tile(self.row, (grids.shape[0], 1))
@@ -186,10 +190,10 @@ def test_07_learning_stack_numerics():
 
         # double-Q target: online argmax (action 1), target price 20
         obs = Observation(np.zeros((2, 2, 9)), np.zeros(4))
-        batch = [Transition(obs, 0, 1.0, obs, False, False,
-                            np.ones(3, dtype=bool))]
-        y = td_targets(batch, _FixedNet([0.1, 0.9, 0.3]),
-                       _FixedNet([5.0, 20.0, 7.0]), gamma=0.95)
+        replay = ReplayBuffer(1, _FixedNet([5.0, 20.0, 7.0]))  # the target net
+        replay.push(Transition(obs, 0, 1.0, obs, False, False, np.ones(3, dtype=bool)))
+        batch = replay.sample(1, np.random.default_rng(0), 2.0)
+        y = td_targets(batch, _FixedNet([0.1, 0.9, 0.3]), gamma=0.95)
         assert y[0] == pytest.approx(1.0 + 0.95 * 20.0, abs=1e-12)
         assert y[0] == pytest.approx(20.0, abs=1e-12)
 
@@ -197,16 +201,16 @@ def test_07_learning_stack_numerics():
 def test_08_replay_prioritizes_entangling_transitions():
     with _verdict(8):
         obs = Observation(np.zeros((2, 2, 9)), np.zeros(4))
-        buf = ReplayBuffer(2000)
-        for i in range(2000):  # exactly half entangling
+        buf = ReplayBuffer(2000, _FixedNet(np.zeros(5)))
+        for i in range(2000):  # exactly half entangling, actions 0-999
             buf.push(Transition(obs, i, 0.0, obs, False, i < 1000,
                                 np.ones(5, dtype=bool)))
         rng = np.random.default_rng(7)
         hits = total = 0
         while total < 100_000:
-            for t in buf.sample(32, rng, entangling_weight=2.0):
-                hits += t.entangling
-                total += 1
+            batch = buf.sample(32, rng, entangling_weight=2.0)
+            hits += int(np.count_nonzero(batch.action < 1000))  # the entangling ones
+            total += len(batch)
         frac = hits / total
         assert abs(frac - 2 / 3) <= 0.01, f"entangling frequency {frac:.4f}"
 

@@ -134,6 +134,25 @@ def test_train_runs_are_reproducible(tmp_path, capsys):
         (tmp_path / "run_b" / "final_circuit.qc").read_bytes()
 
 
+
+def test_train_with_wrapped_replay_and_syncs_is_byte_deterministic(tmp_path, capsys):
+    # 4 episodes of 5 steps fill an 8-slot ring twice over, and a sync every
+    # 2 train steps reprices every stored transition many times
+    agent = {"memory_size": 8, "batch_size": 4, "target_sync_every": 2}
+    for tag in ("a", "b"):
+        path = write_config(tmp_path, episodes=4, agent=agent, output_dir=f"run_{tag}")
+        assert main(["train", "--config", str(path)]) == 0
+    run_a, run_b = tmp_path / "run_a", tmp_path / "run_b"
+    assert (run_a / "steps.csv").read_bytes() == (run_b / "steps.csv").read_bytes()
+    assert _strip_timing(run_a / "episodes.csv") == _strip_timing(run_b / "episodes.csv")
+    for name in ("final_circuit.qc", "checkpoint.bin", "summary.txt"):
+        assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
+    with open(run_a / "steps.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 20 > agent["memory_size"]
+    summary = (run_a / "summary.txt").read_text()
+    assert "training steps: 17, target syncs: 8" in summary
+
+
 # --- simulate / compare ---------------------------------------------------
 
 def test_simulate_reports_json(tmp_path, capsys):
@@ -260,8 +279,9 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
     ("angle_catalog", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 0,
                                "backend": "statevector", "angle_catalog": [math.inf]}}),
     ("lr_initial", {"agent": {"memory_size": 32, "batch_size": 4, "lr_initial": math.nan}}),
+    ("lr_initial", {"agent": {"memory_size": 32, "batch_size": 4, "lr_initial": math.inf}}),
     ("seed", {"seed": -1}),
-], ids=["t1-nan", "angle-nan", "angle-inf", "lr-nan", "seed-negative"])
+], ids=["t1-nan", "angle-nan", "angle-inf", "lr-nan", "lr-inf", "seed-negative"])
 def test_train_bad_config_value_exits_1(tmp_path, capsys, key, overrides):
     path = write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1

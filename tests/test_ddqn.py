@@ -217,6 +217,8 @@ def test_agent_config_validation():
                  "lr_decay", "plateau_factor", "entangling_priority_weight"):
         with pytest.raises(ValueError):
             AgentConfig(**{name: float("nan")})
+        with pytest.raises(ValueError):
+            AgentConfig(**{name: float("inf")})
 
 
 def test_plateau_tracker():
@@ -234,54 +236,116 @@ def test_plateau_tracker():
 
 # --- replay ---------------------------------------------------------------
 
+class StubNet:
+    """Duck-typed stand-in: returns one fixed Q row per batch element, for
+    observations of (2, 2, 9) grids and 4 aux features."""
+
+    grid_shape, aux_dim, dtype = (2, 2, 9), 4, np.dtype(np.float64)
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=float)
+        self.n_actions = len(self.row)
+
+    def forward(self, grids, aux):
+        return np.tile(self.row, (grids.shape[0], 1))
+
+
 def _dummy_transition(i, entangling=False):
     obs = Observation(np.zeros((2, 2, 9)), np.zeros(4))
     return Transition(obs, i, float(i), obs, False, entangling,
                       np.ones(5, dtype=bool))
 
 
+def _replayed(target, *transitions):
+    """The transitions as one batch, each priced by `target` on its push."""
+    buf = ReplayBuffer(len(transitions), target)
+    for t in transitions:
+        buf.push(t)
+    return buf.sample(len(transitions), np.random.default_rng(0), 1.0)
+
+
 def test_ring_buffer_eviction_order():
-    buf = ReplayBuffer(3)
+    buf = ReplayBuffer(3, StubNet(np.zeros(5)))
     for i in range(5):
         buf.push(_dummy_transition(i))
     assert len(buf) == 3
-    held = sorted(t.action for t in buf._items)
+    held = sorted(buf.action[:len(buf)].tolist())
     assert held == [2, 3, 4]  # 0 and 1 evicted first
 
 
 def test_sample_without_replacement():
-    buf = ReplayBuffer(10)
+    buf = ReplayBuffer(10, StubNet(np.zeros(5)))
     for i in range(10):
         buf.push(_dummy_transition(i))
     batch = buf.sample(10, np.random.default_rng(0), entangling_weight=2.0)
-    assert sorted(t.action for t in batch) == list(range(10))
+    assert sorted(batch.action.tolist()) == list(range(10))
     with pytest.raises(ValueError):
         buf.sample(11, np.random.default_rng(0), 2.0)
 
 
 def test_entangling_transitions_oversampled():
-    buf = ReplayBuffer(400)
+    buf = ReplayBuffer(400, StubNet(np.zeros(5)))
     for i in range(400):
         buf.push(_dummy_transition(i, entangling=i < 200))
     rng = np.random.default_rng(8)
     hits = total = 0
     for _ in range(300):
-        for t in buf.sample(16, rng, entangling_weight=2.0):
-            hits += t.entangling
-            total += 1
+        batch = buf.sample(16, rng, entangling_weight=2.0)
+        hits += int(np.count_nonzero(batch.action < 200))  # the entangling ones
+        total += len(batch)
     assert abs(hits / total - 2 / 3) < 0.02
 
 
-# --- action selection and targets ----------------------------------------
+def _random_transition(rng, net, i):
+    def obs():
+        return Observation(rng.normal(size=net.grid_shape), rng.normal(size=net.aux_dim))
 
-class StubNet:
-    """Duck-typed stand-in: returns one fixed Q row per batch element."""
+    return Transition(obs(), i, float(rng.normal()), obs(), False, False,
+                      np.ones(net.n_actions, dtype=bool))
 
-    def __init__(self, row):
-        self.row = np.asarray(row, dtype=float)
 
-    def forward(self, grids, aux):
-        return np.tile(self.row, (grids.shape[0], 1))
+def test_pushed_row_is_a_batch1_target_forward():
+    target = tiny_net(dtype=np.float32, seed=1)
+    rng = np.random.default_rng(10)
+    buf = ReplayBuffer(4, target)
+    for i in range(4):
+        t = _random_transition(rng, target, i)
+        buf.push(t)
+        want = target.forward(t.next_obs.grid[None], t.next_obs.aux[None])[0]
+        assert buf.next_q.dtype == want.dtype
+        assert np.array_equal(buf.next_q[i], want)
+
+
+def test_eviction_keeps_each_row_with_its_slot():
+    target = tiny_net(dtype=np.float32, seed=1)
+    rng = np.random.default_rng(11)
+    buf = ReplayBuffer(3, target)
+    pushed = [_random_transition(rng, target, i) for i in range(7)]
+    for t in pushed:
+        buf.push(t)
+    for slot, t in zip((1, 2, 0), pushed[4:]):  # push k lands in slot k mod 3
+        assert buf.action[slot] == t.action and buf.reward[slot] == t.reward
+        assert np.array_equal(buf.next_grid[slot], t.next_obs.grid.astype(np.float32))
+        want = target.forward(t.next_obs.grid[None], t.next_obs.aux[None])[0]
+        assert np.array_equal(buf.next_q[slot], want)
+
+
+@pytest.mark.parametrize("filled,chunk", [(7, 3), (7, 7), (7, 16), (2, 3)])
+def test_sync_reprices_every_filled_row(filled, chunk):
+    main, target = tiny_net(dtype=np.float32, seed=0), tiny_net(dtype=np.float32, seed=1)
+    rng = np.random.default_rng(12)
+    buf = ReplayBuffer(10, target)
+    for i in range(filled):
+        buf.push(_random_transition(rng, target, i))
+    stale = buf.next_q[:filled].copy()
+    sync_target(main, buf, chunk)
+    for k in target.params:
+        assert np.array_equal(target.params[k], main.params[k])
+    fresh = main.forward(buf.next_grid[:filled], buf.next_aux[:filled])
+    # a batch of another size sums in another order: equal to float32 rounding
+    assert np.all(np.abs(buf.next_q[:filled] - fresh) <= 1e-5 * np.maximum(1.0, np.abs(fresh)))
+    assert np.all(buf.next_q[:filled] != stale)
+    assert not buf.next_q[filled:].any()  # unfilled slots stay untouched
 
 
 def test_select_action_explores_only_valid():
@@ -306,29 +370,30 @@ def test_select_action_greedy_respects_mask():
 def test_td_targets_hand_example():
     # online net argmax picks action 1; target net prices it at 20
     obs = Observation(np.zeros((2, 2, 9)), np.zeros(4))
-    batch = [Transition(obs, 0, 1.0, obs, False, False, np.ones(3, dtype=bool))]
+    batch = _replayed(StubNet([5.0, 20.0, 7.0]),
+                      Transition(obs, 0, 1.0, obs, False, False, np.ones(3, dtype=bool)))
     main = StubNet([0.1, 0.9, 0.3])
-    target = StubNet([5.0, 20.0, 7.0])
-    y = td_targets(batch, main, target, gamma=0.95)
+    y = td_targets(batch, main, gamma=0.95)
     assert y[0] == pytest.approx(1.0 + 0.95 * 20.0)
     assert y[0] == pytest.approx(20.0)
 
 
 def test_td_targets_terminal_and_masked():
     obs = Observation(np.zeros((2, 2, 9)), np.zeros(4))
-    done = [Transition(obs, 0, -0.5, obs, True, False, np.ones(3, dtype=bool))]
-    assert td_targets(done, StubNet([1, 2, 3]), StubNet([4, 5, 6]), 0.95)[0] == -0.5
+    done = _replayed(StubNet([4, 5, 6]),
+                     Transition(obs, 0, -0.5, obs, True, False, np.ones(3, dtype=bool)))
+    assert td_targets(done, StubNet([1, 2, 3]), 0.95)[0] == -0.5
     # invalid next actions are excluded from the online argmax
     mask = np.array([True, False, True])
-    batch = [Transition(obs, 0, 0.0, obs, False, False, mask)]
+    batch = _replayed(StubNet([10.0, 99.0, 30.0]),
+                      Transition(obs, 0, 0.0, obs, False, False, mask))
     main = StubNet([0.1, 9.0, 0.2])   # would pick 1 unmasked
-    target = StubNet([10.0, 99.0, 30.0])
-    assert td_targets(batch, main, target, 1.0)[0] == pytest.approx(30.0)
+    assert td_targets(batch, main, 1.0)[0] == pytest.approx(30.0)
 
 
 def test_sync_target_copies_everything():
     a, b = tiny_net(seed=0), tiny_net(seed=1)
-    sync_target(a, b)
+    sync_target(a, ReplayBuffer(4, b), 2)
     for k in a.params:
         assert np.array_equal(a.params[k], b.params[k])
 
@@ -338,15 +403,16 @@ def test_train_step_reduces_loss_on_fixed_batch():
     main = tiny_net(seed=0)
     target = tiny_net(seed=1)
     opt = Adam(main.params)
-    batch = []
+    buf = ReplayBuffer(8, target)
     for i in range(8):
         obs = Observation(rng.normal(size=(3, 4, 2)), rng.normal(size=3))
         nxt = Observation(rng.normal(size=(3, 4, 2)), rng.normal(size=3))
-        batch.append(Transition(obs, i % 5, float(rng.normal()), nxt,
-                                bool(i % 3 == 0), False, np.ones(5, dtype=bool)))
-    first = train_step(main, target, opt, batch, gamma=0.95, lr=1e-2)
+        buf.push(Transition(obs, i % 5, float(rng.normal()), nxt,
+                            bool(i % 3 == 0), False, np.ones(5, dtype=bool)))
+    batch = buf.sample(8, rng, 1.0)
+    first = train_step(main, opt, batch, gamma=0.95, lr=1e-2)
     for _ in range(30):
-        last = train_step(main, target, opt, batch, gamma=0.95, lr=1e-2)
+        last = train_step(main, opt, batch, gamma=0.95, lr=1e-2)
     assert np.isfinite(last)
     assert last < first
 
@@ -356,10 +422,10 @@ def test_train_step_raises_on_nonfinite():
     target = tiny_net(seed=1)
     opt = Adam(main.params)
     obs = Observation(np.zeros((3, 4, 2)), np.zeros(3))
-    bad = [Transition(obs, 0, float("inf"), obs, True, False,
-                      np.ones(5, dtype=bool))]
+    bad = _replayed(target, Transition(obs, 0, float("inf"), obs, True, False,
+                                       np.ones(5, dtype=bool)))
     with pytest.raises(RuntimeError):
-        train_step(main, target, opt, bad, gamma=0.95, lr=1e-3)
+        train_step(main, opt, bad, gamma=0.95, lr=1e-3)
 
 
 # --- training loop --------------------------------------------------------

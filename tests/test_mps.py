@@ -7,7 +7,7 @@ import pytest
 
 from qsopt import statevector
 from qsopt.circuit import Circuit, Gate, ghz, random_circuit
-from qsopt.mps import COMPLEX_BYTES, MpsState, run
+from qsopt.mps import COMPLEX_BYTES, MpsState, PeakStats, run
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -151,6 +151,17 @@ def test_peak_stats():
     stats = s.peak_stats()
     assert stats.max_bond == 2
     assert stats.memory_bytes == sum(t.size for t in s.tensors) * COMPLEX_BYTES
+
+
+def test_peak_memory_is_a_peak():
+    # a GHZ ladder then its inverse: bond 2 mid-circuit, a product state after
+    ladder = ghz(6)
+    c = Circuit(6, ladder.gates + tuple(reversed(ladder.gates)))
+    middle = sum(t.size for t in run(ladder, trunc_tol=1e-10).tensors) * COMPLEX_BYTES
+    s = run(c, trunc_tol=1e-10)
+    assert s.bond_dims() == [1] * 5
+    assert s.peak_stats() == PeakStats(max_bond=2, memory_bytes=middle)
+    assert middle > sum(t.size for t in s.tensors) * COMPLEX_BYTES
 
 
 def test_sampling_statistics_and_determinism():

@@ -1,10 +1,14 @@
 """The QNet workspace against the allocating implementation it replaced.
 
-`_im2col`, `_col2im`, `ref_forward`, `ref_backward` and `RefAdam.step`
-below are verbatim copies of the earlier allocating code (methods take
-their net as `self`). The workspace version must give bitwise-equal Q
-values, cache entries, gradients and parameters, and hand out nothing
-that a later pass overwrites.
+`ref_forward`, `ref_backward` and `RefAdam.step` below are copies of the
+earlier allocating code (methods take their net as `self`), on tap-major
+patches: `_im2col` and `_col2im` lay patch columns out as (3,3,C), and
+the conv weights, stored with (C,3,3) rows, are reordered to match. The
+workspace version must give bitwise-equal Q values, cache entries,
+gradients and parameters, and hand out nothing that a later pass
+overwrites. The channel-major patches the net used before, kept below as
+`_im2col_channel_major` and `_col2im_channel_major`, must give the same
+float64 values up to rounding.
 """
 
 import tracemalloc
@@ -14,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from qsopt.ddqn import QNet, Transition, train_step
+from qsopt.ddqn import QNet, ReplayBuffer, Transition, train_step
 from qsopt.ddqn.nn import Adam
 from qsopt.env import Observation
 
@@ -22,15 +26,42 @@ from qsopt.env import Observation
 # --- reference: the allocating implementation -----------------------------
 
 def _im2col(x: np.ndarray) -> np.ndarray:
-    """(B,H,W,C) -> (B,H,W,C*9) patches of the zero-padded input."""
+    """(B,H,W,C) -> (B,H,W,9*C) tap-major patches of the zero-padded input."""
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B,H,W,C,3,3)
+    b, h, w = x.shape[:3]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(b, h, w, -1)
+
+
+def _col2im(dpatches: np.ndarray, x_shape) -> np.ndarray:
+    """Scatter tap-major patch gradients back onto the (unpadded) input."""
+    b, h, w, c = x_shape
+    dp = dpatches.reshape(b, h, w, 3, 3, c)
+    dxp = np.zeros((b, h + 2, w + 2, c), dtype=dpatches.dtype)
+    for di in range(3):
+        for dj in range(3):
+            dxp[:, di:di + h, dj:dj + w, :] += dp[:, :, :, di, dj, :]
+    return dxp[:, 1:-1, 1:-1, :]
+
+
+def _tap_major(w: np.ndarray) -> np.ndarray:
+    """(C*9, n) weights with (C,3,3) rows -> (9*C, n) with (3,3,C) rows."""
+    return w.reshape(-1, 9, w.shape[1]).transpose(1, 0, 2).reshape(w.shape)
+
+
+def _channel_major(g: np.ndarray) -> np.ndarray:
+    return g.reshape(9, -1, g.shape[1]).transpose(1, 0, 2).reshape(g.shape)
+
+
+def _im2col_channel_major(x: np.ndarray) -> np.ndarray:
+    """(B,H,W,C) -> (B,H,W,C*9) patches with (C,3,3) columns."""
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B,H,W,C,3,3)
     b, h, w = x.shape[:3]
     return win.reshape(b, h, w, -1)
 
 
-def _col2im(dpatches: np.ndarray, x_shape) -> np.ndarray:
-    """Scatter patch gradients back onto the (unpadded) input."""
+def _col2im_channel_major(dpatches: np.ndarray, x_shape) -> np.ndarray:
     b, h, w, c = x_shape
     dp = dpatches.reshape(b, h, w, c, 3, 3)
     dxp = np.zeros((b, h + 2, w + 2, c), dtype=dpatches.dtype)
@@ -40,16 +71,27 @@ def _col2im(dpatches: np.ndarray, x_shape) -> np.ndarray:
     return dxp[:, 1:-1, 1:-1, :]
 
 
-def ref_forward(self, grid: np.ndarray, aux: np.ndarray, keep: bool):
+def _unchanged(w: np.ndarray) -> np.ndarray:
+    return w
+
+
+# how the reference lays out conv patches: im2col, col2im, the weight
+# reorder for the products and the gradient reorder back
+TAP_MAJOR = (_im2col, _col2im, _tap_major, _channel_major)
+CHANNEL_MAJOR = (_im2col_channel_major, _col2im_channel_major, _unchanged, _unchanged)
+
+
+def ref_forward(self, grid: np.ndarray, aux: np.ndarray, keep: bool, layout=TAP_MAJOR):
+    im2col, _, weights, _ = layout
     p = self.params
     grid = np.ascontiguousarray(grid, dtype=self.dtype)
     aux = np.ascontiguousarray(aux, dtype=self.dtype)
     b = grid.shape[0]
-    p1 = _im2col(grid)
-    z1 = p1 @ p["w1"] + p["b1"]
+    p1 = im2col(grid)
+    z1 = p1 @ weights(p["w1"]) + p["b1"]
     a1 = np.maximum(z1, 0.0)
-    p2 = _im2col(a1)
-    z2 = p2 @ p["w2"] + p["b2"]
+    p2 = im2col(a1)
+    z2 = p2 @ weights(p["w2"]) + p["b2"]
     a2 = np.maximum(z2, 0.0)
     flat = np.concatenate([a2.reshape(b, -1), aux], axis=1)
     z3 = flat @ p["w3"] + p["b3"]
@@ -61,8 +103,9 @@ def ref_forward(self, grid: np.ndarray, aux: np.ndarray, keep: bool):
     return q, cache
 
 
-def ref_backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
+def ref_backward(self, cache, dq: np.ndarray, layout=TAP_MAJOR) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss with upstream derivative dq = dL/dQ."""
+    _, col2im, weights, grads = layout
     p = self.params
     p1, z1, a1, p2, z2, a2, flat, z3, a3 = cache
     dq = np.asarray(dq, dtype=self.dtype)
@@ -82,11 +125,11 @@ def ref_backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
     split = flat.shape[1] - self.aux_dim
     da2 = dflat[:, :split].reshape(a2.shape)
     dz2 = da2 * (z2 > 0.0)
-    g["w2"] = p2.reshape(-1, p2.shape[-1]).T @ dz2.reshape(-1, dz2.shape[-1])
+    g["w2"] = grads(p2.reshape(-1, p2.shape[-1]).T @ dz2.reshape(-1, dz2.shape[-1]))
     g["b2"] = dz2.sum(axis=(0, 1, 2))
-    da1 = _col2im(dz2 @ p["w2"].T, a1.shape)
+    da1 = col2im(dz2 @ weights(p["w2"]).T, a1.shape)
     dz1 = da1 * (z1 > 0.0)
-    g["w1"] = p1.reshape(-1, p1.shape[-1]).T @ dz1.reshape(-1, dz1.shape[-1])
+    g["w1"] = grads(p1.reshape(-1, p1.shape[-1]).T @ dz1.reshape(-1, dz1.shape[-1]))
     g["b1"] = dz1.sum(axis=(0, 1, 2))
     return g
 
@@ -182,6 +225,23 @@ def test_workspace_matches_allocating_reference_bitwise(kind, batch):
             _assert_same(grads[k], kept_grads[k])
 
 
+@pytest.mark.parametrize("batch", [1, 128])
+def test_tap_major_net_matches_channel_major_reference(batch):
+    # the train-exact net in float64: tap order changes only the rounding
+    net = QNet(rng=np.random.default_rng(0), **dict(NETS["exact-f32"], dtype=np.float64))
+    ref = _reference(net)
+    rng = np.random.default_rng(1)
+    grid, aux = _inputs(rng, net, batch)
+    dq = rng.normal(size=(batch, net.n_actions))
+    q, cache = net.forward_cached(grid, aux)
+    ref_q, ref_cache = ref_forward(ref, grid, aux, keep=True, layout=CHANNEL_MAJOR)
+    grads = net.backward(cache, dq)
+    ref_grads = ref_backward(ref, ref_cache, dq, layout=CHANNEL_MAJOR)
+    for got, want in [(q, ref_q)] + [(grads[k], ref_grads[k]) for k in ref_grads]:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 def test_warm_train_step_allocates_no_large_array():
     shapes = NETS["exact-f32"]
     main = QNet(rng=np.random.default_rng(0), **shapes)
@@ -194,13 +254,15 @@ def test_warm_train_step_allocates_no_large_array():
                            rng.normal(size=shapes["aux_dim"]))
 
     n_actions = shapes["n_actions"]
-    batch = [Transition(obs(), int(rng.integers(n_actions)), float(rng.normal()), obs(),
-                        i % 7 == 0, False, rng.random(n_actions) < 0.8)
-             for i in range(128)]
-    train_step(main, target, opt, batch, gamma=0.95, lr=1e-3)  # builds the workspace
+    buffer = ReplayBuffer(128, target)
+    for i in range(128):
+        buffer.push(Transition(obs(), int(rng.integers(n_actions)), float(rng.normal()),
+                               obs(), i % 7 == 0, False, rng.random(n_actions) < 0.8))
+    batch = buffer.sample(128, rng, 2.0)
+    train_step(main, opt, batch, gamma=0.95, lr=1e-3)  # builds the workspace
     tracemalloc.start()
     try:
-        train_step(main, target, opt, batch, gamma=0.95, lr=1e-3)
+        train_step(main, opt, batch, gamma=0.95, lr=1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -21,8 +21,8 @@ ANY_ANGLE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def circuits(draw, max_qubits=6, max_gates=24, angles=ANY_ANGLE):
-    n = draw(st.integers(1, max_qubits))
+def circuits(draw, max_qubits=6, max_gates=24, angles=ANY_ANGLE, min_qubits=1):
+    n = draw(st.integers(min_qubits, max_qubits))
     kinds = [k for k in GateKind if k.n_qubits <= n]
     gates = []
     for _ in range(draw(st.integers(0, max_gates))):
@@ -106,3 +106,22 @@ def test_return_telescopes_with_invalid_steps(actions):
         invalid += info["invalid"]
     assert done and env.objective == info["objective"]
     assert total == pytest.approx(env.objective + INVALID_PENALTY * invalid, abs=1e-12)
+
+
+MASK_ENV = EnvConfig(n_qubits=3, max_gates=6, max_steps_per_episode=50, shots=0,
+                     backend=BackendSpec(kind="statevector"))
+N_MASK_ACTIONS = len(CircuitEnv(MASK_ENV).catalog)
+
+
+@given(circuits(min_qubits=3, max_qubits=3, max_gates=MASK_ENV.max_gates, angles=NICE_ANGLES),
+       st.lists(st.integers(0, N_MASK_ACTIONS - 1), max_size=3),
+       st.floats(0.0, 1.0))
+def test_valid_mask_matches_the_edits_it_allows(c, actions, threshold):
+    # env states: a drawn circuit, a few drawn steps, a drawn threshold
+    env = CircuitEnv(MASK_ENV)
+    env.reset(c, seed=0)
+    for action in actions:
+        env.step(action)
+    env.threshold = threshold
+    built = [env.apply_action(env.circuit, a) is not None for a in env.catalog]
+    assert env.valid_mask().tolist() == built
