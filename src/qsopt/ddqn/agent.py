@@ -14,17 +14,19 @@ fixed step cadence.
 
 The target net changes only at a sync, so replay caches its Q on every
 stored next state: a push prices its transition with one batch-1
-forward, and a sync reprices every stored transition. A train step then
-runs two batch forwards (the online net on next and on current states)
-instead of three. A cached row equals a batch-size forward of the same
-net up to float32 rounding, since a batch-1 product sums in a different
-order.
+forward. A sync marks every stored row stale, and a sample reprices the
+stale rows it draws, in one batch forward that also takes other stale
+rows; so repricing never costs more than one target forward per train
+step, nor more than ceil(stored / batch) forwards per sync. A train step
+then runs two batch forwards (the online net on next and on current
+states) instead of three, once the rows are priced. A cached row equals
+a batch-size forward of the same net up to float32 rounding, since
+products of other batch sizes sum in a different order.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import time
 from dataclasses import dataclass, field
 
@@ -134,25 +136,16 @@ class Batch:
         return len(self.action)
 
 
-def _lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Zeros whose pages become resident only when written: an anonymous
-    mapping. (`np.zeros` marks arrays of 4 MiB and more for transparent
-    huge pages, and then one write makes 2 MiB resident.)"""
-    dtype = np.dtype(dtype)
-    count = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, max(1, count * dtype.itemsize)), dtype,
-                         count).reshape(shape)
-
-
 class ReplayBuffer:
     """Ring of capacity `memory_size`, one preallocated array per field;
     oldest entries evicted first, so slot k holds push k mod capacity.
 
     Beside each transition it keeps `next_q`, the target net's Q on the
-    next observation. `push` computes a row with one batch-1 forward, and
-    `refresh` recomputes every filled row after the target net changes.
+    next observation. `push` computes a row with one batch-1 forward.
+    After the target net changes, `mark_stale` flags every filled row, and
+    `sample` reprices the flagged rows it draws before it returns them.
     Observations are stored in the net's dtype, which the net casts its
-    inputs to anyway. Slots not yet filled take no memory (`_lazy_zeros`).
+    inputs to anyway.
     """
 
     def __init__(self, capacity: int, target: QNet):
@@ -161,7 +154,7 @@ class ReplayBuffer:
         obs_dtype = target.dtype
 
         def ring(shape=(), dtype=obs_dtype):
-            return _lazy_zeros((capacity, *shape), dtype)
+            return np.zeros((capacity, *shape), dtype)
 
         self.grid, self.next_grid = ring(target.grid_shape), ring(target.grid_shape)
         self.aux, self.next_aux = ring((target.aux_dim,)), ring((target.aux_dim,))
@@ -171,6 +164,7 @@ class ReplayBuffer:
         self.entangling = ring(dtype=bool)
         self.next_mask = ring((target.n_actions,), bool)
         self.next_q = ring((target.n_actions,))
+        self.stale = ring(dtype=bool)  # next_q priced by an earlier target
         self._pushes = 0
 
     def __len__(self) -> int:
@@ -186,18 +180,23 @@ class ReplayBuffer:
         self.next_mask[k] = t.next_mask
         self.next_q[k] = self.target.forward(self.next_grid[k:k + 1],
                                              self.next_aux[k:k + 1])[0]
+        self.stale[k] = False
 
-    def refresh(self, chunk: int) -> None:
-        """Recompute every filled `next_q` row in forwards of `chunk` rows;
-        the last chunk ends at the last filled row and overlaps the one
-        before, so every forward has the same batch size."""
-        n = len(self)
-        chunk = max(1, min(chunk, n))
-        for lo in range(0, n, chunk):
-            lo = min(lo, n - chunk)
-            rows = slice(lo, lo + chunk)
-            self.next_q[rows] = self.target.forward(self.next_grid[rows],
-                                                    self.next_aux[rows])
+    def mark_stale(self) -> None:
+        """The target net has changed: every filled row needs repricing."""
+        self.stale[:len(self)] = True
+
+    def _reprice(self, idx: np.ndarray) -> None:
+        """Reprice the stale rows among `idx` in one forward of len(idx)
+        rows, filled up with other stale rows, then with fresh rows of
+        `idx`. Each forward after a sync but the last prices len(idx)
+        stale rows, and every forward has the batch size of a train step."""
+        drawn = self.stale[idx]
+        others = self.stale[:len(self)].copy()
+        others[idx] = False
+        rows = np.concatenate((idx[drawn], np.flatnonzero(others), idx[~drawn]))[:len(idx)]
+        self.next_q[rows] = self.target.forward(self.next_grid[rows], self.next_aux[rows])
+        self.stale[rows] = False
 
     def sample(self, batch_size: int, rng: np.random.Generator,
                entangling_weight: float) -> Batch:
@@ -207,6 +206,8 @@ class ReplayBuffer:
         weights = np.where(self.entangling[:n], entangling_weight, 1.0)
         probs = weights / weights.sum()
         idx = rng.choice(n, size=batch_size, replace=False, p=probs)
+        if self.stale[idx].any():
+            self._reprice(idx)
         return Batch(self.grid[idx], self.aux[idx], self.action[idx], self.reward[idx],
                      self.done[idx], self.next_grid[idx], self.next_aux[idx],
                      self.next_mask[idx], self.next_q[idx])
@@ -251,11 +252,11 @@ def train_step(main: QNet, optimizer: Adam, batch: Batch, gamma: float,
     return loss
 
 
-def sync_target(main: QNet, buffer: ReplayBuffer, chunk: int) -> None:
-    """Copy the online net into the buffer's target net and reprice every
-    stored transition with it, `chunk` rows per forward."""
+def sync_target(main: QNet, buffer: ReplayBuffer) -> None:
+    """Copy the online net into the buffer's target net; the stored
+    transitions are repriced with it as samples draw them."""
     buffer.target.copy_params_from(main)
-    buffer.refresh(chunk)
+    buffer.mark_stale()
 
 
 @dataclass
@@ -325,7 +326,7 @@ def train(agent_cfg: AgentConfig, env_cfg: EnvConfig, initial_circuits: list[Cir
                     losses.append(train_step(main, optimizer, batch, agent_cfg.gamma, lr))
                     result.train_steps += 1
                     if result.train_steps % agent_cfg.target_sync_every == 0:
-                        sync_target(main, buffer, agent_cfg.batch_size)
+                        sync_target(main, buffer)
                         result.syncs += 1
                 step += 1
                 record = info["record"]

@@ -80,8 +80,9 @@ class MpsState(QubitState):
             self.tensors.append(t)
         self.center = 0
         self.max_bond_seen = 1
-        # a centre shift never grows a bond, so the peak follows a 2q update
-        self.peak_size = sum(t.size for t in self.tensors)
+        # the total tensor size, kept by `_put`; a centre shift never grows
+        # a bond, so the peak follows a two-site update
+        self._size = self.peak_size = sum(t.size for t in self.tensors)
         self._discarded = np.zeros(rows)
 
     def _per_row(self, values: np.ndarray):
@@ -105,6 +106,11 @@ class MpsState(QubitState):
         view._view = True
         return view
 
+    def _put(self, site: int, t: np.ndarray) -> None:
+        """Store t as the tensor at site, keeping the total size."""
+        self._size += t.size - self.tensors[site].size
+        self.tensors[site] = t
+
     # --- canonical form ---------------------------------------------------
 
     def _shift_right(self) -> None:
@@ -113,9 +119,9 @@ class MpsState(QubitState):
         rows, l, p, r = a.shape
         q, rmat = np.linalg.qr(a.reshape(rows, l * p, r))
         k = q.shape[-1]
-        self.tensors[c] = q.reshape(rows, l, p, k)
+        self._put(c, q.reshape(rows, l, p, k))
         nxt = self.tensors[c + 1]
-        self.tensors[c + 1] = (rmat @ nxt.reshape(rows, r, -1)).reshape(rows, k, *nxt.shape[2:])
+        self._put(c + 1, (rmat @ nxt.reshape(rows, r, -1)).reshape(rows, k, *nxt.shape[2:]))
         self.center = c + 1
 
     def _shift_left(self) -> None:
@@ -127,9 +133,9 @@ class MpsState(QubitState):
         k = q.shape[-1]
         q_rows = q.conj().swapaxes(1, 2)
         lmat = rmat.conj().swapaxes(1, 2)
-        self.tensors[c] = q_rows.reshape(rows, k, p, r)
+        self._put(c, q_rows.reshape(rows, k, p, r))
         prev = self.tensors[c - 1]
-        self.tensors[c - 1] = (prev.reshape(rows, -1, l) @ lmat).reshape(*prev.shape[:3], k)
+        self._put(c - 1, (prev.reshape(rows, -1, l) @ lmat).reshape(*prev.shape[:3], k))
         self.center = c - 1
 
     def move_center(self, site: int) -> None:
@@ -166,14 +172,13 @@ class MpsState(QubitState):
             dropped[sel] = np.sum(part[:, k:] ** 2, axis=-1)
             kept[sel, :k] = part[:, :k] / np.sqrt(np.sum(part[:, :k] ** 2, axis=-1))[:, None]
         self._discarded += dropped / np.sum(s ** 2, axis=-1)
-        self.tensors[left] = u[..., :keep].reshape(rows, l, 2, keep)
-        self.tensors[left + 1] = (kept[..., None] * vh[:, :keep, :]).reshape(rows, keep, 2, r)
+        self._put(left, u[..., :keep].reshape(rows, l, 2, keep))
+        self._put(left + 1, (kept[..., None] * vh[:, :keep, :]).reshape(rows, keep, 2, r))
         self.center = left + 1
         if keep > self.max_bond_seen:
             self.max_bond_seen = keep
-        size = sum(t.size for t in self.tensors)
-        if size > self.peak_size:
-            self.peak_size = size
+        if self._size > self.peak_size:
+            self.peak_size = self._size
 
     def _truncation_rank(self, s: np.ndarray):
         """Number of singular values (descending, on the last axis) to

@@ -137,7 +137,7 @@ def test_train_runs_are_reproducible(tmp_path, capsys):
 
 def test_train_with_wrapped_replay_and_syncs_is_byte_deterministic(tmp_path, capsys):
     # 4 episodes of 5 steps fill an 8-slot ring twice over, and a sync every
-    # 2 train steps reprices every stored transition many times
+    # 2 train steps marks every stored transition stale, so samples reprice
     agent = {"memory_size": 8, "batch_size": 4, "target_sync_every": 2}
     for tag in ("a", "b"):
         path = write_config(tmp_path, episodes=4, agent=agent, output_dir=f"run_{tag}")

@@ -330,22 +330,59 @@ def test_eviction_keeps_each_row_with_its_slot():
         assert np.array_equal(buf.next_q[slot], want)
 
 
-@pytest.mark.parametrize("filled,chunk", [(7, 3), (7, 7), (7, 16), (2, 3)])
-def test_sync_reprices_every_filled_row(filled, chunk):
+class _CountedNet:
+    """A net that records the batch size of every forward."""
+
+    def __init__(self, net):
+        self.net, self.sizes = net, []
+
+    def __getattr__(self, name):
+        return getattr(self.net, name)
+
+    def forward(self, grids, aux):
+        self.sizes.append(len(grids))
+        return self.net.forward(grids, aux)
+
+
+@pytest.mark.parametrize("pushes,batch", [(7, 3), (7, 7), (13, 4), (2, 2)])
+def test_sync_reprices_every_drawn_row(pushes, batch):
     main, target = tiny_net(dtype=np.float32, seed=0), tiny_net(dtype=np.float32, seed=1)
     rng = np.random.default_rng(12)
-    buf = ReplayBuffer(10, target)
-    for i in range(filled):
+    counted = _CountedNet(target)
+    buf = ReplayBuffer(10, counted)
+    for i in range(pushes):
         buf.push(_random_transition(rng, target, i))
-    stale = buf.next_q[:filled].copy()
-    sync_target(main, buf, chunk)
+    filled = len(buf)
+    old = buf.next_q[:filled].copy()
+    counted.sizes.clear()
+    sync_target(main, buf)
     for k in target.params:
         assert np.array_equal(target.params[k], main.params[k])
-    fresh = main.forward(buf.next_grid[:filled], buf.next_aux[:filled])
-    # a batch of another size sums in another order: equal to float32 rounding
-    assert np.all(np.abs(buf.next_q[:filled] - fresh) <= 1e-5 * np.maximum(1.0, np.abs(fresh)))
-    assert np.all(buf.next_q[:filled] != stale)
+    assert buf.stale[:filled].all() and not buf.stale[filled:].any()
+    assert counted.sizes == []  # a sync itself runs no forward
+
+    def within_rounding(q, grids, aux):
+        # a batch of another size sums in another order: equal to float32 rounding
+        fresh = main.forward(grids, aux)
+        return np.all(np.abs(q - fresh) <= 1e-5 * np.maximum(1.0, np.abs(fresh)))
+
+    samples = 0
+    while buf.stale.any():
+        drawn = buf.sample(batch, rng, 1.0)
+        samples += 1
+        assert within_rounding(drawn.next_q, drawn.next_grid, drawn.next_aux)
+    # one forward of `batch` rows per sample at most, ceil(filled / batch) in all
+    assert counted.sizes == [batch] * len(counted.sizes)
+    assert len(counted.sizes) <= min(samples, -(-filled // batch))
+    assert within_rounding(buf.next_q[:filled], buf.next_grid[:filled], buf.next_aux[:filled])
+    assert np.all(buf.next_q[:filled] != old)
     assert not buf.next_q[filled:].any()  # unfilled slots stay untouched
+    # a push after the sync is priced by the new target and is not stale
+    t = _random_transition(rng, target, 99)
+    buf.push(t)
+    k = pushes % 10
+    assert not buf.stale[k]
+    assert np.array_equal(buf.next_q[k], main.forward(t.next_obs.grid[None], t.next_obs.aux[None])[0])
 
 
 def test_select_action_explores_only_valid():
@@ -393,7 +430,7 @@ def test_td_targets_terminal_and_masked():
 
 def test_sync_target_copies_everything():
     a, b = tiny_net(seed=0), tiny_net(seed=1)
-    sync_target(a, ReplayBuffer(4, b), 2)
+    sync_target(a, ReplayBuffer(4, b))
     for k in a.params:
         assert np.array_equal(a.params[k], b.params[k])
 

@@ -164,6 +164,26 @@ def test_peak_memory_is_a_peak():
     assert middle > sum(t.size for t in s.tensors) * COMPLEX_BYTES
 
 
+class _Recounted(MpsState):
+    """Recounts every tensor after each two-site update, the peak's only
+    source, and keeps the largest total."""
+
+    recounted = 0
+
+    def _apply_2q_adjacent(self, matrix, left):
+        super()._apply_2q_adjacent(matrix, left)
+        self.recounted = max(self.recounted, sum(t.size for t in self.tensors))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_peak_memory_matches_a_recount(seed):
+    c = random_circuit(7, 60, np.random.default_rng(seed))
+    s = _Recounted(7, chi_max=4, trunc_tol=1e-10).run(c)
+    assert s.peak_stats().memory_bytes == s.recounted * COMPLEX_BYTES
+    s.move_center(0)  # shifts shrink bonds; the peak stays
+    assert s.peak_stats().memory_bytes == s.recounted * COMPLEX_BYTES
+
+
 def test_sampling_statistics_and_determinism():
     s = run(ghz(4), trunc_tol=0.0)
     counts = s.sample(4000, np.random.default_rng(9))
