@@ -225,9 +225,11 @@ class CircuitEnv:
         if self._circuit is None:
             raise EnvError("environment used before reset()")
 
-    def _evaluate(self, circuit: Circuit) -> metrics.MetricsRecord:
+    def _evaluate(self, circuit: Circuit,
+                  base: metrics.MetricsRecord | None = None) -> metrics.MetricsRecord:
+        """The circuit's record, its QFI seeded by the next spawned child."""
         return metrics.evaluate(circuit, self.cfg.backend, self.cfg.shots,
-                                self.cfg.qfi_noise, self._seeds.spawn(1)[0])
+                                self.cfg.qfi_noise, self._seeds.spawn(1)[0], base)
 
     # --- actions ----------------------------------------------------------
 
@@ -318,13 +320,18 @@ class CircuitEnv:
         if edited is None:
             reward = INVALID_PENALTY
         else:
-            record = self._evaluate(edited)
-            if (record.entropy_norm < self.threshold
+            base = metrics.base_record(edited, self.cfg.backend)
+            if (base.entropy_norm < self.threshold
                     and self._budget_left(edited) >= 2):
-                # trigger targets the weakest bond of the just-edited circuit
-                edited = self._inject(edited, record)
+                # trigger targets the weakest bond of the just-edited circuit,
+                # which is not kept: its QFI is skipped, but not its seed, so
+                # every later evaluation draws the same seed either way
+                self._seeds.spawn(1)
+                edited = self._inject(edited, base)
                 record = self._evaluate(edited)
                 injected = True
+            else:
+                record = self._evaluate(edited, base)
             value = metrics.reward(record.deltas_vs(self._baseline), self.cfg.weights)
             reward = value - self._objective
             self._objective = value

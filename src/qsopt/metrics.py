@@ -27,7 +27,7 @@ over all 2^n outcomes, or frequencies over the sampled ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -244,27 +244,37 @@ def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
 
 # --- combined evaluation --------------------------------------------------
 
-def evaluate(circuit: Circuit, spec: BackendSpec, shots: int,
-             noise: NoiseParams | None = None, seed=0) -> MetricsRecord:
-    """Simulate the circuit once for entropies, estimate QFI, and collect
-    depth and gate count into one record. Circuits without rotation gates
-    get qfi_norm = 0 with an explanatory flag instead of an error so that
-    bare initial circuits can still be scored."""
-    state = spec.run(circuit)
-    entropies = tuple(state.bond_entropies()) if circuit.n_qubits >= 2 else ()
-    flags: tuple[str, ...] = ()
+def base_record(circuit: Circuit, spec: BackendSpec) -> MetricsRecord:
+    """Everything of a circuit's record but its QFI (qfi_norm 0), from one
+    base run for the entropies."""
     if circuit.n_qubits < 2:
-        flags += ("no_bonds",)
-    try:
-        q = qfi(circuit, shots, spec, noise, seed)
-    except QfiUndefinedError:
-        q = 0.0
-        flags += ("qfi_undefined",)
+        entropies, chi_max, flags = (), None, ("no_bonds",)
+    else:
+        state = spec.run(circuit)
+        entropies, chi_max, flags = tuple(state.bond_entropies()), state.chi_max, ()
     return MetricsRecord(
-        qfi_norm=q,
-        entropy_norm=normalized_entropy(entropies, circuit.n_qubits, state.chi_max),
+        qfi_norm=0.0,
+        entropy_norm=normalized_entropy(entropies, circuit.n_qubits, chi_max),
         bond_entropies=entropies,
         depth=depth(circuit),
         gate_count=gate_count(circuit),
         flags=flags,
     )
+
+
+def evaluate(circuit: Circuit, spec: BackendSpec, shots: int,
+             noise: NoiseParams | None = None, seed=0,
+             base: MetricsRecord | None = None) -> MetricsRecord:
+    """Simulate the circuit once for entropies, estimate QFI, and collect
+    depth and gate count into one record. `base`, the circuit's
+    `base_record` if the caller already has it, saves the base run.
+    Circuits without rotation gates get qfi_norm = 0 with an explanatory
+    flag instead of an error so that bare initial circuits can still be
+    scored."""
+    if base is None:
+        base = base_record(circuit, spec)
+    try:
+        q = qfi(circuit, shots, spec, noise, seed)
+    except QfiUndefinedError:
+        return replace(base, flags=base.flags + ("qfi_undefined",))
+    return replace(base, qfi_norm=q)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qsopt import metrics
 from qsopt.backend import BackendSpec
 from qsopt.circuit import Circuit, GateKind, ghz
 from qsopt.env import (
@@ -297,6 +298,21 @@ def test_auto_injection_fires_below_threshold():
     # injection appended h + cx beyond the plain removal
     assert len(env.circuit) == 4 + 2
     assert env.circuit.gates[-1].kind is GateKind.CX
+
+
+def test_injecting_step_runs_one_qfi_on_the_kept_circuit(monkeypatch):
+    # sampled QFI, so the record depends on the seed it is drawn with
+    env = CircuitEnv(exact_cfg(shots=64))
+    env.reset(ghz(5).rx(0, 0.7), seed=3)
+    calls = []
+    qfi = metrics.qfi
+    monkeypatch.setattr(metrics, "qfi", lambda *a, **k: calls.append(a[0]) or qfi(*a, **k))
+    _, _, _, info = env.step(_action_id(env.catalog, "remove_last", qubit=4))
+    assert info["injected"]
+    assert calls == [env.circuit]
+    # reset spawned child 0; the step's edit and its injection children 1 and 2
+    seed = np.random.SeedSequence(3).spawn(3)[2]
+    assert info["record"] == evaluate(env.circuit, SV, 64, None, seed)
 
 
 def test_no_injection_when_disabled_by_threshold():
