@@ -1,10 +1,17 @@
 """Q-network and optimizer built directly on numpy.
 
 Architecture over an Observation: two 3x3 same-padded convolutions (16
-then 32 filters, ReLU) across the qubit-by-moment grid, flatten,
-concatenate the aux features, one dense ReLU layer of 256 units, then a
-dueling pair of heads: per-action advantages and a scalar state value,
-combined as Q = V + A - mean(A).
+then 32 filters, ReLU) across the qubit-by-moment grid, then a per-qubit
+readout. Each qubit row contributes two feature vectors: the mean of its
+32 features over the moments, and the 32 features at its last occupied
+moment (the last whose CH_EMPTY channel is 0; moment 0 for a qubit with
+no gate), which is where most edits act. Mean pooling over a whole axis
+in place of a flatten follows Lin et al., "Network in Network"
+(arXiv:1312.4400). The 2*n*32 readout and the aux features feed one
+dense ReLU layer of 256 units, then a dueling pair of heads: per-action
+advantages and a scalar state value, combined as Q = V + A - mean(A).
+So the parameter count grows with the qubit count but not with the gate
+budget.
 
 Forward passes cache every intermediate needed for the hand-written
 backward pass; gradients are exact (verified against central finite
@@ -41,7 +48,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-CHECKPOINT_VERSION = 1
+from ..env import CH_EMPTY
+
+# v2: the per-qubit readout replaced v1's flatten of the whole grid, so a
+# v1 dense layer has no counterpart here
+CHECKPOINT_VERSION = 2
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -108,6 +119,17 @@ def _col2im(dpatches: np.ndarray, x_shape, out: np.ndarray | None = None) -> np.
     return out
 
 
+def _readout_rows(grid: np.ndarray) -> np.ndarray:
+    """(B,H) rows of the (B*H*W, C) conv output to read per qubit: row
+    (b*H + q)*W + m, m being the last moment of qubit q with CH_EMPTY 0,
+    or 0 where it has none."""
+    occupied = grid[..., CH_EMPTY] == 0
+    b, h, w = occupied.shape
+    last = np.where(occupied.any(axis=2), w - 1 - np.argmax(occupied[..., ::-1], axis=2), 0)
+    last += np.arange(0, b * h * w, w).reshape(b, h)
+    return last
+
+
 def _tap_major(w: np.ndarray, c: int) -> np.ndarray:
     """Conv weights stored with (C,3,3) rows, reordered to the (3,3,C) rows
     of the patches: a fresh (9*C, n) array."""
@@ -134,13 +156,15 @@ class _Workspace:
         self.pad1 = np.zeros((b, h + 2, w + 2, c), dtype)
         self.pad2 = np.zeros((b, h + 2, w + 2, c1), dtype)
         self.z1, self.a1 = buf(b, h, w, c1), buf(b, h, w, c1)
-        self.z2 = buf(b, h, w, c2)
-        self.flat = buf(b, h * w * c2 + aux_dim)
-        self.a2 = self.flat[:, :h * w * c2].reshape(b, h, w, c2)  # a view into flat
+        self.z2, self.a2 = buf(b, h, w, c2), buf(b, h, w, c2)
+        self.flat = buf(b, 2 * h * c2 + aux_dim)
+        # per qubit row: [0] the mean over moments, [1] the last occupied moment
+        self.readout = self.flat[:, :2 * h * c2].reshape(b, h, 2, c2)  # a view into flat
         self.z3, self.a3 = buf(b, hidden), buf(b, hidden)
         self.adv, self.val = buf(b, n_actions), buf(b, 1)
         self.da3, self.dz3 = buf(b, hidden), buf(b, hidden)
         self.dflat = buf(*self.flat.shape)
+        self.dreadout = self.dflat[:, :2 * h * c2].reshape(b, h, 2, c2)
         self.dz2 = buf(b, h, w, c2)
         self.da1 = buf(b, h, w, c1)
         self._mask = np.empty(b * max(h * w * c1, h * w * c2, hidden), bool)
@@ -167,7 +191,7 @@ class QNet:
         self.n_actions = n_actions
         self.widths = (conv1, conv2, hidden)
         self.dtype = np.dtype(dtype)
-        flat = h * w * conv2 + aux_dim
+        flat = 2 * h * conv2 + aux_dim
         self.params = {
             "w1": xavier_uniform(rng, 9 * c, 9 * conv1, (9 * c, conv1)),
             "b1": np.zeros(conv1),
@@ -208,6 +232,11 @@ class QNet:
         z2 = np.matmul(p2, _tap_major(p["w2"], c1), out=ws.z2)
         z2 += p["b2"]
         a2 = np.maximum(z2, 0.0, out=ws.a2)
+        readout, w = ws.readout, self.grid_shape[1]
+        np.sum(a2, axis=2, out=readout[:, :, 0])
+        readout[:, :, 0] /= w
+        rows = _readout_rows(grid)
+        np.take(a2.reshape(-1, a2.shape[-1]), rows, axis=0, out=readout[:, :, 1])
         flat = ws.flat
         flat[:, flat.shape[1] - self.aux_dim:] = aux
         z3 = np.matmul(flat, p["w3"], out=ws.z3)
@@ -219,7 +248,7 @@ class QNet:
         val += p["bv"]
         q = val + adv
         q -= adv.mean(axis=1, keepdims=True)
-        cache = (p1, z1, a1, p2, z2, a2, flat, z3, a3) if keep else None
+        cache = (p1, z1, a1, p2, z2, rows, flat, z3, a3) if keep else None
         return q, cache
 
     def backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
@@ -228,7 +257,7 @@ class QNet:
         Consumes the cache: the conv2 patch gradient overwrites its patches.
         """
         p = self.params
-        p1, z1, a1, p2, z2, a2, flat, z3, a3 = cache
+        p1, z1, a1, p2, z2, rows, flat, z3, a3 = cache
         ws = _workspace(self._shapes, flat.shape[0])
         dq = np.asarray(dq, dtype=self.dtype)
         g = {}
@@ -244,9 +273,13 @@ class QNet:
         dz3 = np.multiply(da3, ws.positive(z3), out=ws.dz3)
         g["w3"] = flat.T @ dz3
         g["b3"] = dz3.sum(axis=0)
-        dflat = np.matmul(dz3, p["w3"].T, out=ws.dflat)
-        split = flat.shape[1] - self.aux_dim
-        da2 = dflat[:, :split].reshape(a2.shape)
+        np.matmul(dz3, p["w3"].T, out=ws.dflat)
+        # the mean spreads its gradient evenly over a row's moments, and the
+        # read moment adds its own
+        dmean, dlast = ws.dreadout[:, :, 0], ws.dreadout[:, :, 1]
+        da2 = np.divide(dmean[:, :, None], self.grid_shape[1], out=ws.dz2)
+        da2_rows = da2.reshape(-1, da2.shape[-1])
+        da2_rows[rows] += dlast
         dz2 = np.multiply(da2, ws.positive(z2), out=ws.dz2)
         c, c1 = self.grid_shape[2], self.widths[0]
         dz2_rows = dz2.reshape(-1, dz2.shape[-1])
@@ -289,6 +322,10 @@ class QNet:
     def load(cls, path) -> tuple["QNet", dict]:
         with np.load(path) as data:
             header = json.loads(bytes(data["__header__"]))
+            if header["version"] == 1:
+                raise ValueError("checkpoint version 1 holds the flatten head, a dense "
+                                 "layer over the whole grid, which was removed in "
+                                 f"version {CHECKPOINT_VERSION}; it cannot be loaded")
             if header["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {header['version']}")
             meta = header["net"]

@@ -20,7 +20,7 @@ from qsopt.ddqn import (
     train_step,
 )
 from qsopt.ddqn.nn import Adam, _col2im, _im2col, xavier_uniform
-from qsopt.env import EnvConfig, Observation
+from qsopt.env import CH_EMPTY, N_CHANNELS, EnvConfig, Observation, action_catalog, aux_size
 
 
 def tiny_net(dtype=np.float64, seed=0):
@@ -51,10 +51,22 @@ def test_forward_shapes_and_param_count():
     grid, aux = rand_batch_inputs(rng, b=4)
     q = net.forward(grid, aux)
     assert q.shape == (4, 5)
-    # conv kernels are stored as (9*in, out) matrices over im2col patches
-    expected = (9 * 2 * 3 + 3) + (9 * 3 * 4 + 4) + ((3 * 4 * 4 + 3) * 8 + 8) \
+    # conv kernels are stored as (9*in, out) matrices over im2col patches;
+    # the dense layer reads 2 * conv2 features per qubit plus the aux
+    expected = (9 * 2 * 3 + 3) + (9 * 3 * 4 + 4) + ((2 * 3 * 4 + 3) * 8 + 8) \
         + (8 * 5 + 5) + (8 * 1 + 1)
     assert net.n_params() == expected
+
+
+def test_param_count_does_not_grow_with_the_gate_budget():
+    counts = set()
+    for max_gates in (30, 60):
+        cfg = EnvConfig(n_qubits=5, max_gates=max_gates, max_steps_per_episode=10,
+                        shots=0, backend=BackendSpec(kind="statevector"))
+        net = QNet((cfg.n_qubits, cfg.grid_depth, N_CHANNELS), aux_size(cfg),
+                   len(action_catalog(cfg)), np.random.default_rng(0))
+        counts.add(net.n_params())
+    assert len(counts) == 1
 
 
 def test_forward_rejects_mismatched_batches():
@@ -100,11 +112,20 @@ def _loss_and_grads(net, grid, aux, dq):
     return float(np.sum(q * dq)), net.backward(cache, dq)
 
 
-def test_gradients_match_finite_differences():
-    net = tiny_net()
-    rng = np.random.default_rng(5)
-    grid, aux = rand_batch_inputs(rng, b=3)
-    dq = rng.normal(size=(3, 5))  # fixed linear readout => smooth scalar loss
+def occupied_batch_inputs(rng):
+    """Two grids whose empty channel is 0 or 1. Qubit 0 has no gate in the
+    first and its last gate in the last moment in the second; qubit 1 has
+    gates mid-row, qubit 2 only at moment 0."""
+    grid, aux = rand_batch_inputs(rng, b=2)
+    grid[..., CH_EMPTY] = 1.0
+    grid[1, 0, 3, CH_EMPTY] = 0.0
+    grid[:, 1, 1:3, CH_EMPTY] = 0.0
+    grid[:, 2, 0, CH_EMPTY] = 0.0
+    return grid, aux
+
+
+def _worst_fd_error(net, grid, aux, rng):
+    dq = rng.normal(size=(len(grid), 5))  # fixed linear readout => smooth scalar loss
     _, grads = _loss_and_grads(net, grid, aux, dq)
     eps = 1e-6
     worst = 0.0
@@ -122,7 +143,19 @@ def test_gradients_match_finite_differences():
             an = grads[name].reshape(-1)[i]
             denom = max(abs(fd), abs(an), 1e-8)
             worst = max(worst, abs(fd - an) / denom)
-    assert worst < 1e-6
+    return worst
+
+
+def test_gradients_match_finite_differences():
+    rng = np.random.default_rng(5)
+    grid, aux = rand_batch_inputs(rng, b=3)
+    assert _worst_fd_error(tiny_net(), grid, aux, rng) < 1e-6
+
+
+def test_gradients_match_finite_differences_on_occupied_grids():
+    rng = np.random.default_rng(6)
+    grid, aux = occupied_batch_inputs(rng)
+    assert _worst_fd_error(tiny_net(), grid, aux, rng) < 1e-6
 
 
 def test_float32_default_dtype():
@@ -154,14 +187,26 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded.params[k], net.params[k])
 
 
-def test_checkpoint_version_guard(tmp_path):
+def _write_checkpoint(path, version):
     import json
     net = tiny_net()
-    path = tmp_path / "ckpt.bin"
-    header = {"version": 999, "net": net.meta(), "extra": {}}
+    header = {"version": version, "net": net.meta(), "extra": {}}
     with open(path, "wb") as fh:
         np.savez(fh, __header__=np.frombuffer(
             json.dumps(header).encode(), dtype=np.uint8), **net.params)
+
+
+def test_checkpoint_v1_is_refused(tmp_path):
+    # v1 held the flatten head; no second head is kept to load it into
+    path = tmp_path / "ckpt.bin"
+    _write_checkpoint(path, 1)
+    with pytest.raises(ValueError, match="version 1.*flatten head"):
+        QNet.load(path)
+
+
+def test_checkpoint_version_guard(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    _write_checkpoint(path, 999)
     with pytest.raises(ValueError):
         QNet.load(path)
 

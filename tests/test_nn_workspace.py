@@ -1,12 +1,13 @@
 """The QNet workspace against the allocating implementation it replaced.
 
-`ref_forward`, `ref_backward` and `RefAdam.step` below are copies of the
-earlier allocating code (methods take their net as `self`), on tap-major
-patches: `_im2col` and `_col2im` lay patch columns out as (3,3,C), and
-the conv weights, stored with (C,3,3) rows, are reordered to match. The
-workspace version must give bitwise-equal Q values, cache entries,
-gradients and parameters, and hand out nothing that a later pass
-overwrites. The channel-major patches the net used before, kept below as
+`ref_forward`, `ref_backward` and `RefAdam.step` below are a plain
+allocating implementation of the net (methods take their net as `self`),
+on tap-major patches: `_im2col` and `_col2im` lay patch columns out as
+(3,3,C), and the conv weights, stored with (C,3,3) rows, are reordered to
+match. The per-qubit readout finds each qubit's last occupied moment with
+a Python loop. The workspace version must give bitwise-equal Q values,
+cache entries, gradients and parameters, and hand out nothing that a
+later pass overwrites. The channel-major patches the net used before, kept below as
 `_im2col_channel_major` and `_col2im_channel_major`, must give the same
 float64 values up to rounding.
 """
@@ -20,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from qsopt.ddqn import QNet, ReplayBuffer, Transition, train_step
 from qsopt.ddqn.nn import Adam
-from qsopt.env import Observation
+from qsopt.env import CH_EMPTY, Observation
 
 
 # --- reference: the allocating implementation -----------------------------
@@ -93,13 +94,21 @@ def ref_forward(self, grid: np.ndarray, aux: np.ndarray, keep: bool, layout=TAP_
     p2 = im2col(a1)
     z2 = p2 @ weights(p["w2"]) + p["b2"]
     a2 = np.maximum(z2, 0.0)
-    flat = np.concatenate([a2.reshape(b, -1), aux], axis=1)
+    h, w, c2 = a2.shape[1:]
+    # each qubit's last moment with a gate, 0 for a qubit with none
+    last = np.array([[max(np.flatnonzero(row == 0), default=0) for row in sample]
+                     for sample in grid[..., CH_EMPTY]]).reshape(b, h)
+    at_last = a2[np.arange(b)[:, None], np.arange(h), last]
+    readout = np.stack([a2.sum(axis=2) / w, at_last], axis=2)
+    flat = np.concatenate([readout.reshape(b, -1), aux], axis=1)
     z3 = flat @ p["w3"] + p["b3"]
     a3 = np.maximum(z3, 0.0)
     adv = a3 @ p["wa"] + p["ba"]
     val = a3 @ p["wv"] + p["bv"]
     q = val + adv - adv.mean(axis=1, keepdims=True)
-    cache = (p1, z1, a1, p2, z2, a2, flat, z3, a3) if keep else None
+    # the cache names the read cells by their row in the (B*H*W, c2) output
+    rows = last + np.arange(b * h).reshape(b, h) * w
+    cache = (p1, z1, a1, p2, z2, rows, flat, z3, a3) if keep else None
     return q, cache
 
 
@@ -107,7 +116,7 @@ def ref_backward(self, cache, dq: np.ndarray, layout=TAP_MAJOR) -> dict[str, np.
     """Gradients of a scalar loss with upstream derivative dq = dL/dQ."""
     _, col2im, weights, grads = layout
     p = self.params
-    p1, z1, a1, p2, z2, a2, flat, z3, a3 = cache
+    p1, z1, a1, p2, z2, rows, flat, z3, a3 = cache
     dq = np.asarray(dq, dtype=self.dtype)
     g = {}
     # dueling combination: dA = dQ - mean_a dQ, dV = sum_a dQ
@@ -122,8 +131,10 @@ def ref_backward(self, cache, dq: np.ndarray, layout=TAP_MAJOR) -> dict[str, np.
     g["w3"] = flat.T @ dz3
     g["b3"] = dz3.sum(axis=0)
     dflat = dz3 @ p["w3"].T
-    split = flat.shape[1] - self.aux_dim
-    da2 = dflat[:, :split].reshape(a2.shape)
+    b, h, w, c2 = z2.shape
+    dreadout = dflat[:, :2 * h * c2].reshape(b, h, 2, c2)
+    da2 = np.repeat(dreadout[:, :, :1] / w, w, axis=2)
+    da2.reshape(-1, c2)[rows.reshape(-1)] += dreadout[:, :, 1].reshape(-1, c2)
     dz2 = da2 * (z2 > 0.0)
     g["w2"] = grads(p2.reshape(-1, p2.shape[-1]).T @ dz2.reshape(-1, dz2.shape[-1]))
     g["b2"] = dz2.sum(axis=(0, 1, 2))
@@ -174,7 +185,15 @@ def _reference(net):
 
 
 def _inputs(rng, net, b):
-    return rng.normal(size=(b, *net.grid_shape)), rng.normal(size=(b, net.aux_dim))
+    """Random grids whose empty channel marks about half the cells occupied,
+    with qubit 0 empty throughout and the last qubit occupied in the last
+    moment, and random aux rows."""
+    grid = rng.normal(size=(b, *net.grid_shape))
+    empty = grid[..., CH_EMPTY]
+    empty[...] = rng.random(empty.shape) < 0.5
+    empty[:, 0] = 1.0
+    empty[:, -1, -1] = 0.0
+    return grid, rng.normal(size=(b, net.aux_dim))
 
 
 def _assert_same(got, want):
