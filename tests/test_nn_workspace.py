@@ -7,9 +7,9 @@ on tap-major patches: `_im2col` and `_col2im` lay patch columns out as
 match. The per-qubit readout finds each qubit's last occupied moment with
 a Python loop. The workspace version must give bitwise-equal Q values,
 cache entries, gradients and parameters, and hand out nothing that a
-later pass overwrites. The channel-major patches the net used before, kept below as
-`_im2col_channel_major` and `_col2im_channel_major`, must give the same
-float64 values up to rounding.
+later pass overwrites. The channel-major patches the net used before,
+kept below as `_im2col_channel_major` and `_col2im_channel_major`, must
+give the same float64 values up to rounding.
 """
 
 import tracemalloc
