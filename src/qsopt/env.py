@@ -17,6 +17,7 @@ fires automatically before metrics are computed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,10 @@ class EnvConfig:
     noise: NoiseParams | None = None
 
     def __post_init__(self):
+        for name in ("n_qubits", "max_gates", "max_steps_per_episode", "shots"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name}={value!r} must be an integer")
         if self.n_qubits < 2:
             raise ValueError(f"need at least 2 qubits, got {self.n_qubits}")
         if self.max_gates < 1:

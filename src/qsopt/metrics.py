@@ -15,10 +15,9 @@ ordered (rotation k, sign +-, shot), so each shifted circuit is a
 contiguous row group: every other gate is applied once to all rows, and
 rotation k as at most four row runs (its angle before the group, +pi/2
 and -pi/2 on the group's halves, its angle after). `noise.row_states`
-holds the rows: dense batches of at most BATCH_AMPLITUDES amplitudes, or
-one MPS whose tensors stack the rows of a noiseless layout (one MPS per
-row under noise). Each state reads the shots of all its rows with one
-`measure_at` call. Under noise each shifted circuit draws its events from
+holds the rows: dense batches, or MPS stacks whose tensors hold the rows
+over one chain; a noiseless layout is one state. Each state reads the
+shots of all its rows with one `measure_at` call. Under noise each shifted circuit draws its events from
 its own spawned child generator, as a per-circuit `sample_counts` would.
 The statistic is computed on (2R, outcomes) arrays: exact probabilities
 over all 2^n outcomes, or frequencies over the sampled ones.
@@ -198,7 +197,7 @@ def _frequencies(circuit: Circuit, positions: list[int], shots: int,
     else:
         runs = _row_runs(circuit, positions, 1)
         parts = []
-        for start, stop, state in row_states(spec, circuit.n_qubits, pairs):
+        for start, stop, state in row_states(spec, circuit.n_qubits, pairs, pairs):
             for gate_runs in runs:
                 state.apply_runs(gate_runs, start, stop)
             if shots == 0:

@@ -3,12 +3,12 @@
 State is a chain of tensors A[k] with axes (row, left bond, physical,
 right bond) and outer bonds of dimension 1. The row axis stacks
 independent states over one chain, as a dense batch stacks them over one
-amplitude array: the parameter-shift QFI runs its shifted circuits as the
-rows of one MPS. A single state is one row. A mixed-canonical form is
-maintained around an orthogonality center that all rows share: tensors
-left of the center are left-isometries, tensors right of it
-right-isometries, so Schmidt spectra, conditional bit probabilities and
-the norm read off locally.
+amplitude array: the parameter-shift QFI runs its shifted circuits, and
+the noise model its trajectories, as the rows of one MPS. A single state
+is one row. A mixed-canonical form is maintained around an orthogonality
+center that all rows share: tensors left of the center are
+left-isometries, tensors right of it right-isometries, so Schmidt
+spectra, conditional bit probabilities and the norm read off locally.
 
 Every update is one matrix product, QR or SVD over all rows at once. A
 1q gate multiplies a site's physical axis, of every row or of a row
@@ -22,6 +22,9 @@ its own discarded total. The new bond is the largest rank over the rows;
 a row of smaller rank keeps its dropped tail as exact zeros. Two-qubit
 gates on non-adjacent qubits are routed with temporary SWAP layers and
 the qubit order is restored afterwards.
+
+A noise reset moves the center to its qubit, so it QR-shifts rows that
+drew no reset too; they keep their state up to rounding.
 
 Readout (`measure_at`, under `QubitState.sample`) walks the chain once for
 all rows and shots, each bit drawn from its conditional probability
@@ -194,6 +197,27 @@ class MpsState(QubitState):
         tail = np.cumsum(sq[..., ::-1], axis=-1)[..., ::-1]
         return np.maximum(np.count_nonzero(tail[..., :k] > self.trunc_tol * weight, axis=-1), 1)
 
+    def apply_paulis(self, codes, qubits) -> None:
+        """Pauli codes[r] (1 x, 2 y, 3 z; 0 none) on qubit qubits[r] of row
+        r: one product per hit qubit, each hit row's site tensor by its
+        row's Pauli."""
+        paulis = np.stack([G.X, G.Y, G.Z])
+        hit = codes > 0
+        for qubit in np.unique(qubits[hit]).tolist():
+            rows = np.flatnonzero(hit & (qubits == qubit))
+            t = self.tensors[qubit]
+            t[rows] = paulis[codes[rows] - 1][:, None] @ t[rows]
+
+    def _qubit_view(self, qubit: int) -> np.ndarray:
+        """The site tensor of qubit, (rows, left bond, 2, right bond)."""
+        return self.tensors[qubit]
+
+    def reset_rows(self, qubit: int, hit, u):
+        """`QubitState.reset_rows` with the shared center moved to qubit
+        first: there the site tensor holds each row's branch weights."""
+        self.move_center(qubit)
+        return super().reset_rows(qubit, hit, u)
+
     def apply_unitary_2q(self, matrix: np.ndarray, qa: int, qb: int) -> None:
         if self._view:
             raise ValueError("a row view shares its bonds; apply 2q gates to the whole stack")
@@ -268,22 +292,6 @@ class MpsState(QubitState):
             u = np.minimum(u, _BELOW_ONE)
             vec = np.where(one[..., None], m1, m0) / np.sqrt(np.where(one, p1, p0))[..., None]
         return bits.reshape(shape + (self.n_qubits,))
-
-    def measure_reset0(self, qubit: int, u: float) -> int:
-        """Projective Z measurement at qubit of a one-row state, then flip
-        back to |0> if 1. The outcome is 1 if the uniform u lies below p1,
-        the |1> branch's share of the center tensor's weight, so p1 is in
-        [0, 1] and the kept branch, renormalized, has positive weight. A
-        stack takes no reset: it would move the center every row shares."""
-        self.move_center(qubit)
-        (a,) = self.tensors[qubit]
-        w0 = float(np.sum(np.abs(a[:, 0, :]) ** 2))
-        w1 = float(np.sum(np.abs(a[:, 1, :]) ** 2))
-        outcome = 1 if u < w1 / (w0 + w1) else 0
-        b = np.zeros_like(a)
-        b[:, 0, :] = a[:, outcome, :] / np.sqrt(w1 if outcome else w0)
-        self.tensors[qubit] = b[None]
-        return outcome
 
     def to_dense(self) -> np.ndarray:
         """Contract to the full 2^n amplitude vector (small n only), one

@@ -23,14 +23,13 @@ one generator; `sample_counts` makes one generator per call, and
 only in angles (the parameter-shift QFI's shifted copies) as one set of
 rows. Both backends read the same event arrays, so they share one RNG
 layout and one definition of the noise semantics. `row_states` maps the
-rows of a layout to states, here and for the noiseless QFI: the dense
-statevector evolves rows together as a (rows, 2^n) array (in batches of
-at most BATCH_AMPLITUDES amplitudes); the MPS stacks the rows of a
-noiseless layout over one chain, whose orthogonality center they share,
-and runs noisy rows one per state, since a reset moves that center.
-Each event is one state op over the rows it hits (`apply_paulis`,
-`reset_rows`, `flip_z`), and the same `_evolve` loop drives a dense batch
-and a single MPS trajectory. A disabled model draws the same arrays with
+rows of a layout to states, here and for the noiseless QFI, by one rule
+for both backends: the dense statevector evolves rows together as a
+(rows, 2^n) array, the MPS as a stack of rows over one chain, and a
+state holds at most BATCH_AMPLITUDES amplitudes or tensor entries (but
+at least one row per circuit). Each event is one state op over the rows
+it hits (`apply_paulis`, `reset_rows`, `flip_z`), and the same `_evolve`
+loop drives every state. A disabled model draws the same arrays with
 every probability zero. Each shot is read out by the backend's
 `measure_at` at its measurement uniform and the flipped bits are counted
 by `bit_counts`, as in `sample`.
@@ -47,9 +46,9 @@ from .backend import BackendSpec
 from .circuit import Circuit, moments
 from .statevector import bit_counts
 
-# amplitudes one batch of dense trajectories holds (16 MiB of complex128,
-# and twice that in its scratch buffer); more rows run in several batches
-# with the same results
+# amplitudes, or MPS tensor entries at their largest bonds, one state's rows
+# may hold (16 MiB of complex128); more rows run in several states with the
+# same results
 BATCH_AMPLITUDES = 1 << 20
 
 
@@ -70,6 +69,10 @@ class NoiseParams:
     during_training: bool = True
 
     def __post_init__(self):
+        for name in ("enabled", "during_training"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):  # a string such as "false" is truthy
+                raise NoiseConfigError(f"{name}={flag!r} must be true or false")
         for name in ("p_meas", "p_1q", "p_2q"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -153,14 +156,14 @@ def draw_events(circuit: Circuit, layers: list[list[int]], params: NoiseParams,
 
 def _evolve(state, runs, layers: list[list[int]], ev: NoiseEvents, start: int = 0) -> None:
     """Run a circuit on `state` with the events of ev, one trajectory per
-    shot of ev: the rows of a dense batch, or a single state for one shot.
+    shot of ev: the rows of a batch, or a single state for one shot.
     The state holds rows start.. of a batch layout, and runs[idx] lays gate
     idx over that layout (`QubitState.apply_runs`). Inside a moment each
     gate is followed by its depolarizing Paulis, all rows in one op. At the
     moment's end each qubit with resets gets one reset op, then all Z flips
-    of the moment are one sign multiply: a sign flip changes no branch
-    weight and commutes with the reset's rescale, so this equals a reset
-    then a Z flip qubit by qubit."""
+    of the moment one op: a sign flip changes no branch weight and commutes
+    with the reset's rescale, so this equals a reset then a Z flip qubit by
+    qubit."""
     stop = start + ev.shots
     gate_hit = ev.pauli.any(axis=0)
     reset_hit = ev.reset.any(axis=0)
@@ -192,19 +195,21 @@ def run_one_trajectory(circuit: Circuit, spec: BackendSpec, params: NoiseParams,
     return state
 
 
-def row_states(spec: BackendSpec, n_qubits: int, rows: int, noisy: bool = False):
-    """The states that hold the `rows` rows of a batch layout, as (start,
-    stop, state) with rows start..stop-1 in state, each from
-    `spec.fresh(n_qubits, batch)`. On the dense statevector they are
-    batches of at most BATCH_AMPLITUDES amplitudes (at least one row),
-    split at row boundaries, so a batch can end inside a run. The MPS
-    holds a noiseless layout as one stack of rows, and a `noisy` one as
-    one state per row: a reset moves the orthogonality center, which the
-    rows of a stack share."""
+def row_states(spec: BackendSpec, n_qubits: int, rows: int, circuits: int):
+    """The states that hold the `rows` rows of a batch layout of `circuits`
+    circuits, as (start, stop, state) with rows start..stop-1 in state,
+    each from `spec.fresh(n_qubits, batch)`. A state holds at most
+    max(circuits, BATCH_AMPLITUDES // s) rows, s the largest size of one
+    row: 2^n on the dense statevector, on the MPS the sum of 2 d[k-1] d[k]
+    over its sites, with bonds d[k] = min(2^k, 2^(n-k), chi_max). Splits
+    fall at row boundaries, so a state can end inside a run; a noiseless
+    layout, one row per circuit, is one state."""
     if spec.kind == "statevector":
-        step = max(1, BATCH_AMPLITUDES >> n_qubits)
+        size = 2 ** n_qubits
     else:
-        step = 1 if noisy else rows
+        bonds = [min(2 ** k, 2 ** (n_qubits - k), spec.chi_max) for k in range(n_qubits + 1)]
+        size = sum(2 * a * b for a, b in zip(bonds, bonds[1:]))
+    step = max(circuits, BATCH_AMPLITUDES // size)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
         yield start, stop, spec.fresh(n_qubits, batch=stop - start)
@@ -227,7 +232,7 @@ def sample_bits(circuit: Circuit, spec: BackendSpec, params: NoiseParams, shots:
                          *(np.random.default_rng(s) for s in seeds))
     runs = whole_runs(circuit, events.shots) if runs is None else runs
     bits = []
-    for start, stop, state in row_states(spec, circuit.n_qubits, events.shots, noisy=True):
+    for start, stop, state in row_states(spec, circuit.n_qubits, events.shots, len(seeds)):
         ev = events.rows(slice(start, stop))
         _evolve(state, runs, layers, ev, start)
         bits.append(state.measure_at(ev.meas_u))

@@ -18,9 +18,10 @@ circuits. Each state keeps one scratch buffer, shared with its row
 views, for the products, so a gate allocates no temporary.
 
 Noise events act on the rows through `apply_paulis`, `reset_rows` and
-`flip_z`, which take one event array entry per row. `QubitState` gives
-them for a single trajectory; the dense state applies each to all its
-rows at once.
+`flip_z`, which take one event array entry per row and apply each to all
+the rows they hit at once. `QubitState` writes resets and Z flips once
+for both backends, over a per-qubit view of the rows; the dense state
+applies its Paulis as one gather.
 
 `QubitState` holds what the dense and MPS backends share: gate dispatch,
 entropies from per-bond Schmidt values, and one readout path. Every
@@ -37,7 +38,6 @@ from .circuit import Circuit, Gate
 
 DEFAULT_MAX_QUBITS = 14
 ENTROPY_FLOOR = 1e-12
-_PAULI_NAMES = ("x", "y", "z")  # event codes 1, 2, 3; 0 is no event
 # new[j] = _PAULI_PHASE[code, bit q of j] * old[j ^ flip]: X and Y flip qubit
 # q, Z does not; every phase is +-1 or +-i, so the product is exact
 _PAULI_PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)
@@ -64,8 +64,9 @@ def bit_counts(bits) -> dict[str, int]:
 
 class QubitState:
     """The surface both backends share. A backend provides n_qubits,
-    apply_unitary_1q/2q, schmidt_values(bond), measure_at(u) and, for a
-    run over part of a batch, rows(index)."""
+    apply_unitary_1q/2q, apply_paulis, schmidt_values(bond), measure_at(u),
+    _qubit_view(qubit), its rows as a (rows, a, 2, b) array whose axis 2
+    is the qubit, and, for a run over part of a batch, rows(index)."""
 
     n_qubits: int
     chi_max: int | None = None  # bond cap; None where nothing is truncated
@@ -120,22 +121,41 @@ class QubitState:
             elif lo < hi:
                 self.rows(slice(lo - start, hi - start)).apply_gate(gate)
 
-    # --- noise events of one trajectory (one entry per event array) ------
+    # --- noise events over a per-qubit view of the rows ------------------
 
-    def apply_paulis(self, codes, qubits) -> None:
-        """Pauli codes[0] (1 x, 2 y, 3 z; 0 none) on qubit qubits[0]."""
-        if codes[0]:
-            self.apply_pauli(_PAULI_NAMES[codes[0] - 1], int(qubits[0]))
+    def reset_rows(self, qubit: int, hit, u):
+        """Reset `qubit` to |0> in every row r with hit[r]: a projective Z
+        measurement, then a flip back to |0> if the outcome was 1. The
+        outcome is 1 where the uniform u[r] lies below p1, the |1> branch's
+        share of the row's weight, so p1 is in [0, 1] and the kept branch
+        has positive weight: its renormalization never divides by zero.
+        Returns the outcomes of the hit rows."""
+        rows = np.flatnonzero(hit)
+        view = self._qubit_view(qubit)
+        part = view[rows]
+        w0, w1 = (np.sum(np.abs(part[:, :, b, :]) ** 2, axis=(1, 2)) for b in (0, 1))
+        one = u[rows] < w1 / (w0 + w1)
+        scale = 1.0 / np.sqrt(np.where(one, w1, w0))
+        keep = (slice(None), None, None)
+        kept = np.where(one[keep], part[:, :, 1, :], part[:, :, 0, :])
+        view[rows, :, 0, :] = kept * scale[keep]
+        view[rows, :, 1, :] = 0.0
+        return one
 
-    def reset_rows(self, qubit: int, hit, u) -> None:
-        """Reset `qubit` to |0> with outcome uniform u[0] if hit[0]."""
-        if hit[0]:
-            self.measure_reset0(qubit, u[0])
+    def measure_reset0(self, qubit: int, u):
+        """`reset_rows` on every row, with the outcome uniform u (one per
+        row of a batch). Returns the measured bit(s)."""
+        u = np.asarray(u, dtype=float)
+        one = self.reset_rows(qubit, np.ones(u.size, dtype=bool), u.reshape(-1))
+        return one.astype(int).reshape(u.shape)[()]
 
     def flip_z(self, flips) -> None:
-        """Z on every qubit q with flips[0, q]."""
-        for qubit in np.flatnonzero(flips[0]).tolist():
-            self.apply_pauli("z", qubit)
+        """Z on every qubit q with flips[r, q], in each row r: the |1> half
+        of the qubit's axis negated in the rows it hits, an exact sign."""
+        for qubit in np.flatnonzero(flips.any(axis=0)).tolist():
+            view = self._qubit_view(qubit)
+            rows = np.flatnonzero(flips[:, qubit])
+            view[rows, :, 1, :] = -view[rows, :, 1, :]
 
 
 class DenseState(QubitState):
@@ -153,22 +173,18 @@ class DenseState(QubitState):
         # the moved copy and the product of `apply_unitary`, side by side
         self._scratch = np.empty(2 * self.amps.size, dtype=complex)
 
-    def _over(self, amps: np.ndarray) -> "DenseState":
-        """A state over `amps`, some of this state's rows, that shares its
-        scratch buffer; amps is never larger than this state's."""
-        state = object.__new__(DenseState)
-        state.n_qubits, state.amps, state._scratch = self.n_qubits, amps, self._scratch
-        return state
-
     def rows(self, index) -> "DenseState":
         """Rows of a batch as a batch over a view of them, or with an int
         index one row as a single state: gates applied to it change these
-        rows in place."""
-        return self._over(self.amps[index])
+        rows in place. The view shares this state's scratch buffer."""
+        state = object.__new__(DenseState)
+        state.n_qubits, state.amps, state._scratch = self.n_qubits, self.amps[index], self._scratch
+        return state
 
-    def _table(self) -> np.ndarray:
-        """The amplitudes as (rows, 2^n), one row for a single state."""
-        return self.amps.reshape(-1, self.amps.shape[-1])
+    def _qubit_view(self, qubit: int) -> np.ndarray:
+        """The amplitudes as (rows, 2^qubit, 2, 2^(n-1-qubit)): axis 2 is
+        the qubit."""
+        return self.amps.reshape(-1, 2 ** qubit, 2, 2 ** (self.n_qubits - 1 - qubit))
 
     def apply_unitary(self, matrix: np.ndarray, *qubits: int) -> None:
         """Apply a 2^k x 2^k unitary to the listed qubits of every row; the
@@ -187,41 +203,17 @@ class DenseState(QubitState):
 
     apply_unitary_1q = apply_unitary_2q = apply_unitary
 
-    # --- noise events, each applied to all rows at once --------------------
-
     def apply_paulis(self, codes, qubits) -> None:
         """Pauli codes[r] (1 x, 2 y, 3 z; 0 none) on qubit qubits[r] of row
         r, as one gather over the hit rows: new[r, j] = phase * old[r, j ^
         flip], with phase +-1 or +-i, so the result is exact."""
         rows = np.flatnonzero(codes)
-        table = self._table()
+        table = self.amps.reshape(-1, self.amps.shape[-1])  # one row for a single state
         code = codes[rows][:, None]
         shift = (self.n_qubits - 1 - qubits[rows])[:, None]
         index = np.arange(table.shape[-1])
         source = index ^ np.where(code == 3, 0, 1 << shift)
         table[rows] = _PAULI_PHASE[code, (index >> shift) & 1] * table[rows[:, None], source]
-
-    def reset_rows(self, qubit: int, hit, u) -> None:
-        """Reset `qubit` to |0> in every row r with hit[r], with outcome
-        uniform u[r]: one `measure_reset0` over a copy of the hit rows."""
-        rows = np.flatnonzero(hit)
-        table = self._table()
-        hit_rows = self._over(table[rows])
-        hit_rows.measure_reset0(qubit, u[rows])
-        table[rows] = hit_rows.amps
-
-    def flip_z(self, flips) -> None:
-        """Z on every qubit q with flips[r, q], in each row r: one sign
-        multiply, -1 where an odd number of flipped qubits read 1."""
-        rows = np.flatnonzero(flips.any(axis=1))
-        table = self._table()
-        mask = flips[rows] @ (1 << np.arange(self.n_qubits - 1, -1, -1))
-        odd = mask[:, None] & np.arange(table.shape[-1])
-        parity = np.zeros(odd.shape, dtype=odd.dtype)
-        for _ in range(self.n_qubits):
-            parity ^= odd & 1
-            odd >>= 1
-        table[rows] *= 1.0 - 2.0 * parity
 
     # --- readout ---------------------------------------------------------
 
@@ -250,22 +242,6 @@ class DenseState(QubitState):
         index = outcome_index(self.probabilities(), u)
         shifts = np.arange(self.n_qubits - 1, -1, -1)
         return ((index[..., None] >> shifts) & 1).astype(np.uint8)
-
-    def measure_reset0(self, qubit: int, u):
-        """Projective Z measurement followed by a flip back to |0> if the
-        outcome was 1; a batch collapses row by row. The outcome is 1 where
-        the uniform `u` (one per row) lies below p1, the |1> branch's share
-        of the row's weight, so p1 is in [0, 1] and the kept branch has
-        positive weight: its renormalization never divides by zero.
-        Returns the measured bit(s)."""
-        v = self.amps.reshape(self.amps.shape[:-1] + (2 ** qubit, 2, -1))
-        w0, w1 = (np.sum(np.abs(v[..., b, :]) ** 2, axis=(-2, -1)) for b in (0, 1))
-        one = np.reshape(u, w1.shape) < w1 / (w0 + w1)
-        scale = 1.0 / np.sqrt(np.where(one, w1, w0))
-        keep = (..., None, None)
-        v[..., 0, :] = np.where(one[keep], v[..., 1, :], v[..., 0, :]) * scale[keep]
-        v[..., 1, :] = 0.0
-        return one.astype(int)[()]
 
     def schmidt_values(self, bond: int) -> np.ndarray:
         """Singular values across the cut [0, bond) | [bond, n)."""

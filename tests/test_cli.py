@@ -281,7 +281,19 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
     ("lr_initial", {"agent": {"memory_size": 32, "batch_size": 4, "lr_initial": math.nan}}),
     ("lr_initial", {"agent": {"memory_size": 32, "batch_size": 4, "lr_initial": math.inf}}),
     ("seed", {"seed": -1}),
-], ids=["t1-nan", "angle-nan", "angle-inf", "lr-nan", "lr-inf", "seed-negative"])
+    ("enabled", {"noise": {"enabled": "false"}}),
+    ("during_training", {"noise": {"during_training": 0}}),
+    ("shots", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 8.5}}),
+    ("n_qubits", {"env": {"n_qubits": 2.0, "max_gates": 8, "shots": 0,
+                          "backend": "statevector"}}),
+    ("max_gates", {"env": {"n_qubits": 2, "max_gates": "8", "shots": 0,
+                           "backend": "statevector"}}),
+    ("max_steps_per_episode", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 0,
+                                       "backend": "statevector",
+                                       "max_steps_per_episode": True}}),
+], ids=["t1-nan", "angle-nan", "angle-inf", "lr-nan", "lr-inf", "seed-negative",
+        "enabled-string", "during-training-int", "shots-float", "n-qubits-float",
+        "max-gates-string", "max-steps-bool"])
 def test_train_bad_config_value_exits_1(tmp_path, capsys, key, overrides):
     path = write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1

@@ -1,15 +1,17 @@
 """The row-layout QFI against the per-circuit one it replaced.
 
 `metrics.qfi` runs the 2R shifted circuits as the rows of one layout on
-either backend: dense batches on the statevector, one stacked MPS (rows
-over one chain, sharing its center) without noise, and one MPS per row
-under noise.
+either backend: dense batches on the statevector, stacked MPS (rows over
+one chain, sharing its center) on the MPS; under noise each row is one
+shot of one shifted circuit.
 `ref_qfi` below is the earlier per-circuit estimator, kept verbatim with
 its shift statistic and noisy evolution loop: each shifted circuit was run
 (and, under noise, its shots evolved) on its own, each noise event was
 applied to copies of the rows it hit, and the sampled outcomes of a pair
 were matched as bitstrings. Both estimators must agree bit for bit on the
-statevector and on an untruncated MPS.
+statevector and on an untruncated MPS. Where the bond cap truncates,
+stacked noisy MPS rows of unequal rank round differently from one-row
+runs, and their QFI can differ (ROADMAP, item 6).
 """
 
 import copy
@@ -23,6 +25,7 @@ from qsopt import metrics, noise
 from qsopt.backend import BackendSpec
 from qsopt.circuit import Circuit, moments, random_circuit
 from qsopt.metrics import QFI_MAX, SHIFT, qfi, rotation_positions, shift_angle
+from qsopt.mps import MpsState
 from qsopt.noise import NoiseEvents, NoiseParams, draw_events
 from qsopt.statevector import DenseState, bit_counts
 
@@ -169,10 +172,39 @@ def test_batch_split_inside_a_group_keeps_values(monkeypatch, mode):
     shots, params = MODES[mode]
     circuits = _circuits(4, 4, 7)
     whole = [qfi(c, shots, SV, params, seed=3) for c in circuits]
-    # 5 rows of 4 qubits per batch: splits fall inside the 48-shot groups
-    # and, without noise, between the pairs of one rotation
+    # 5 rows of 4 qubits per batch, but at least one row per shifted
+    # circuit: noisy splits fall inside the 48-shot groups, while the
+    # noiseless layouts, one row per circuit, stay one batch
     monkeypatch.setattr(noise, "BATCH_AMPLITUDES", 16 * 5)
     assert [qfi(c, shots, SV, params, seed=3) for c in circuits] == whole
+
+
+def _largest_row(n, chi):
+    """Tensor entries of one MPS row with every bond at its largest."""
+    bonds = [min(2 ** k, 2 ** (n - k), chi) for k in range(n + 1)]
+    return sum(2 * bonds[k - 1] * bonds[k] for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n,rotations,cap", [(60, 3, 38), (16, 3, 219), (60, 40, 38)])
+def test_noisy_mps_stacks_stay_bounded(n, rotations, cap):
+    spec = BackendSpec(kind="mps", chi_max=16)
+    assert noise.BATCH_AMPLITUDES // _largest_row(n, 16) == cap
+    pairs = 2 * rotations
+    sizes = [stop - start for start, stop, _ in noise.row_states(spec, n, pairs * 5000, pairs)]
+    assert sum(sizes) == pairs * 5000
+    assert max(sizes) == max(pairs, cap)
+
+
+@pytest.mark.parametrize("spec,n", [(BackendSpec(kind="mps", chi_max=64), 30),
+                                    (BackendSpec(kind="mps", chi_max=16), 60),
+                                    (BackendSpec(kind="statevector"), 14)],
+                         ids=["mps-30", "mps-60", "statevector-14"])
+def test_noiseless_layout_is_one_state(spec, n):
+    pairs = 2 * 38  # more rows than BATCH_AMPLITUDES holds at these widths
+    assert noise.BATCH_AMPLITUDES // (2 ** n if spec.kind == "statevector"
+                                      else _largest_row(n, spec.chi_max)) < pairs
+    assert [(start, stop) for start, stop, _ in noise.row_states(spec, n, pairs, pairs)] == [
+        (0, pairs)]
 
 
 def test_noisy_mps_qfi_is_unchanged():
@@ -214,59 +246,75 @@ def _random_batch(n, rows, seed):
     return state
 
 
+def _random_stack(n, rows, seed):
+    """A stacked MPS of `rows` different states: every row runs one random
+    circuit, with random RX angles of its own on every qubit halfway."""
+    rng = np.random.default_rng(seed)
+    state = MpsState(n, trunc_tol=0.0, batch=rows)
+    state.run(random_circuit(n, 4 * n, rng))
+    for r in range(rows):
+        for q in range(n):
+            state.rows(slice(r, r + 1)).apply_gate(Circuit(n).rx(q, rng.uniform(0, 6)).gates[0])
+    return state.run(random_circuit(n, 4 * n, rng))
+
+
+def _amps(state):
+    """The rows' amplitudes as (rows, 2^n)."""
+    return state.amps if isinstance(state, DenseState) else state.to_dense()
+
+
 def _per_row(state, op):
-    """A copy of state with op(single state, row) applied to every row."""
-    out = copy.deepcopy(state)
-    for r in range(len(out.amps)):
-        row = DenseState(state.n_qubits)
-        row.amps = out.amps[r].copy()
+    """The amplitudes of every row after op(one-row copy of the row, row)."""
+    out = []
+    for r in range(len(_amps(state))):
+        row = copy.deepcopy(state.rows(slice(r, r + 1)))
         op(row, r)
-        out.amps[r] = row.amps
-    return out
+        out.append(_amps(row)[0])
+    return np.array(out)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_pauli_gather_equals_per_row_paulis(n):
     rng = np.random.default_rng(n)
-    state = _random_batch(n, 64, n)
     codes = rng.integers(4, size=64)
     qubits = rng.integers(n, size=64)
-    want = _per_row(state, lambda s, r: codes[r] and s.apply_pauli("xyz"[codes[r] - 1],
-                                                                   int(qubits[r])))
-    with np.errstate(all="raise"):
-        state.apply_paulis(codes, qubits)
-    assert np.array_equal(state.probabilities(), want.probabilities())
-    assert np.allclose(state.amps, want.amps, rtol=0.0, atol=0.0)
+    for state in (_random_batch(n, 64, n), _random_stack(n, 64, n)):
+        want = _per_row(state, lambda s, r: codes[r] and s.apply_pauli("xyz"[codes[r] - 1],
+                                                                       int(qubits[r])))
+        with np.errstate(all="raise"):
+            state.apply_paulis(codes, qubits)
+        assert np.array_equal(_amps(state), want)
 
 
 def test_z_flips_equal_per_row_paulis():
     rng = np.random.default_rng(1)
-    state = _random_batch(4, 32, 1)
     flips = rng.random((32, 4)) < 0.3
 
     def flip(s, r):
         for q in np.flatnonzero(flips[r]):
             s.apply_pauli("z", int(q))
 
-    want = _per_row(state, flip)
-    with np.errstate(all="raise"):
-        state.flip_z(flips)
-    assert np.array_equal(state.probabilities(), want.probabilities())
-    assert np.allclose(state.amps, want.amps, rtol=0.0, atol=0.0)
+    for state in (_random_batch(4, 32, 1), _random_stack(4, 32, 1)):
+        want = _per_row(state, flip)
+        with np.errstate(all="raise"):
+            state.flip_z(flips)
+        assert np.array_equal(_amps(state), want)
 
 
 def test_reset_rows_touches_only_hit_rows():
     rng = np.random.default_rng(2)
-    state = _random_batch(3, 16, 2)
-    before = state.amps.copy()
     hit = rng.random(16) < 0.5
     u = rng.random(16)
-    state.reset_rows(1, hit, u)
-    assert np.array_equal(state.amps[~hit], before[~hit])
-    want = DenseState(3, batch=int(hit.sum()))
-    want.amps = before[hit]
-    want.measure_reset0(1, u[hit])
-    assert np.array_equal(state.amps[hit], want.amps)
+    stack = _random_stack(3, 16, 2)
+    # a reset first moves the center all rows share; with it already
+    # there, rows that drew no reset must come out unchanged
+    stack.move_center(1)
+    for state in (_random_batch(3, 16, 2), stack):
+        before = _amps(state).copy()
+        want = _per_row(state, lambda s, r: hit[r] and s.measure_reset0(1, u[r]))
+        state.reset_rows(1, hit, u)
+        assert np.array_equal(_amps(state)[~hit], before[~hit])
+        assert np.array_equal(_amps(state), want)
 
 
 def test_row_views_share_the_scratch_buffer_safely():
