@@ -1,13 +1,23 @@
-"""Backend selection shared by the metrics, environment and CLI layers."""
+"""Backend selection shared by the metrics, environment and CLI layers,
+and `require_int`, the one integer check of every config's integer fields."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from . import mps, statevector
 from .circuit import Circuit
 
 BACKENDS = ("mps", "statevector")
+
+
+def require_int(name: str, value):
+    """value, if it is an integer; else a ValueError naming it. A bool is
+    not taken for one, nor is a float with an integral value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -20,6 +30,8 @@ class BackendSpec:
     def __post_init__(self):
         if self.kind not in BACKENDS:
             raise ValueError(f"unknown backend {self.kind!r}; expected one of {BACKENDS}")
+        for name in ("chi_max", "dense_cap"):
+            require_int(name, getattr(self, name))
         if self.chi_max < 1:
             raise ValueError(f"chi_max must be positive, got {self.chi_max}")
         if not self.trunc_tol >= 0.0:  # also rejects NaN

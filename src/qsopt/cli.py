@@ -37,7 +37,7 @@ import numpy as np
 
 from . import circuit as circ
 from . import metrics, noise, plots
-from .backend import BACKENDS, BackendSpec
+from .backend import BACKENDS, BackendSpec, require_int
 from .circuit import ParseError
 from .ddqn import AgentConfig, train
 from .env import EnvConfig
@@ -79,10 +79,10 @@ def load_run_config(path: Path):
         raise ConfigError("config root must be a JSON object")
     base = path.parent
     try:
-        episodes = int(raw.get("episodes", 50))
+        episodes = require_int("episodes", raw.get("episodes", 50))
         if not 1 <= episodes <= 10_000:
             raise ConfigError(f"episodes={episodes} outside [1, 10000]")
-        seed = int(raw.get("seed", 0))
+        seed = require_int("seed", raw.get("seed", 0))
         if seed < 0:
             raise ConfigError(f"seed={seed} must be >= 0")
         env_dict = dict(raw.get("env") or {})

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..backend import require_int
 from ..circuit import Circuit
 from ..env import N_CHANNELS, CircuitEnv, EnvConfig, Observation, aux_size
 from ..metrics import MetricsRecord
@@ -64,7 +65,7 @@ class AgentConfig:
             raise ValueError("epsilon floor and start must be finite")
         for name in ("memory_size", "batch_size", "plateau_patience",
                      "plateau_window", "target_sync_every"):
-            if not getattr(self, name) >= 1:
+            if not require_int(name, getattr(self, name)) >= 1:
                 raise ValueError(f"{name} must be positive")
         for name in ("epsilon_decay", "lr_initial", "lr_decay", "plateau_factor",
                      "entangling_priority_weight"):

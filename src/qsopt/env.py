@@ -17,15 +17,14 @@ fires automatically before metrics are computed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from .backend import BackendSpec
-from .circuit import (Circuit, Gate, GateKind, cancel_pairs, moments, remove_gate,
-                      replace_gate, swap_adjacent)
+from .backend import BackendSpec, require_int
+from .circuit import (TWO_PI, Circuit, Gate, GateKind, cancel_pairs, moments,
+                      remove_gate, replace_gate, swap_adjacent)
 from .noise import NoiseParams
 
 INVALID_PENALTY = -0.1
@@ -37,8 +36,11 @@ INJECTION_TIE_TOL = 1e-12
 # grid channel layout: one row per qubit, one column per moment
 CH_EMPTY, CH_H, CH_RX, CH_RZ, CH_CX_CTRL, CH_CX_TGT, CH_CZ, CH_SWAP, CH_ANGLE = range(9)
 N_CHANNELS = 9
-
-TWO_PI = 2.0 * math.pi
+# the channel a gate sets on each of its qubits, in listed order; a
+# rotation also writes its angle, as a fraction of a turn, to CH_ANGLE
+_GATE_CHANNELS = {GateKind.H: (CH_H,), GateKind.RX: (CH_RX,), GateKind.RZ: (CH_RZ,),
+                 GateKind.CX: (CH_CX_CTRL, CH_CX_TGT), GateKind.CZ: (CH_CZ, CH_CZ),
+                 GateKind.SWAP: (CH_SWAP, CH_SWAP)}
 
 
 class EnvError(Exception):
@@ -59,9 +61,7 @@ class EnvConfig:
 
     def __post_init__(self):
         for name in ("n_qubits", "max_gates", "max_steps_per_episode", "shots"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name}={value!r} must be an integer")
+            require_int(name, getattr(self, name))
         if self.n_qubits < 2:
             raise ValueError(f"need at least 2 qubits, got {self.n_qubits}")
         if self.max_gates < 1:
@@ -145,23 +145,11 @@ def encode(circuit: Circuit, record: metrics.MetricsRecord, cfg: EnvConfig) -> O
     for m, layer in enumerate(moments(circuit)):
         for idx in layer:
             g = circuit.gates[idx]
-            for q in g.qubits:
+            for q, ch in zip(g.qubits, _GATE_CHANNELS[g.kind]):
                 grid[q, m, CH_EMPTY] = 0.0
-            if g.kind is GateKind.H:
-                grid[g.qubits[0], m, CH_H] = 1.0
-            elif g.kind is GateKind.RX or g.kind is GateKind.RZ:
-                ch = CH_RX if g.kind is GateKind.RX else CH_RZ
-                grid[g.qubits[0], m, ch] = 1.0
+                grid[q, m, ch] = 1.0
+            if g.kind.has_angle:
                 grid[g.qubits[0], m, CH_ANGLE] = (g.angle % TWO_PI) / TWO_PI
-            elif g.kind is GateKind.CX:
-                grid[g.qubits[0], m, CH_CX_CTRL] = 1.0
-                grid[g.qubits[1], m, CH_CX_TGT] = 1.0
-            elif g.kind is GateKind.CZ:
-                for q in g.qubits:
-                    grid[q, m, CH_CZ] = 1.0
-            else:
-                for q in g.qubits:
-                    grid[q, m, CH_SWAP] = 1.0
     bonds = metrics.bell_unit_entropies(record.bond_entropies)
     aux = np.array(bonds + [record.qfi_norm,
                             record.depth / cfg.grid_depth,

@@ -14,11 +14,13 @@ One estimate is one run of a row layout on either backend. Its rows are
 ordered (rotation k, sign +-, shot), so each shifted circuit is a
 contiguous row group: every other gate is applied once to all rows, and
 rotation k as at most four row runs (its angle before the group, +pi/2
-and -pi/2 on the group's halves, its angle after). `noise.row_states`
-holds the rows: dense batches, or MPS stacks whose tensors hold the rows
-over one chain; a noiseless layout is one state. Each state reads the
-shots of all its rows with one `measure_at` call. Under noise each shifted circuit draws its events from
-its own spawned child generator, as a per-circuit `sample_counts` would.
+and -pi/2 on the group's halves, its angle after). Without noise the
+layout is one state of 2R rows, a dense batch or an MPS stack whose
+tensors hold the rows over one chain, and one `measure_at` call reads
+the shots of all its rows. Under noise the rows are (circuit, shot),
+`noise.sample_bits` splits them into states, and each shifted circuit
+draws its events from its own spawned child generator, as a per-circuit
+`sample_counts` would.
 The statistic is computed on (2R, outcomes) arrays: exact probabilities
 over all 2^n outcomes, or frequencies over the sampled ones.
 """
@@ -32,7 +34,7 @@ import numpy as np
 
 from .backend import BackendSpec
 from .circuit import Circuit, Gate, depth, gate_count, replace_gate
-from .noise import NoiseParams, row_states, sample_bits, whole_runs
+from .noise import NoiseParams, sample_bits, whole_runs
 from .noise import sample_counts  # noqa: F401  (bench/tracing.py wraps it by this name)
 from .statevector import bit_keys
 
@@ -180,35 +182,28 @@ def _row_runs(circuit: Circuit, positions: list[int], group: int) -> list[tuple]
 def _frequencies(circuit: Circuit, positions: list[int], shots: int,
                  spec: BackendSpec, noise: NoiseParams | None, children) -> np.ndarray:
     """The outcome distributions of the 2R shifted circuits as the rows of
-    one array, ordered (rotation, sign), from one run of their row layout
-    over the states of `noise.row_states`. shots = 0 gives the exact
-    (2R, 2^n) probabilities, else frequencies over the outcomes seen in any
-    row, in bitstring order (an outcome a pair never saw adds +0.0 to its
-    statistic). Without noise each shifted circuit is one row, read out at
+    one array, ordered (rotation, sign), from one run of their row layout.
+    shots = 0 gives the exact (2R, 2^n) probabilities, else frequencies
+    over the outcomes seen in any row, in bitstring order (an outcome a
+    pair never saw adds +0.0 to its statistic). Without noise the layout
+    is one state, each shifted circuit one row of it, read out at
     default_rng(child).random(shots) as `sample_counts` draws it, all rows
-    of a state in one `measure_at` call over a (rows, shots) array; with
-    noise the rows are (circuit, shot), and each circuit's events come
-    from its own child (`noise.sample_bits`).
+    in one `measure_at` call over a (2R, shots) array; with noise the rows
+    are (circuit, shot), and each circuit's events come from its own child
+    (`noise.sample_bits`).
     """
     pairs = 2 * len(positions)
     if noise is not None:
         bits = sample_bits(circuit, spec, noise, shots, children,
                            _row_runs(circuit, positions, shots))
     else:
-        runs = _row_runs(circuit, positions, 1)
-        parts = []
-        for start, stop, state in row_states(spec, circuit.n_qubits, pairs, pairs):
-            for gate_runs in runs:
-                state.apply_runs(gate_runs, start, stop)
-            if shots == 0:
-                parts.append(state.probabilities())
-                continue
-            u = np.stack([np.random.default_rng(child).random(shots)
-                          for child in children[start:stop]])
-            parts.append(state.measure_at(u).reshape(-1, circuit.n_qubits))
+        state = spec.fresh(circuit.n_qubits, batch=pairs)
+        for gate_runs in _row_runs(circuit, positions, 1):
+            state.apply_runs(gate_runs, 0, pairs)
         if shots == 0:
-            return np.concatenate(parts)
-        bits = np.concatenate(parts)
+            return state.probabilities()
+        u = np.stack([np.random.default_rng(child).random(shots) for child in children])
+        bits = state.measure_at(u).reshape(-1, circuit.n_qubits)
     keys, outcome = np.unique(bit_keys(bits), return_inverse=True)
     cell = np.repeat(np.arange(pairs), shots) * len(keys) + outcome
     return np.bincount(cell, minlength=pairs * len(keys)).reshape(pairs, -1) / shots

@@ -23,8 +23,9 @@ a row of smaller rank keeps its dropped tail as exact zeros. Two-qubit
 gates on non-adjacent qubits are routed with temporary SWAP layers and
 the qubit order is restored afterwards.
 
-A noise reset moves the center to its qubit, so it QR-shifts rows that
-drew no reset too; they keep their state up to rounding.
+Noise events are `QubitState`'s, applied to the site tensor of their
+qubit. A reset first moves the center to its qubit, so it QR-shifts rows
+that drew no reset too; they keep their state up to rounding.
 
 Readout (`measure_at`, under `QubitState.sample`) walks the chain once for
 all rows and shots, each bit drawn from its conditional probability
@@ -196,17 +197,6 @@ class MpsState(QubitState):
         weight = np.sum(sq, axis=-1, keepdims=True)
         tail = np.cumsum(sq[..., ::-1], axis=-1)[..., ::-1]
         return np.maximum(np.count_nonzero(tail[..., :k] > self.trunc_tol * weight, axis=-1), 1)
-
-    def apply_paulis(self, codes, qubits) -> None:
-        """Pauli codes[r] (1 x, 2 y, 3 z; 0 none) on qubit qubits[r] of row
-        r: one product per hit qubit, each hit row's site tensor by its
-        row's Pauli."""
-        paulis = np.stack([G.X, G.Y, G.Z])
-        hit = codes > 0
-        for qubit in np.unique(qubits[hit]).tolist():
-            rows = np.flatnonzero(hit & (qubits == qubit))
-            t = self.tensors[qubit]
-            t[rows] = paulis[codes[rows] - 1][:, None] @ t[rows]
 
     def _qubit_view(self, qubit: int) -> np.ndarray:
         """The site tensor of qubit, (rows, left bond, 2, right bond)."""

@@ -23,16 +23,17 @@ one generator; `sample_counts` makes one generator per call, and
 only in angles (the parameter-shift QFI's shifted copies) as one set of
 rows. Both backends read the same event arrays, so they share one RNG
 layout and one definition of the noise semantics. `row_states` maps the
-rows of a layout to states, here and for the noiseless QFI, by one rule
-for both backends: the dense statevector evolves rows together as a
-(rows, 2^n) array, the MPS as a stack of rows over one chain, and a
-state holds at most BATCH_AMPLITUDES amplitudes or tensor entries (but
-at least one row per circuit). Each event is one state op over the rows
-it hits (`apply_paulis`, `reset_rows`, `flip_z`), and the same `_evolve`
-loop drives every state. A disabled model draws the same arrays with
-every probability zero. Each shot is read out by the backend's
-`measure_at` at its measurement uniform and the flipped bits are counted
-by `bit_counts`, as in `sample`.
+rows of a noisy layout to states by one rule for both backends: the
+dense statevector evolves rows together as a (rows, 2^n) array, the MPS
+as a stack of rows over one chain, and a state holds at most
+BATCH_AMPLITUDES amplitudes or tensor entries (but at least one row per
+circuit). Each event is one state op over the rows it hits
+(`apply_paulis`, `reset_rows`, `flip_z`, written once in `QubitState`
+for both backends), and the same `_evolve` loop drives every state. A
+disabled model draws the same arrays with every probability zero. Each
+shot is read out by the backend's `measure_at` at its measurement
+uniform and the flipped bits are counted by `bit_counts`, as in
+`sample`.
 """
 
 from __future__ import annotations
@@ -202,8 +203,8 @@ def row_states(spec: BackendSpec, n_qubits: int, rows: int, circuits: int):
     max(circuits, BATCH_AMPLITUDES // s) rows, s the largest size of one
     row: 2^n on the dense statevector, on the MPS the sum of 2 d[k-1] d[k]
     over its sites, with bonds d[k] = min(2^k, 2^(n-k), chi_max). Splits
-    fall at row boundaries, so a state can end inside a run; a noiseless
-    layout, one row per circuit, is one state."""
+    fall at row boundaries, so a state can end inside a run; a layout of
+    one row per circuit is one state."""
     if spec.kind == "statevector":
         size = 2 ** n_qubits
     else:

@@ -19,9 +19,9 @@ views, for the products, so a gate allocates no temporary.
 
 Noise events act on the rows through `apply_paulis`, `reset_rows` and
 `flip_z`, which take one event array entry per row and apply each to all
-the rows they hit at once. `QubitState` writes resets and Z flips once
-for both backends, over a per-qubit view of the rows; the dense state
-applies its Paulis as one gather.
+the rows they hit at once. `QubitState` writes all three once for both
+backends, over a per-qubit view of the rows (`_qubit_view`): a reshape
+of the dense amplitudes, or the MPS site tensor.
 
 `QubitState` holds what the dense and MPS backends share: gate dispatch,
 entropies from per-bond Schmidt values, and one readout path. Every
@@ -38,9 +38,8 @@ from .circuit import Circuit, Gate
 
 DEFAULT_MAX_QUBITS = 14
 ENTROPY_FLOOR = 1e-12
-# new[j] = _PAULI_PHASE[code, bit q of j] * old[j ^ flip]: X and Y flip qubit
-# q, Z does not; every phase is +-1 or +-i, so the product is exact
-_PAULI_PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)
+# the Pauli of event code c (1 x, 2 y, 3 z) is _PAULI_XYZ[c - 1]
+_PAULI_XYZ = np.stack([G.X, G.Y, G.Z])
 
 
 class CapacityError(Exception):
@@ -63,10 +62,12 @@ def bit_counts(bits) -> dict[str, int]:
 
 
 class QubitState:
-    """The surface both backends share. A backend provides n_qubits,
-    apply_unitary_1q/2q, apply_paulis, schmidt_values(bond), measure_at(u),
+    """The surface both backends share: gate dispatch, entropies, readout
+    and every noise event (`apply_paulis`, `reset_rows`, `flip_z`). A
+    backend provides only n_qubits, its gate kernels apply_unitary_1q/2q,
     _qubit_view(qubit), its rows as a (rows, a, 2, b) array whose axis 2
-    is the qubit, and, for a run over part of a batch, rows(index)."""
+    is the qubit, rows(index) for a run over part of a batch,
+    schmidt_values(bond) and measure_at(u)."""
 
     n_qubits: int
     chi_max: int | None = None  # bond cap; None where nothing is truncated
@@ -122,6 +123,18 @@ class QubitState:
                 self.rows(slice(lo - start, hi - start)).apply_gate(gate)
 
     # --- noise events over a per-qubit view of the rows ------------------
+
+    def apply_paulis(self, codes, qubits) -> None:
+        """Pauli codes[r] (1 x, 2 y, 3 z; 0 none) on qubit qubits[r] of row
+        r: one product per hit qubit, each hit row by its own Pauli. The
+        entries are 0, +-1 and +-i, so each amplitude comes out exact, up
+        to the sign of a zero."""
+        rows = np.flatnonzero(codes)
+        targets = qubits[rows]
+        for qubit in set(targets.tolist()):  # a gate's Paulis hit at most its two qubits
+            at = rows[targets == qubit]
+            view = self._qubit_view(qubit)
+            view[at] = _PAULI_XYZ[codes[at] - 1][:, None] @ view[at]
 
     def reset_rows(self, qubit: int, hit, u):
         """Reset `qubit` to |0> in every row r with hit[r]: a projective Z
@@ -202,18 +215,6 @@ class DenseState(QubitState):
         front[...] = product.reshape(front.shape)
 
     apply_unitary_1q = apply_unitary_2q = apply_unitary
-
-    def apply_paulis(self, codes, qubits) -> None:
-        """Pauli codes[r] (1 x, 2 y, 3 z; 0 none) on qubit qubits[r] of row
-        r, as one gather over the hit rows: new[r, j] = phase * old[r, j ^
-        flip], with phase +-1 or +-i, so the result is exact."""
-        rows = np.flatnonzero(codes)
-        table = self.amps.reshape(-1, self.amps.shape[-1])  # one row for a single state
-        code = codes[rows][:, None]
-        shift = (self.n_qubits - 1 - qubits[rows])[:, None]
-        index = np.arange(table.shape[-1])
-        source = index ^ np.where(code == 3, 0, 1 << shift)
-        table[rows] = _PAULI_PHASE[code, (index >> shift) & 1] * table[rows[:, None], source]
 
     # --- readout ---------------------------------------------------------
 

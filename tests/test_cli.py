@@ -291,9 +291,23 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
     ("max_steps_per_episode", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 0,
                                        "backend": "statevector",
                                        "max_steps_per_episode": True}}),
+    ("episodes", {"episodes": 1.9, "seed": 1.7}),
+    ("seed", {"seed": 1.7}),
+    ("episodes", {"episodes": True}),
+    ("memory_size", {"agent": {"memory_size": 8.5, "batch_size": 4}}),
+    ("batch_size", {"agent": {"memory_size": 32, "batch_size": 2.0}}),
+    ("plateau_patience", {"agent": {"plateau_patience": 1.5}}),
+    ("plateau_window", {"agent": {"plateau_window": "10"}}),
+    ("target_sync_every", {"agent": {"target_sync_every": True}}),
+    ("chi_max", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 8, "chi_max": 2.5}}),
+    ("chi_max", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 8, "chi_max": True}}),
+    ("dense_cap", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 0,
+                           "backend": "statevector", "dense_cap": 14.0}}),
 ], ids=["t1-nan", "angle-nan", "angle-inf", "lr-nan", "lr-inf", "seed-negative",
         "enabled-string", "during-training-int", "shots-float", "n-qubits-float",
-        "max-gates-string", "max-steps-bool"])
+        "max-gates-string", "max-steps-bool", "episodes-float", "seed-float",
+        "episodes-bool", "memory-size-float", "batch-size-float", "patience-float",
+        "window-string", "sync-bool", "chi-max-float", "chi-max-bool", "dense-cap-float"])
 def test_train_bad_config_value_exits_1(tmp_path, capsys, key, overrides):
     path = write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1

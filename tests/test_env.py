@@ -12,9 +12,12 @@ from qsopt.env import (
     CH_ANGLE,
     CH_CX_CTRL,
     CH_CX_TGT,
+    CH_CZ,
     CH_EMPTY,
     CH_H,
     CH_RX,
+    CH_RZ,
+    CH_SWAP,
     INVALID_PENALTY,
     N_CHANNELS,
     CircuitEnv,
@@ -114,6 +117,21 @@ def test_encode_grid_channels():
     # untouched cells stay flagged empty
     assert obs.grid[2, 0, CH_EMPTY] == 1.0
     assert obs.grid[0, 0, CH_EMPTY] == 0.0
+
+
+def test_encode_sets_one_channel_per_gate_qubit():
+    cfg = exact_cfg(n_qubits=4, max_gates=8)
+    c = Circuit(4).h(0).rz(1, -math.pi / 2).cz(2, 3).swap(0, 1).cx(3, 2).rx(0, 5 * math.pi)
+    obs = encode(c, evaluate(c, SV, shots=0), cfg)
+    want = np.zeros((4, 8, N_CHANNELS))
+    want[:, :, CH_EMPTY] = 1.0
+    for q, m, ch in [(0, 0, CH_H), (1, 0, CH_RZ), (2, 0, CH_CZ), (3, 0, CH_CZ),
+                     (0, 1, CH_SWAP), (1, 1, CH_SWAP), (3, 1, CH_CX_CTRL),
+                     (2, 1, CH_CX_TGT), (0, 2, CH_RX)]:
+        want[q, m, CH_EMPTY], want[q, m, ch] = 0.0, 1.0
+    want[1, 0, CH_ANGLE] = 0.75  # -pi/2 is three quarters of a turn
+    want[0, 2, CH_ANGLE] = 0.5
+    np.testing.assert_allclose(obs.grid, want, rtol=0.0, atol=1e-12)
 
 
 def test_encode_aux_layout():

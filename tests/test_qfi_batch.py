@@ -207,6 +207,25 @@ def test_noiseless_layout_is_one_state(spec, n):
         (0, pairs)]
 
 
+@pytest.mark.parametrize("spec,shots,params", [(SV, 0, None), (SV, 16, None),
+                                               (MPS_EXACT, 16, None),
+                                               (MPS_EXACT, 16, HIGH.disabled())],
+                         ids=["statevector-exact", "statevector-sampled", "mps-sampled",
+                              "mps-noise-disabled"])
+def test_noiseless_qfi_builds_one_state(monkeypatch, spec, shots, params):
+    batches = []
+    fresh = BackendSpec.fresh
+
+    def counted(self, n_qubits, batch=None):
+        batches.append(batch)
+        return fresh(self, n_qubits, batch)
+
+    monkeypatch.setattr(BackendSpec, "fresh", counted)
+    c = Circuit(4).h(0).cx(0, 1).rx(1, .4).rz(2, 1.1).cx(2, 3).rx(3, .9)
+    qfi(c, shots, spec, params, seed=3)
+    assert batches == [6]  # 2R rows, R = 3 rotations
+
+
 def test_noisy_mps_qfi_is_unchanged():
     c = _circuits(3, 1, 4)[0]
     want = ref_qfi(c, 40, MPS_EXACT, HIGH, seed=5)
