@@ -20,6 +20,14 @@ def require_int(name: str, value):
     return value
 
 
+def require_real(name: str, value):
+    """value, if it is a real number; else a ValueError naming it. A bool is
+    not taken for one, nor is a string that spells one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}={value!r} must be a number")
+    return value
+
+
 @dataclass(frozen=True)
 class BackendSpec:
     kind: str = "mps"
@@ -34,7 +42,7 @@ class BackendSpec:
             require_int(name, getattr(self, name))
         if self.chi_max < 1:
             raise ValueError(f"chi_max must be positive, got {self.chi_max}")
-        if not self.trunc_tol >= 0.0:  # also rejects NaN
+        if not require_real("trunc_tol", self.trunc_tol) >= 0.0:  # also rejects NaN
             raise ValueError(f"trunc_tol must be nonnegative, got {self.trunc_tol}")
         if self.dense_cap < 1:
             raise ValueError(f"dense_cap must be positive, got {self.dense_cap}")

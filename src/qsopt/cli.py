@@ -37,7 +37,7 @@ import numpy as np
 
 from . import circuit as circ
 from . import metrics, noise, plots
-from .backend import BACKENDS, BackendSpec, require_int
+from .backend import BACKENDS, BackendSpec, require_int, require_real
 from .circuit import ParseError
 from .ddqn import AgentConfig, train
 from .env import EnvConfig
@@ -87,7 +87,7 @@ def load_run_config(path: Path):
             raise ConfigError(f"seed={seed} must be >= 0")
         env_dict = dict(raw.get("env") or {})
         backend = _build_backend(env_dict)
-        angle_catalog = tuple(float(a) for a in env_dict.pop(
+        angle_catalog = tuple(float(require_real("angle_catalog", a)) for a in env_dict.pop(
             "angle_catalog", (math.pi / 4.0, math.pi / 2.0)))
         weights = RewardWeights(**(raw.get("weights") or {}))
         noise_dict = raw.get("noise")
@@ -95,6 +95,9 @@ def load_run_config(path: Path):
         env_cfg = EnvConfig(weights=weights, backend=backend, noise=noise_params,
                             angle_catalog=angle_catalog, **env_dict)
         agent_cfg = AgentConfig(**(raw.get("agent") or {}))
+        output_dir = raw.get("output_dir", "out")
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir={output_dir!r} must be a string")
     except (NoiseConfigError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     except TypeError as exc:
@@ -112,7 +115,7 @@ def load_run_config(path: Path):
         initials.append(c)
     if not initials:
         initials = [circ.ghz(env_cfg.n_qubits)]
-    out_dir = base / raw.get("output_dir", "out")
+    out_dir = base / output_dir
     return env_cfg, agent_cfg, initials, episodes, seed, out_dir
 
 

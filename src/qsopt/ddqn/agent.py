@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import require_int
+from ..backend import require_int, require_real
 from ..circuit import Circuit
 from ..env import N_CHANNELS, CircuitEnv, EnvConfig, Observation, aux_size
 from ..metrics import MetricsRecord
@@ -56,6 +56,9 @@ class AgentConfig:
     entangling_priority_weight: float = 2.0
 
     def __post_init__(self):
+        for name in ("gamma", "epsilon_start", "epsilon_floor", "epsilon_decay", "lr_initial",
+                     "lr_decay", "plateau_factor", "entangling_priority_weight"):
+            require_real(name, getattr(self, name))
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         # each check is negated so that NaN fails it too

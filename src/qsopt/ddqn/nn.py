@@ -19,6 +19,31 @@ differences in the test suite). Parameters and activations use the
 net's dtype: float32 by default, float64 on request, which the gradient
 checks use so their tolerances can be tight.
 
+The convolutions run only over the moments a circuit occupies. Let D_b
+be sample b's depth: one plus its last moment with a cell other than the
+empty one-hot (CH_EMPTY 1, every other channel 0). Empty cells are one
+constant input, so conv1's output is one per-qubit value at every moment
+m with D_b + 1 <= m <= W - 2, and conv2's output is one per-qubit "deep"
+value at every m with D_b + 2 <= m <= W - 3; the last two moments differ
+from it only through the zero pad. So sample b keeps its first
+w_b = min(W, D_b + 5) moments: the live ones [0, D_b + 2), its deep
+column at w_b - 3, and two edge columns, which its own right border
+reproduces exactly, since they see the same empty cells and the same
+zero pad as moments W - 2 and W - 1. The crops lie side by side on one
+packed moment axis, each followed by one zero separator column, so a
+batch is one (1, H, L, C) grid with L = sum(w_b + 1) <= B*(W + 1).
+conv1's output is set to zero on the separators, so that no crop sees its
+neighbour, and conv2's output there, and the gradients of both, are
+dropped (packing without cross-contamination, as in Krell et al.,
+arXiv:2107.02027). The per-qubit mean is the sum over the crop, with the deep
+column weighted by W - w_b + 1 (the full-grid moments it stands for),
+divided by W; by linearity, weighting the deep column's gradient the same
+way gives the full grid's weight gradients. With w_b = W the weight is 1,
+so one path covers every batch, and in exact arithmetic the net computes
+the same function as over the full grid (a property test compares the
+two in float64). The last occupied moment lies before D_b, in the live
+part of the crop.
+
 Convolutions run as one product over im2col patches laid out tap-major:
 patch column (3*di + dj)*C + c holds channel c at offset (di-1, dj-1), so
 each kernel row of a patch is one contiguous span of the zero-padded
@@ -29,21 +54,24 @@ patch order, and the weight gradients are reordered back.
 Activations, patches, padded inputs and backward intermediates live in
 one workspace per (net shapes, batch size, dtype), shared by every QNet
 of those shapes (the online and the target net), so a warm pass
-allocates no large array. Returned Q values and gradients are fresh
-arrays. The arrays of a `forward_cached` cache belong to the workspace:
-a cache is valid until the next forward of a QNet with the same shapes
-and batch size, and `backward` consumes it. Adam keeps one scratch array
-per parameter. Every operation runs in the same order and on the same
-element layout as a plain allocating implementation on tap-major
-patches, so results are bitwise equal to it (a test keeps that
-implementation as a reference, and checks it against channel-major
-patches in float64).
+allocates no large array: each is sized for the widest packing, and a
+pass uses the prefix of its L columns. Returned Q values and gradients
+are fresh arrays. The arrays of a `forward_cached` cache belong to the
+workspace: a cache is valid until the next forward of a QNet with the
+same shapes and batch size, and `backward` consumes it. Adam keeps one
+scratch array per parameter. Every operation runs in the same order and on the same
+element layout as a plain allocating implementation of the packed grid
+on tap-major patches, so results are bitwise equal to it (a test keeps
+that implementation as a reference). A full-grid implementation on
+channel-major patches anchors both in float64.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,18 +93,41 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
 _TAP = ((slice(1, None), slice(None, -1)),
         (slice(None), slice(None)),
         (slice(None, -1), slice(1, None)))
-# col2im works through the batch in blocks of about this many patch bytes,
-# so that the nine strided passes over a block hit cache; on tap-major
-# patches smaller blocks measured slower, each pass being many short runs
-_BLOCK_BYTES = 1 << 21
 # Adam works through a parameter in chunks of rows of about this many
 # elements, so that the passes of one update stay in cache
 _ADAM_CHUNK = 1 << 16
 
 
-def _blocks(b: int, patch_bytes: int):
-    step = max(1, _BLOCK_BYTES // patch_bytes)
-    return (slice(lo, lo + step) for lo in range(0, b, step))
+class _Layout(NamedTuple):
+    """A batch's crops side by side on one packed moment axis of L columns,
+    each crop followed by one zero separator column."""
+    sample: np.ndarray  # (L,) the sample of each column
+    moment: np.ndarray  # (L,) its moment in that sample's grid (any, on a separator)
+    starts: np.ndarray  # (B,) each crop's first column
+    seps: np.ndarray    # (B,) each crop's separator column
+    deep: np.ndarray    # (B,) each crop's deep column
+    weight: np.ndarray  # (B,) the moments of the full grid its deep column stands for
+
+
+def _layout(grid: np.ndarray) -> _Layout:
+    """The packed layout of a (B,H,W,C) batch: sample b keeps its first
+    w_b = min(W, D_b + 5) moments, D_b being one plus its last moment with a
+    cell other than the empty one-hot."""
+    b, _, w, c = grid.shape
+    empty = np.zeros(c, grid.dtype)
+    empty[CH_EMPTY] = 1
+    live = (grid != empty).any(axis=1).any(axis=2)  # (B, W); faster than axis=(1, 3)
+    depth = np.max(live * np.arange(1, w + 1), axis=1)  # 0 for an empty grid
+    # the live moments, two more that see them through conv1 and conv2,
+    # one deep moment and two edge moments
+    width = np.minimum(w, depth + 5)
+    seps = np.cumsum(width + 1) - 1
+    starts = seps - width
+    sample = np.repeat(np.arange(b), width + 1)
+    moment = np.arange(seps[-1] + 1) - starts[sample]
+    np.minimum(moment, w - 1, out=moment)
+    return _Layout(sample, moment, starts, seps,
+                   deep=starts + np.maximum(width - 3, 0), weight=w - width + 1)
 
 
 def _im2col(x: np.ndarray, out: np.ndarray | None = None,
@@ -104,29 +155,30 @@ def _im2col(x: np.ndarray, out: np.ndarray | None = None,
 def _col2im(dpatches: np.ndarray, x_shape, out: np.ndarray | None = None) -> np.ndarray:
     """Scatter tap-major patch gradients back onto the (unpadded) input,
     into `out` if given. Taps add in the same order as a scatter onto a
-    padded input, so the sums round the same way."""
+    padded input, so the sums round the same way. On a packed (1,H,L,C)
+    input each of the nine adds is one pass over the whole grid: blocks of
+    crops measured slower (3.3 against 1.7 ms on the train-exact shape)."""
     b, h, w, c = x_shape
     dp = dpatches.reshape(b, h, w, 3, 3, c)
     if out is None:
         out = np.zeros(x_shape, dtype=dpatches.dtype)
     else:
         out.fill(0)
-    for blk in _blocks(b, dp[:1].nbytes):
-        dpb, ob = dp[blk], out[blk]
-        for di, (ti, si) in enumerate(_TAP):
-            for dj, (tj, sj) in enumerate(_TAP):
-                ob[:, si, sj] += dpb[:, ti, tj, di, dj]
+    for di, (ti, si) in enumerate(_TAP):
+        for dj, (tj, sj) in enumerate(_TAP):
+            out[:, si, sj] += dp[:, ti, tj, di, dj]
     return out
 
 
-def _readout_rows(grid: np.ndarray) -> np.ndarray:
-    """(B,H) rows of the (B*H*W, C) conv output to read per qubit: row
-    (b*H + q)*W + m, m being the last moment of qubit q with CH_EMPTY 0,
-    or 0 where it has none."""
+def _readout_rows(grid: np.ndarray, lay: _Layout) -> np.ndarray:
+    """(B,H) rows of the packed (H*L, C) conv output to read per qubit: row
+    q*L + starts[b] + m, m being the last moment of qubit q of sample b
+    with CH_EMPTY 0, or 0 where it has none. That moment lies before the
+    sample's depth, so it is a live column of its crop."""
     occupied = grid[..., CH_EMPTY] == 0
     b, h, w = occupied.shape
     last = np.where(occupied.any(axis=2), w - 1 - np.argmax(occupied[..., ::-1], axis=2), 0)
-    last += np.arange(0, b * h * w, w).reshape(b, h)
+    last += lay.starts[:, None] + np.arange(0, h * len(lay.sample), len(lay.sample))
     return last
 
 
@@ -142,21 +194,31 @@ def _channel_major(g: np.ndarray, c: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Every large array of one forward and backward pass at one batch size."""
+    """Every large array of one forward and backward pass at one batch size.
+
+    An array over the packed grid is a flat buffer long enough for the
+    widest packing, B*(W+1) columns; a pass takes the prefix of its L
+    columns. A padded input is (1, H+2, B*(W+1)+2, C), and a pass takes
+    its first L+2 columns.
+    """
 
     def __init__(self, grid_shape, aux_dim, n_actions, widths, dtype, b):
         h, w, c = grid_shape
         c1, c2, hidden = widths
+        self.h = h
+        cells = h * b * (w + 1)
 
         def buf(*shape):
             return np.empty(shape, dtype)
 
-        self.cols1, self.cols2 = buf(b, h, w, 3, 3, c), buf(b, h, w, 3, 3, c1)
-        # zero borders, written once: a pass writes only the interiors
-        self.pad1 = np.zeros((b, h + 2, w + 2, c), dtype)
-        self.pad2 = np.zeros((b, h + 2, w + 2, c1), dtype)
-        self.z1, self.a1 = buf(b, h, w, c1), buf(b, h, w, c1)
-        self.z2, self.a2 = buf(b, h, w, c2), buf(b, h, w, c2)
+        self.cols1, self.cols2 = buf(cells * 9 * c), buf(cells * 9 * c1)
+        # zero top, bottom and left borders, written once: a pass writes
+        # only the interior of its first L + 2 columns, and re-zeroes its
+        # right border, which a longer pass may have written
+        self.pad1 = np.zeros((1, h + 2, b * (w + 1) + 2, c), dtype)
+        self.pad2 = np.zeros((1, h + 2, b * (w + 1) + 2, c1), dtype)
+        self.z1, self.a1, self.da1 = buf(cells * c1), buf(cells * c1), buf(cells * c1)
+        self.z2, self.a2, self.dz2 = buf(cells * c2), buf(cells * c2), buf(cells * c2)
         self.flat = buf(b, 2 * h * c2 + aux_dim)
         # per qubit row: [0] the mean over moments, [1] the last occupied moment
         self.readout = self.flat[:, :2 * h * c2].reshape(b, h, 2, c2)  # a view into flat
@@ -165,13 +227,17 @@ class _Workspace:
         self.da3, self.dz3 = buf(b, hidden), buf(b, hidden)
         self.dflat = buf(*self.flat.shape)
         self.dreadout = self.dflat[:, :2 * h * c2].reshape(b, h, 2, c2)
-        self.dz2 = buf(b, h, w, c2)
-        self.da1 = buf(b, h, w, c1)
-        self._mask = np.empty(b * max(h * w * c1, h * w * c2, hidden), bool)
+        self.dmean = buf(1, h, b, c2)  # the mean's gradient per moment, qubit-major
+        self._mask = np.empty(max(cells * max(c1, c2), b * hidden), bool)
 
     def positive(self, z: np.ndarray) -> np.ndarray:
         """z > 0 in the shared mask buffer."""
         return np.greater(z, 0.0, out=self._mask[:z.size].reshape(z.shape))
+
+    def packed(self, buffer: np.ndarray, length: int, *tail: int) -> np.ndarray:
+        """The (1, H, length, *tail) prefix of a packed-grid buffer."""
+        shape = (1, self.h, length, *tail)
+        return buffer[:math.prod(shape)].reshape(shape)
 
 
 # a training run uses two: batch 1 to act and the train batch
@@ -223,20 +289,35 @@ class QNet:
         if aux.shape[0] != grid.shape[0]:
             raise ValueError(f"{grid.shape[0]} grids but {aux.shape[0]} aux rows")
         ws = _workspace(self._shapes, grid.shape[0])
-        c, c1 = self.grid_shape[2], self.widths[0]
-        p1 = _im2col(grid, ws.cols1, ws.pad1)
-        z1 = np.matmul(p1, _tap_major(p["w1"], c), out=ws.z1)
+        (w, c), (c1, c2, _) = self.grid_shape[1:], self.widths
+        lay = _layout(grid)
+        n = len(lay.sample)
+        pad1, pad2 = ws.pad1[:, :, :n + 2], ws.pad2[:, :, :n + 2]
+        pad1[:, :, -1] = 0  # a longer pass wrote its interior there
+        pad2[:, :, -1] = 0
+        # the packed input: each crop, then its zero separator
+        x = grid.transpose(1, 0, 2, 3)[None, :, lay.sample, lay.moment]
+        x[:, :, lay.seps] = 0
+        p1 = _im2col(x, ws.packed(ws.cols1, n, 3, 3, c), pad1)
+        z1 = ws.packed(ws.z1, n, c1)
+        np.matmul(p1.reshape(-1, 9 * c), _tap_major(p["w1"], c), out=z1.reshape(-1, c1))
         z1 += p["b1"]
-        a1 = np.maximum(z1, 0.0, out=ws.a1)
-        p2 = _im2col(a1, ws.cols2, ws.pad2)
-        z2 = np.matmul(p2, _tap_major(p["w2"], c1), out=ws.z2)
+        a1 = np.maximum(z1, 0.0, out=ws.packed(ws.a1, n, c1))
+        a1[:, :, lay.seps] = 0
+        p2 = _im2col(a1, ws.packed(ws.cols2, n, 3, 3, c1), pad2)
+        z2 = ws.packed(ws.z2, n, c2)
+        np.matmul(p2.reshape(-1, 9 * c1), _tap_major(p["w2"], c1), out=z2.reshape(-1, c2))
         z2 += p["b2"]
-        a2 = np.maximum(z2, 0.0, out=ws.a2)
-        readout, w = ws.readout, self.grid_shape[1]
-        np.sum(a2, axis=2, out=readout[:, :, 0])
+        a2 = np.maximum(z2, 0.0, out=ws.packed(ws.a2, n, c2))
+        # the mean over a crop: its separator adds nothing, and its deep
+        # column counts once for every full-grid moment it stands for
+        a2[:, :, lay.seps] = 0
+        a2[:, :, lay.deep] *= lay.weight[:, None]
+        readout = ws.readout
+        np.add.reduceat(a2[0], lay.starts, axis=1, out=readout[:, :, 0].transpose(1, 0, 2))
         readout[:, :, 0] /= w
-        rows = _readout_rows(grid)
-        np.take(a2.reshape(-1, a2.shape[-1]), rows, axis=0, out=readout[:, :, 1])
+        rows = _readout_rows(grid, lay)
+        np.take(a2.reshape(-1, c2), rows, axis=0, out=readout[:, :, 1])
         flat = ws.flat
         flat[:, flat.shape[1] - self.aux_dim:] = aux
         z3 = np.matmul(flat, p["w3"], out=ws.z3)
@@ -248,7 +329,7 @@ class QNet:
         val += p["bv"]
         q = val + adv
         q -= adv.mean(axis=1, keepdims=True)
-        cache = (p1, z1, a1, p2, z2, rows, flat, z3, a3) if keep else None
+        cache = (p1, z1, a1, p2, z2, lay, rows, flat, z3, a3) if keep else None
         return q, cache
 
     def backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
@@ -257,7 +338,7 @@ class QNet:
         Consumes the cache: the conv2 patch gradient overwrites its patches.
         """
         p = self.params
-        p1, z1, a1, p2, z2, rows, flat, z3, a3 = cache
+        p1, z1, a1, p2, z2, lay, rows, flat, z3, a3 = cache
         ws = _workspace(self._shapes, flat.shape[0])
         dq = np.asarray(dq, dtype=self.dtype)
         g = {}
@@ -274,23 +355,30 @@ class QNet:
         g["w3"] = flat.T @ dz3
         g["b3"] = dz3.sum(axis=0)
         np.matmul(dz3, p["w3"].T, out=ws.dflat)
-        # the mean spreads its gradient evenly over a row's moments, and the
-        # read moment adds its own
+        # the mean spreads its gradient evenly over a crop's moments, the
+        # deep column taking its weight's share, and the read moment adds
+        # its own
+        (w, c), (c1, c2, _) = self.grid_shape[1:], self.widths
+        n = len(lay.sample)
         dmean, dlast = ws.dreadout[:, :, 0], ws.dreadout[:, :, 1]
-        da2 = np.divide(dmean[:, :, None], self.grid_shape[1], out=ws.dz2)
-        da2_rows = da2.reshape(-1, da2.shape[-1])
+        np.divide(dmean.transpose(1, 0, 2), w, out=ws.dmean[0])
+        # mode="clip" lets take write straight into `out` (indices are in range)
+        da2 = np.take(ws.dmean, lay.sample, axis=2, out=ws.packed(ws.dz2, n, c2), mode="clip")
+        da2[:, :, lay.seps] = 0
+        da2[:, :, lay.deep] *= lay.weight[:, None]
+        da2_rows = da2.reshape(-1, c2)
         da2_rows[rows] += dlast
-        dz2 = np.multiply(da2, ws.positive(z2), out=ws.dz2)
-        c, c1 = self.grid_shape[2], self.widths[0]
-        dz2_rows = dz2.reshape(-1, dz2.shape[-1])
+        dz2 = np.multiply(da2, ws.positive(z2), out=da2)
+        dz2_rows = dz2.reshape(-1, c2)
         p2_rows = p2.reshape(-1, p2.shape[-1])
         g["w2"] = _channel_major(p2_rows.T @ dz2_rows, c1)
         g["b2"] = dz2.sum(axis=(0, 1, 2))
-        # one 2-D product over the (B*H*W, c2) rows, written over the patches
+        # one 2-D product over the (H*L, c2) rows, written over the patches
         np.matmul(dz2_rows, _tap_major(p["w2"], c1).T, out=p2_rows)
-        da1 = _col2im(p2, a1.shape, ws.da1)
+        da1 = _col2im(p2, a1.shape, ws.packed(ws.da1, n, c1))
         dz1 = np.multiply(da1, ws.positive(z1), out=da1)
-        g["w1"] = _channel_major(p1.reshape(-1, p1.shape[-1]).T @ dz1.reshape(-1, dz1.shape[-1]), c)
+        dz1[:, :, lay.seps] = 0
+        g["w1"] = _channel_major(p1.reshape(-1, p1.shape[-1]).T @ dz1.reshape(-1, c1), c)
         g["b1"] = dz1.sum(axis=(0, 1, 2))
         return g
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .backend import BackendSpec, require_int
+from .backend import BackendSpec, require_int, require_real
 from .circuit import (TWO_PI, Circuit, Gate, GateKind, cancel_pairs, moments,
                       remove_gate, replace_gate, swap_adjacent)
 from .noise import NoiseParams
@@ -68,7 +68,7 @@ class EnvConfig:
             raise ValueError("max_gates must be >= 1")
         if self.max_steps_per_episode < 1:
             raise ValueError("max_steps_per_episode must be >= 1")
-        if not 0.0 <= self.entanglement_threshold <= 1.0:
+        if not 0.0 <= require_real("entanglement_threshold", self.entanglement_threshold) <= 1.0:
             raise ValueError("entanglement_threshold must lie in [0, 1]")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")

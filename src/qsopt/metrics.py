@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .backend import BackendSpec
+from .backend import BackendSpec, require_real
 from .circuit import Circuit, Gate, depth, gate_count, replace_gate
 from .noise import NoiseParams, sample_bits, whole_runs
 from .noise import sample_counts  # noqa: F401  (bench/tracing.py wraps it by this name)
@@ -68,7 +68,7 @@ class RewardWeights:
 
     def __post_init__(self):
         for name in ("qfi", "depth", "entropy", "gates"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(require_real(name, getattr(self, name))):
                 raise ValueError(f"weight {name} must be finite")
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .backend import BackendSpec
+from .backend import BackendSpec, require_real
 from .circuit import Circuit, moments
 from .statevector import bit_counts
 
@@ -75,11 +75,11 @@ class NoiseParams:
             if not isinstance(flag, bool):  # a string such as "false" is truthy
                 raise NoiseConfigError(f"{name}={flag!r} must be true or false")
         for name in ("p_meas", "p_1q", "p_2q"):
-            p = getattr(self, name)
+            p = require_real(name, getattr(self, name))
             if not 0.0 <= p <= 1.0:
                 raise NoiseConfigError(f"{name}={p} outside [0, 1]")
         for name in ("t1_us", "t2_us", "dur_1q_us", "dur_2q_us"):
-            v = getattr(self, name)
+            v = require_real(name, getattr(self, name))
             if not v > 0.0:  # also rejects NaN
                 raise NoiseConfigError(f"{name}={v} must be positive")
         if self.t2_us > 2.0 * self.t1_us:

@@ -303,11 +303,31 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
     ("chi_max", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 8, "chi_max": True}}),
     ("dense_cap", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 0,
                            "backend": "statevector", "dense_cap": 14.0}}),
+    ("output_dir", {"output_dir": 5}),
+    ("angle_catalog", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 0,
+                               "backend": "statevector", "angle_catalog": [True]}}),
+    ("angle_catalog", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 0,
+                               "backend": "statevector", "angle_catalog": ["0.5"]}}),
+    ("qfi", {"weights": {"qfi": True}}),
+    ("p_1q", {"noise": {"p_1q": True},
+              "env": {"n_qubits": 2, "max_gates": 8, "shots": 8, "backend": "statevector"}}),
+    ("dur_1q_us", {"noise": {"dur_1q_us": True},
+                   "env": {"n_qubits": 2, "max_gates": 8, "shots": 8,
+                           "backend": "statevector"}}),
+    ("trunc_tol", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 8, "trunc_tol": True}}),
+    ("entanglement_threshold", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 0,
+                                        "backend": "statevector",
+                                        "entanglement_threshold": True}}),
+    ("lr_decay", {"agent": {"lr_decay": True}}),
+    ("plateau_factor", {"agent": {"plateau_factor": "0.5"}}),
 ], ids=["t1-nan", "angle-nan", "angle-inf", "lr-nan", "lr-inf", "seed-negative",
         "enabled-string", "during-training-int", "shots-float", "n-qubits-float",
         "max-gates-string", "max-steps-bool", "episodes-float", "seed-float",
         "episodes-bool", "memory-size-float", "batch-size-float", "patience-float",
-        "window-string", "sync-bool", "chi-max-float", "chi-max-bool", "dense-cap-float"])
+        "window-string", "sync-bool", "chi-max-float", "chi-max-bool", "dense-cap-float",
+        "output-dir-int", "angle-bool", "angle-string", "weight-bool", "p-1q-bool",
+        "duration-bool", "trunc-tol-bool", "threshold-bool", "lr-decay-bool",
+        "plateau-factor-string"])
 def test_train_bad_config_value_exits_1(tmp_path, capsys, key, overrides):
     path = write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1
