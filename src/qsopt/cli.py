@@ -103,6 +103,8 @@ def load_run_config(path: Path):
     except TypeError as exc:
         raise ConfigError(f"unrecognized config key: {exc}") from exc
     initial_paths = raw.get("initial_circuits") or []
+    if not (isinstance(initial_paths, list) and all(isinstance(p, str) for p in initial_paths)):
+        raise ConfigError(f"initial_circuits={initial_paths!r} must be a list of file names")
     initials = []
     for rel in initial_paths:
         cpath = base / rel
@@ -112,6 +114,12 @@ def load_run_config(path: Path):
             raise ConfigError(f"cannot read initial circuit {cpath}: {exc}") from exc
         except ParseError as exc:
             raise ConfigError(f"{cpath}: {exc}") from exc
+        if c.n_qubits != env_cfg.n_qubits:
+            raise ConfigError(f"initial_circuits: {cpath} has {c.n_qubits} qubits, "
+                              f"n_qubits is {env_cfg.n_qubits}")
+        if len(c) > env_cfg.max_gates:
+            raise ConfigError(f"initial_circuits: {cpath} has {len(c)} gates, "
+                              f"max_gates is {env_cfg.max_gates}")
         initials.append(c)
     if not initials:
         initials = [circ.ghz(env_cfg.n_qubits)]

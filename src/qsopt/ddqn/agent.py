@@ -70,6 +70,9 @@ class AgentConfig:
                      "plateau_window", "target_sync_every"):
             if not require_int(name, getattr(self, name)) >= 1:
                 raise ValueError(f"{name} must be positive")
+        if self.batch_size > self.memory_size:  # replay could never fill a batch
+            raise ValueError(f"batch_size={self.batch_size} exceeds "
+                             f"memory_size={self.memory_size}")
         for name in ("epsilon_decay", "lr_initial", "lr_decay", "plateau_factor",
                      "entangling_priority_weight"):
             value = getattr(self, name)

@@ -130,8 +130,7 @@ def _layout(grid: np.ndarray) -> _Layout:
                    deep=starts + np.maximum(width - 3, 0), weight=w - width + 1)
 
 
-def _im2col(x: np.ndarray, out: np.ndarray | None = None,
-            pad: np.ndarray | None = None) -> np.ndarray:
+def _im2col(x: np.ndarray, out: np.ndarray, pad: np.ndarray) -> np.ndarray:
     """(B,H,W,C) -> (B,H,W,9*C) tap-major patches of the zero-padded input.
 
     Patch column (3*di + dj)*C + c holds input channel c at offset
@@ -139,31 +138,25 @@ def _im2col(x: np.ndarray, out: np.ndarray | None = None,
     `pad`, a (B,H+2,W+2,C) buffer whose border must be zero, and the
     patches fill `out`, a (B,H,W,3,3,C) buffer, in one copy from a window
     view of it: each kernel row is one contiguous span of 3*C padded
-    values. Either buffer is made here if not given.
+    values.
     """
     b, h, w, c = x.shape
-    if out is None:
-        out = np.empty((b, h, w, 3, 3, c), x.dtype)
-    if pad is None:
-        pad = np.zeros((b, h + 2, w + 2, c), x.dtype)
     pad[:, 1:-1, 1:-1] = x
     windows = sliding_window_view(pad, (3, 3), axis=(1, 2))
     np.copyto(out, windows.transpose(0, 1, 2, 4, 5, 3))
     return out.reshape(b, h, w, -1)
 
 
-def _col2im(dpatches: np.ndarray, x_shape, out: np.ndarray | None = None) -> np.ndarray:
+def _col2im(dpatches: np.ndarray, x_shape, out: np.ndarray) -> np.ndarray:
     """Scatter tap-major patch gradients back onto the (unpadded) input,
-    into `out` if given. Taps add in the same order as a scatter onto a
-    padded input, so the sums round the same way. On a packed (1,H,L,C)
-    input each of the nine adds is one pass over the whole grid: blocks of
-    crops measured slower (3.3 against 1.7 ms on the train-exact shape)."""
+    into `out`, a buffer of shape x_shape. Taps add in the same order as
+    a scatter onto a padded input, so the sums round the same way. On a
+    packed (1,H,L,C) input each of the nine adds is one pass over the
+    whole grid: blocks of crops measured slower (3.3 against 1.7 ms on the
+    train-exact shape)."""
     b, h, w, c = x_shape
     dp = dpatches.reshape(b, h, w, 3, 3, c)
-    if out is None:
-        out = np.zeros(x_shape, dtype=dpatches.dtype)
-    else:
-        out.fill(0)
+    out.fill(0)
     for di, (ti, si) in enumerate(_TAP):
         for dj, (tj, sj) in enumerate(_TAP):
             out[:, si, sj] += dp[:, ti, tj, di, dj]

@@ -12,7 +12,8 @@ spectra, conditional bit probabilities and the norm read off locally.
 
 Every update is one matrix product, QR or SVD over all rows at once. A
 1q gate multiplies a site's physical axis, of every row or of a row
-slice (`rows`). A center shift is a QR of the center tensor. A two-site
+slice (`rows`); a two-site update takes every row, since the rows share
+their bonds. A center shift is a QR of the center tensor. A two-site
 update (Schollwoeck, Ann. Phys. 326, 96, 2011) contracts the pair into
 theta of shape (rows, l, 4, r), multiplies it by the 4x4 gate, and
 splits it again by an SVD. Each row keeps at most chi_max singular
@@ -34,7 +35,6 @@ all rows and shots, each bit drawn from its conditional probability
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +59,6 @@ class MpsState(QubitState):
     """One MPS, or with `batch=B` a stack of B of them over one chain. A
     single state reads out as one (a float discarded weight, a 1-D
     `to_dense`), a batch as one value per row."""
-
-    _view = False  # set on the row views of `rows`
 
     def __init__(self, n_qubits: int, chi_max: int = 64, trunc_tol: float = 1e-10,
                  batch: int | None = None):
@@ -98,17 +96,6 @@ class MpsState(QubitState):
         """Squared weight dropped by truncation, relative to the weight
         before each update, summed over the updates; one per row."""
         return float(self._discarded[0]) if self.batch is None else self._discarded.copy()
-
-    def rows(self, index: slice) -> "MpsState":
-        """Rows of the stack as a batch over views of their tensors, as
-        `DenseState.rows` gives them: a 1q gate applied to it changes those
-        rows in place. The view shares this state's bonds, so it takes no
-        two-site update."""
-        view = copy.copy(self)
-        view.tensors = [t[index] for t in self.tensors]
-        view.batch = len(view.tensors[0])
-        view._view = True
-        return view
 
     def _put(self, site: int, t: np.ndarray) -> None:
         """Store t as the tensor at site, keeping the total size."""
@@ -150,9 +137,10 @@ class MpsState(QubitState):
 
     # --- gate application -------------------------------------------------
 
-    def apply_unitary_1q(self, matrix: np.ndarray, qubit: int) -> None:
-        t = self.tensors[qubit]
-        t[...] = matrix @ t  # in place, so a row view changes its rows
+    def apply_unitary_1q(self, matrix: np.ndarray, qubit: int,
+                         rows: slice = slice(None)) -> None:
+        t = self.tensors[qubit][rows]
+        t[...] = matrix @ t  # in place: the slice is a view of the site tensor
 
     def _apply_2q_adjacent(self, matrix: np.ndarray, left: int) -> None:
         """Apply a 4x4 unitary to sites (left, left+1) of every row; matrix
@@ -208,9 +196,10 @@ class MpsState(QubitState):
         self.move_center(qubit)
         return super().reset_rows(qubit, hit, u)
 
-    def apply_unitary_2q(self, matrix: np.ndarray, qa: int, qb: int) -> None:
-        if self._view:
-            raise ValueError("a row view shares its bonds; apply 2q gates to the whole stack")
+    def apply_unitary_2q(self, matrix: np.ndarray, qa: int, qb: int,
+                         rows: slice = slice(None)) -> None:
+        if rows != slice(None):
+            raise ValueError("stacked rows share their bonds; apply 2q gates to every row")
         lo, hi = min(qa, qb), max(qa, qb)
         # route the upper qubit next to the lower one with SWAP updates
         for j in range(hi, lo + 1, -1):

@@ -10,12 +10,11 @@ to the front of a (..., 2, ..., 2) view of the amplitudes, and the
 
 A state built with `batch=B` holds B independent states as the rows of a
 (B, 2^n) array: the same product acts on every row, and a reset draws
-one outcome per row. `rows(slice)` is a state over a view of some rows,
-so a gate applied to it changes those rows in place; `apply_runs` uses
-it to give row groups different angles of one rotation. The noise model
-runs its trajectories this way, and the parameter-shift QFI its shifted
-circuits. Each state keeps one scratch buffer, shared with its row
-views, for the products, so a gate allocates no temporary.
+one outcome per row. A gate given a row slice (`rows`) acts on those
+rows only, in place; `apply_runs` uses it to give row groups different
+angles of one rotation. The noise model runs its trajectories this way,
+and the parameter-shift QFI its shifted circuits. Each state keeps one
+scratch buffer for the products, so a gate allocates no temporary.
 
 Noise events act on the rows through `apply_paulis`, `reset_rows` and
 `flip_z`, which take one event array entry per row and apply each to all
@@ -64,17 +63,18 @@ def bit_counts(bits) -> dict[str, int]:
 class QubitState:
     """The surface both backends share: gate dispatch, entropies, readout
     and every noise event (`apply_paulis`, `reset_rows`, `flip_z`). A
-    backend provides only n_qubits, its gate kernels apply_unitary_1q/2q,
-    _qubit_view(qubit), its rows as a (rows, a, 2, b) array whose axis 2
-    is the qubit, rows(index) for a run over part of a batch,
-    schmidt_values(bond) and measure_at(u)."""
+    backend provides only n_qubits, its gate kernels
+    apply_unitary_1q/2q(matrix, *qubits, rows=slice(None)), which change
+    only the rows of the slice `rows`, _qubit_view(qubit), its rows as a
+    (rows, a, 2, b) array whose axis 2 is the qubit, schmidt_values(bond)
+    and measure_at(u)."""
 
     n_qubits: int
     chi_max: int | None = None  # bond cap; None where nothing is truncated
 
-    def apply_gate(self, gate: Gate) -> None:
+    def apply_gate(self, gate: Gate, rows: slice = slice(None)) -> None:
         apply = self.apply_unitary_1q if gate.kind.n_qubits == 1 else self.apply_unitary_2q
-        apply(G.matrix(gate), *gate.qubits)
+        apply(G.matrix(gate), *gate.qubits, rows=rows)
 
     def apply_pauli(self, name: str, qubit: int) -> None:
         self.apply_unitary_1q(G.PAULIS[name], qubit)
@@ -112,7 +112,7 @@ class QubitState:
         """Apply one gate laid over the rows of a batch layout: each run
         (lo, hi, gate) applies `gate` to layout rows lo..hi-1, of which
         this state holds rows start..stop-1. A run that covers part of a
-        batch goes to a view of its rows (`rows`); on the MPS, whose rows
+        batch applies its gate to that row slice; on the MPS, whose rows
         share their bonds, only a 1q gate may, and the QFI's shifted
         rotations are 1q."""
         for lo, hi, gate in runs:
@@ -120,7 +120,7 @@ class QubitState:
             if (lo, hi) == (start, stop):
                 self.apply_gate(gate)
             elif lo < hi:
-                self.rows(slice(lo - start, hi - start)).apply_gate(gate)
+                self.apply_gate(gate, rows=slice(lo - start, hi - start))
 
     # --- noise events over a per-qubit view of the rows ------------------
 
@@ -186,28 +186,23 @@ class DenseState(QubitState):
         # the moved copy and the product of `apply_unitary`, side by side
         self._scratch = np.empty(2 * self.amps.size, dtype=complex)
 
-    def rows(self, index) -> "DenseState":
-        """Rows of a batch as a batch over a view of them, or with an int
-        index one row as a single state: gates applied to it change these
-        rows in place. The view shares this state's scratch buffer."""
-        state = object.__new__(DenseState)
-        state.n_qubits, state.amps, state._scratch = self.n_qubits, self.amps[index], self._scratch
-        return state
-
     def _qubit_view(self, qubit: int) -> np.ndarray:
         """The amplitudes as (rows, 2^qubit, 2, 2^(n-1-qubit)): axis 2 is
         the qubit."""
         return self.amps.reshape(-1, 2 ** qubit, 2, 2 ** (self.n_qubits - 1 - qubit))
 
-    def apply_unitary(self, matrix: np.ndarray, *qubits: int) -> None:
-        """Apply a 2^k x 2^k unitary to the listed qubits of every row; the
-        first listed qubit is the matrix's most significant bit. The moved
-        amplitudes and the product go through the scratch buffer."""
-        lead = self.amps.ndim - 1
-        view = self.amps.reshape(self.amps.shape[:-1] + (2,) * self.n_qubits)
+    def apply_unitary(self, matrix: np.ndarray, *qubits: int,
+                      rows: slice = slice(None)) -> None:
+        """Apply a 2^k x 2^k unitary to the listed qubits of the batch rows
+        in the slice `rows` (a single state takes the default, all of it);
+        the first listed qubit is the matrix's most significant bit. The
+        moved amplitudes and the product go through the scratch buffer."""
+        amps = self.amps[rows]
+        lead = amps.ndim - 1
+        view = amps.reshape(amps.shape[:-1] + (2,) * self.n_qubits)
         moved = [lead + q for q in qubits]
         front = view.transpose(moved + [a for a in range(view.ndim) if a not in moved])
-        size = self.amps.size
+        size = amps.size
         packed = self._scratch[:size].reshape(front.shape)
         np.copyto(packed, front)
         product = self._scratch[size:2 * size].reshape(len(matrix), -1)

@@ -320,6 +320,9 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
                                         "entanglement_threshold": True}}),
     ("lr_decay", {"agent": {"lr_decay": True}}),
     ("plateau_factor", {"agent": {"plateau_factor": "0.5"}}),
+    ("batch_size", {"agent": {"memory_size": 8, "batch_size": 64}}),
+    ("initial_circuits", {"initial_circuits": [5]}),
+    ("initial_circuits", {"initial_circuits": "a.qc"}),
 ], ids=["t1-nan", "angle-nan", "angle-inf", "lr-nan", "lr-inf", "seed-negative",
         "enabled-string", "during-training-int", "shots-float", "n-qubits-float",
         "max-gates-string", "max-steps-bool", "episodes-float", "seed-float",
@@ -327,11 +330,25 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
         "window-string", "sync-bool", "chi-max-float", "chi-max-bool", "dense-cap-float",
         "output-dir-int", "angle-bool", "angle-string", "weight-bool", "p-1q-bool",
         "duration-bool", "trunc-tol-bool", "threshold-bool", "lr-decay-bool",
-        "plateau-factor-string"])
+        "plateau-factor-string", "batch-over-memory", "initial-not-a-string",
+        "initial-not-a-list"])
 def test_train_bad_config_value_exits_1(tmp_path, capsys, key, overrides):
     path = write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("circuit,name", [
+    (ghz(3), "big.qc"),  # 3 qubits on a 2-qubit env
+    (ghz(2).h(0).h(0).h(0).h(0).h(0).h(0).h(0), "long.qc"),  # 9 gates, max_gates 8
+], ids=["wrong-qubits", "over-max-gates"])
+def test_train_initial_circuit_that_does_not_fit_exits_1(tmp_path, capsys, circuit, name):
+    emit_file(circuit, tmp_path / name)
+    path = write_config(tmp_path, initial_circuits=[name])
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial_circuits") and name in err
     assert not (tmp_path / "out").exists()
 
 

@@ -81,8 +81,9 @@ def test_im2col_col2im_are_adjoint():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(2, 3, 4, 2))
     y = rng.normal(size=(2, 3, 4, 18))
-    lhs = np.sum(_im2col(x) * y)
-    rhs = np.sum(x * _col2im(y, x.shape))
+    pad = np.zeros((2, 5, 6, 2))  # its border stays zero
+    lhs = np.sum(_im2col(x, np.empty((2, 3, 4, 3, 3, 2)), pad) * y)
+    rhs = np.sum(x * _col2im(y, x.shape, np.empty(x.shape)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -256,6 +257,9 @@ def test_agent_config_validation():
         AgentConfig(epsilon_floor=1.0)
     with pytest.raises(ValueError):
         AgentConfig(batch_size=0)
+    with pytest.raises(ValueError, match="batch_size"):
+        AgentConfig(memory_size=8, batch_size=64)
+    AgentConfig(memory_size=8, batch_size=8)  # a full buffer is one batch
     with pytest.raises(ValueError):
         AgentConfig(lr_decay=0.0)
     for name in ("epsilon_start", "epsilon_floor", "epsilon_decay", "lr_initial",

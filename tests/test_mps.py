@@ -311,7 +311,7 @@ def test_single_state_reads_out_as_one():
     assert batch.total_discarded[0] == s.total_discarded
 
 
-def test_row_view_takes_no_two_qubit_gate():
+def test_row_slice_takes_no_two_qubit_gate():
     s = MpsState(3, batch=4)
     with pytest.raises(ValueError):
-        s.rows(slice(1, 3)).apply_gate(Circuit(3).cx(0, 1).gates[0])
+        s.apply_gate(Circuit(3).cx(0, 1).gates[0], rows=slice(1, 3))

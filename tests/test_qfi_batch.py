@@ -273,7 +273,8 @@ def _random_stack(n, rows, seed):
     state.run(random_circuit(n, 4 * n, rng))
     for r in range(rows):
         for q in range(n):
-            state.rows(slice(r, r + 1)).apply_gate(Circuit(n).rx(q, rng.uniform(0, 6)).gates[0])
+            state.apply_gate(Circuit(n).rx(q, rng.uniform(0, 6)).gates[0],
+                             rows=slice(r, r + 1))
     return state.run(random_circuit(n, 4 * n, rng))
 
 
@@ -282,11 +283,24 @@ def _amps(state):
     return state.amps if isinstance(state, DenseState) else state.to_dense()
 
 
+def _row_copy(state, r):
+    """A one-row batch holding a copy of row r of state."""
+    if isinstance(state, DenseState):
+        row = DenseState(state.n_qubits, batch=1)
+        row.amps[0] = state.amps[r]
+        return row
+    row = MpsState(state.n_qubits, chi_max=state.chi_max, trunc_tol=state.trunc_tol, batch=1)
+    row.tensors = [t[r:r + 1].copy() for t in state.tensors]
+    row.center = state.center
+    row._discarded = state._discarded[r:r + 1].copy()
+    return row
+
+
 def _per_row(state, op):
     """The amplitudes of every row after op(one-row copy of the row, row)."""
     out = []
     for r in range(len(_amps(state))):
-        row = copy.deepcopy(state.rows(slice(r, r + 1)))
+        row = _row_copy(state, r)
         op(row, r)
         out.append(_amps(row)[0])
     return np.array(out)
@@ -336,22 +350,34 @@ def test_reset_rows_touches_only_hit_rows():
         assert np.array_equal(_amps(state), want)
 
 
-def test_row_views_share_the_scratch_buffer_safely():
+def test_row_slice_gates_share_the_scratch_buffer_safely():
     state = _random_batch(4, 12, 3)
     want = state.amps.copy()
     c = random_circuit(4, 20, np.random.default_rng(4))
     for g in c.gates:
-        # rows 3..8 get every gate through a view, the rest none
-        state.rows(slice(3, 9)).apply_gate(g)
+        # rows 3..8 get every gate through the kernel's row slice, the rest none
+        state.apply_gate(g, rows=slice(3, 9))
     alone = DenseState(4, batch=6)
     alone.amps = want[3:9].copy()
     alone.run(c)
     assert np.array_equal(state.amps[3:9], alone.amps)
     assert np.array_equal(state.amps[:3], want[:3])
     assert np.array_equal(state.amps[9:], want[9:])
-    # the whole batch still runs correctly after its views used the buffer
+    # the whole batch still runs correctly after its row slices used the buffer
     state.run(c)
     assert np.allclose(np.linalg.norm(state.amps, axis=1), 1.0)
+
+
+def test_1q_gate_on_a_row_slice_changes_only_those_rows():
+    g = Circuit(4).rx(2, 0.7).gates[0]
+    for state in (_random_batch(4, 10, 6), _random_stack(4, 10, 6)):
+        before = _amps(state).copy()
+        want = _per_row(state, lambda s, _r: s.apply_gate(g))
+        state.apply_gate(g, rows=slice(2, 7))
+        after = _amps(state)
+        assert np.array_equal(after[:2], before[:2])
+        assert np.array_equal(after[7:], before[7:])
+        assert np.array_equal(after[2:7], want[2:7])
 
 
 def test_single_state_apply_unitary_is_unchanged_by_the_buffer():
