@@ -161,6 +161,19 @@ def aux_size(cfg: EnvConfig) -> int:
     return (cfg.n_qubits - 1) + 3
 
 
+def _last_gates(circuit: Circuit) -> tuple[dict[int, int], dict[int, int]]:
+    """Per qubit, the index of the last gate that touches it and of the
+    last one-qubit gate on it, from one pass over the circuit; a qubit
+    that has none is absent."""
+    touching, one_qubit = {}, {}
+    for i, g in enumerate(circuit.gates):
+        for q in g.qubits:
+            touching[q] = i
+        if g.kind.n_qubits == 1:
+            one_qubit[g.qubits[0]] = i
+    return touching, one_qubit
+
+
 class CircuitEnv:
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
@@ -229,12 +242,6 @@ class CircuitEnv:
     def _budget_left(self, circuit: Circuit) -> int:
         return self.cfg.max_gates - len(circuit)
 
-    def _last_touching(self, circuit: Circuit, qubit: int) -> int | None:
-        for i in range(len(circuit.gates) - 1, -1, -1):
-            if qubit in circuit.gates[i].qubits:
-                return i
-        return None
-
     def _below_threshold_bonds(self) -> list[int]:
         bonds = metrics.bell_unit_entropies(self._record.bond_entropies)
         return [k for k, s in enumerate(bonds, start=1) if s < self.threshold]
@@ -245,26 +252,21 @@ class CircuitEnv:
         left = bond - 1
         return circuit.h(left).cx(left, bond)
 
-    def _last_1q(self, circuit: Circuit, qubit: int) -> int | None:
-        for i in range(len(circuit.gates) - 1, -1, -1):
-            g = circuit.gates[i]
-            if g.kind.n_qubits == 1 and g.qubits[0] == qubit:
-                return i
-        return None
-
-    def _is_valid(self, circuit: Circuit, action: Action) -> bool:
+    def _is_valid(self, circuit: Circuit, action: Action, last) -> bool:
         """Whether `action` can edit `circuit` now; the one statement of the
-        rules, so the mask needs no edited circuit."""
+        rules, so the mask needs no edited circuit. `last` is the circuit's
+        `_last_gates`."""
+        touching, one_qubit = last
         if action.name.startswith("add_"):
             return self._budget_left(circuit) >= 1
         if action.name == "remove_last":
-            return self._last_touching(circuit, action.qubit) is not None
+            return action.qubit in touching
         if action.name == "swap_last_pair":
-            i = self._last_touching(circuit, action.qubit)
+            i = touching.get(action.qubit)
             return (i is not None and i > 0
                     and not circuit.gates[i].support & circuit.gates[i - 1].support)
         if action.name == "replace_last":
-            i = self._last_1q(circuit, action.qubit)
+            i = one_qubit.get(action.qubit)
             return i is not None and circuit.gates[i].kind is not GateKind.H
         if action.name == "cancel_pass":
             return True
@@ -277,18 +279,19 @@ class CircuitEnv:
 
     def apply_action(self, circuit: Circuit, action: Action) -> Circuit | None:
         """The edit an action denotes, or None when it is invalid now."""
-        if not self._is_valid(circuit, action):
+        touching, one_qubit = last = _last_gates(circuit)
+        if not self._is_valid(circuit, action, last):
             return None
         if action.name.startswith("add_"):
             kind = GateKind[action.name[4:].upper()]
             qubits = action.pair if action.pair is not None else (action.qubit,)
             return circuit.append(Gate(kind, tuple(qubits), action.angle))
         if action.name == "remove_last":
-            return remove_gate(circuit, self._last_touching(circuit, action.qubit))
+            return remove_gate(circuit, touching[action.qubit])
         if action.name == "swap_last_pair":
-            return swap_adjacent(circuit, self._last_touching(circuit, action.qubit) - 1)
+            return swap_adjacent(circuit, touching[action.qubit] - 1)
         if action.name == "replace_last":
-            return replace_gate(circuit, self._last_1q(circuit, action.qubit),
+            return replace_gate(circuit, one_qubit[action.qubit],
                                 Gate(GateKind.H, (action.qubit,)))
         if action.name == "cancel_pass":
             return cancel_pairs(circuit)
@@ -300,8 +303,12 @@ class CircuitEnv:
         return out
 
     def valid_mask(self) -> np.ndarray:
+        """Which catalog actions are valid now, from one pass over the
+        circuit (`_last_gates`)."""
         self._require_reset()
-        return np.array([self._is_valid(self._circuit, a) for a in self.catalog], dtype=bool)
+        last = _last_gates(self._circuit)
+        return np.array([self._is_valid(self._circuit, a, last) for a in self.catalog],
+                        dtype=bool)
 
     def step(self, action_id: int):
         self._require_reset()

@@ -22,7 +22,8 @@ the shots of all its rows. Under noise the rows are (circuit, shot),
 draws its events from its own spawned child generator, as a per-circuit
 `sample_counts` would.
 The statistic is computed on (2R, outcomes) arrays: exact probabilities
-over all 2^n outcomes, or frequencies over the sampled ones.
+over all 2^n outcomes, or frequencies over the sampled ones, found by one
+sort of their packed integer keys (`statevector.distinct_outcomes`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .backend import BackendSpec, require_real
 from .circuit import Circuit, Gate, depth, gate_count, replace_gate
 from .noise import NoiseParams, sample_bits, whole_runs
 from .noise import sample_counts  # noqa: F401  (bench/tracing.py wraps it by this name)
-from .statevector import bit_keys
+from .statevector import distinct_outcomes
 
 QFI_MAX = 8.0
 SHIFT = math.pi / 2.0
@@ -204,9 +205,9 @@ def _frequencies(circuit: Circuit, positions: list[int], shots: int,
             return state.probabilities()
         u = np.stack([np.random.default_rng(child).random(shots) for child in children])
         bits = state.measure_at(u).reshape(-1, circuit.n_qubits)
-    keys, outcome = np.unique(bit_keys(bits), return_inverse=True)
-    cell = np.repeat(np.arange(pairs), shots) * len(keys) + outcome
-    return np.bincount(cell, minlength=pairs * len(keys)).reshape(pairs, -1) / shots
+    rows, outcome = distinct_outcomes(bits)
+    cell = np.repeat(np.arange(pairs), shots) * len(rows) + outcome
+    return np.bincount(cell, minlength=pairs * len(rows)).reshape(pairs, -1) / shots
 
 
 def qfi(circuit: Circuit, shots: int, spec: BackendSpec,

@@ -30,7 +30,11 @@ that drew no reset too; they keep their state up to rounding.
 
 Readout (`measure_at`, under `QubitState.sample`) walks the chain once for
 all rows and shots, each bit drawn from its conditional probability
-(Ferris & Vidal, PRB 85, 165146, 2012) with one uniform per shot.
+(Ferris & Vidal, PRB 85, 165146, 2012) with one uniform per shot. The walk
+keeps one node per distinct (row, bit prefix): shots that share a prefix
+share its left vector, so the complex work per site follows the number of
+distinct prefixes, and only the comparison and rescaling of the uniforms
+run per shot.
 """
 
 from __future__ import annotations
@@ -245,8 +249,17 @@ class MpsState(QubitState):
         0 most significant) contains u, found site by site from the
         conditional bit probabilities, with u rescaled into the chosen
         bit's interval. A single state takes any number of uniforms, a
-        batch a leading row axis: (rows,) or (rows, shots). All rows and
-        shots walk the chain once. Returns bits of shape u.shape + (n,)."""
+        batch a leading row axis: (rows,) or (rows, shots). Returns bits of
+        shape u.shape + (n,).
+
+        The walk keeps one node per distinct (row, bit prefix), not one per
+        shot. Each row's shots are sorted by u once; the rescaling keeps
+        them sorted, so a node's shots stay contiguous and its next bit
+        splits them at one point, zeros first. Per site, each node's
+        conditional probabilities come from its left vector and the site
+        tensor in one batched product over all nodes; only the comparison
+        and the rescaling of u run per shot. So the complex work follows
+        the number of distinct prefixes."""
         self.move_center(0)
         u = np.array(u, dtype=float)
         shape = u.shape
@@ -254,23 +267,54 @@ class MpsState(QubitState):
         if self.batch is not None and shape[:1] != (rows,):
             raise ValueError(f"a batch of {rows} rows takes uniforms of shape ({rows}, ...)")
         u = u.reshape(rows, -1)
-        vec = np.ones(u.shape + (1,), dtype=complex)
-        bits = np.empty(u.shape + (self.n_qubits,), dtype=np.uint8)
+        shots = u.shape[1]
+        # the shots by row, then by u (equal uniforms draw equal bits, so
+        # ties may fall in any order)
+        order = (np.argsort(u, axis=1) + shots * np.arange(rows)[:, None]).ravel()
+        u = u.ravel()[order]
+        bits = np.empty((u.size, self.n_qubits), dtype=np.uint8)
+        # candidate nodes: first one per row, then after each site the two
+        # children of every node, (node, 0) before (node, 1), with their
+        # shot counts, rows, and left vectors m of squared norm p
+        sizes = np.full(rows, shots)
+        parent_row = np.arange(rows)
+        m = np.ones((rows, 1), dtype=complex)
+        p = np.ones(rows)
         for site in range(self.n_qubits):
+            kept = np.flatnonzero(sizes)  # the nodes: candidates that some shot reached
+            size = np.take(sizes, kept)
+            node_row = np.take(parent_row, kept)
+            vec = np.take(m, kept, axis=0) / np.sqrt(np.take(p, kept))[:, None]
+            # node i is cell flat[i] of a (rows, width) grid, in row
+            # node_row[i]; pos names the node of every cell (node 0 where a
+            # row has fewer), so one batched product per site serves all nodes
+            counts = np.bincount(node_row, minlength=rows)
+            width = counts.max()
+            index = np.arange(len(kept))
+            flat = index + np.take(width * np.arange(rows) - (counts.cumsum() - counts), node_row)
+            pos = np.zeros(rows * width, dtype=np.intp)
+            pos[flat] = index
             a = self.tensors[site]
-            m0 = vec @ a[:, :, 0, :]
-            m1 = vec @ a[:, :, 1, :]
-            p0 = np.sum(np.abs(m0) ** 2, axis=-1)
-            p1 = np.sum(np.abs(m1) ** 2, axis=-1)
-            pr0 = p0 / (p0 + p1)
-            one = u >= pr0
-            bits[..., site] = one
+            _, l, _, r = a.shape
+            grid = np.take(vec, pos, axis=0).reshape(rows, width, l) @ a.reshape(rows, l, 2 * r)
+            m = np.take(grid.reshape(-1, 2 * r), flat, axis=0).reshape(-1, r)
+            x = m.view(float)
+            p = (x * x) @ np.ones(2 * r)  # |m|^2 of every (node, bit)
+            pr0 = p[0::2] / (p[0::2] + p[1::2])
+            at = pr0.repeat(size)
+            one = u >= at
+            bits[:, site] = one
             # the chosen bit has positive probability: u < pr0 needs pr0 > 0,
             # u >= pr0 needs pr0 < 1
-            u = (u - np.where(one, pr0, 0.0)) / np.where(one, 1.0 - pr0, pr0)
+            u = (u - np.where(one, at, 0.0)) / np.where(one, 1.0 - at, at)
             u = np.minimum(u, _BELOW_ONE)
-            vec = np.where(one[..., None], m1, m0) / np.sqrt(np.where(one, p1, p0))[..., None]
-        return bits.reshape(shape + (self.n_qubits,))
+            sizes = np.empty((len(size), 2), dtype=np.intp)
+            sizes[:, 1] = np.add.reduceat(one, size.cumsum() - size, dtype=np.intp)
+            sizes[:, 0] = size - sizes[:, 1]
+            parent_row = node_row.repeat(2)
+        out = np.empty_like(bits)
+        out[order] = bits
+        return out.reshape(shape + (self.n_qubits,))
 
     def to_dense(self) -> np.ndarray:
         """Contract to the full 2^n amplitude vector (small n only), one

@@ -25,7 +25,8 @@ of the dense amplitudes, or the MPS site tensor.
 `QubitState` holds what the dense and MPS backends share: gate dispatch,
 entropies from per-bond Schmidt values, and one readout path. Every
 Z-basis outcome comes from a backend's `measure_at(u)`, which maps
-uniforms to basis states, and `bit_counts` turns bit rows into counts.
+uniforms to basis states, and `bit_counts` turns bit rows into counts,
+sorting them by `bit_keys`, the bits packed into 64-bit integers.
 """
 
 from __future__ import annotations
@@ -46,18 +47,41 @@ class CapacityError(Exception):
 
 
 def bit_keys(bits) -> np.ndarray:
-    """The rows of a (shots, n) array of 0/1 bits as n-byte ASCII strings,
-    qubit 0 first: they sort like the bitstrings, at any n."""
+    """The rows of a (shots, n) array of 0/1 bits as (shots, ceil(n/64))
+    uint64 words, the bits packed big-endian: qubit 0 is the most
+    significant bit of the first word, and the last word is padded with
+    zeros. Compared word by word, the keys order like the bitstrings."""
     bits = np.asarray(bits, dtype=np.uint8)
-    return np.ascontiguousarray(bits + ord("0")).view(f"S{bits.shape[-1]}")[..., 0]
+    shots, n = bits.shape
+    words = -(-n // 64)
+    padded = np.zeros((shots, 64 * words), dtype=np.uint8)
+    padded[:, :n] = bits
+    return np.packbits(padded).view(">u8").astype(np.uint64).reshape(shots, words)
+
+
+def distinct_outcomes(bits) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (shots, n) array of 0/1 bits, in increasing
+    bitstring order (qubit 0 first): the index of one row of each, and the
+    rank of every row among them. One sort of the rows' `bit_keys`."""
+    keys = bit_keys(bits)
+    order = np.lexsort(keys.T[::-1])  # lexsort's last key is its primary one
+    ranked = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    return order[first], rank
 
 
 def bit_counts(bits) -> dict[str, int]:
     """Counts of the rows of a (shots, n) array of 0/1 bits, keyed by
     bitstring (qubit 0 first) in increasing order; only the distinct
     outcomes are decoded."""
-    keys, counts = np.unique(bit_keys(bits), return_counts=True)
-    return {k.decode(): c for k, c in zip(keys.tolist(), counts.tolist())}
+    bits = np.asarray(bits, dtype=np.uint8)
+    rows, rank = distinct_outcomes(bits)
+    counts = np.bincount(rank, minlength=len(rows))
+    labels = np.ascontiguousarray(bits[rows] + ord("0")).view(f"S{bits.shape[-1]}")[:, 0]
+    return {k.decode(): c for k, c in zip(labels.tolist(), counts.tolist())}
 
 
 class QubitState:

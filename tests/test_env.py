@@ -7,7 +7,7 @@ import pytest
 
 from qsopt import metrics
 from qsopt.backend import BackendSpec
-from qsopt.circuit import Circuit, GateKind, ghz
+from qsopt.circuit import Circuit, GateKind, ghz, random_circuit
 from qsopt.env import (
     CH_ANGLE,
     CH_CX_CTRL,
@@ -260,6 +260,56 @@ def test_valid_mask_agrees_with_apply_action():
     mask = env.valid_mask()
     for i, a in enumerate(env.catalog):
         assert mask[i] == (env.apply_action(env.circuit, a) is not None)
+
+
+
+def _reference_mask(env):
+    """Each action's rule, checked by a scan of the circuit for that action
+    alone."""
+    c = env.circuit
+    left = env.cfg.max_gates - len(c)
+
+    def last(qubit, one_qubit_only=False):
+        for i in range(len(c) - 1, -1, -1):
+            g = c.gates[i]
+            if qubit in g.qubits and (g.kind.n_qubits == 1 or not one_qubit_only):
+                return i
+        return None
+
+    bonds = metrics.bell_unit_entropies(env.record.bond_entropies)
+    weak = [s for s in bonds if s < env.threshold]
+    mask = []
+    for a in env.catalog:
+        if a.name.startswith("add_"):
+            ok = left >= 1
+        elif a.name == "remove_last":
+            ok = last(a.qubit) is not None
+        elif a.name == "swap_last_pair":
+            i = last(a.qubit)
+            ok = i is not None and i > 0 and not set(c.gates[i].qubits) & set(c.gates[i - 1].qubits)
+        elif a.name == "replace_last":
+            i = last(a.qubit, one_qubit_only=True)
+            ok = i is not None and c.gates[i].kind is not GateKind.H
+        elif a.name == "cancel_pass":
+            ok = True
+        elif a.name == "inject":
+            ok = left >= 2
+        else:  # boost
+            ok = bool(weak) and left >= len(weak)
+        mask.append(ok)
+    return np.array(mask)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_valid_mask_matches_a_per_action_scan(seed):
+    rng = np.random.default_rng(seed)
+    env = CircuitEnv(exact_cfg(max_gates=12))
+    for n_gates in (0, 1, 2, 7, 11, 12):  # the empty circuit through a full budget
+        env.reset(random_circuit(5, n_gates, rng), seed=seed)
+        mask = env.valid_mask()
+        assert np.array_equal(mask, _reference_mask(env)), n_gates
+        for i, a in enumerate(env.catalog):
+            assert mask[i] == (env.apply_action(env.circuit, a) is not None), a
 
 
 # --- step dynamics --------------------------------------------------------

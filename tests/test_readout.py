@@ -5,9 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qsopt import mps, statevector
-from qsopt.circuit import Circuit, ghz, random_circuit
+from qsopt import metrics, mps, statevector
+from qsopt.backend import BackendSpec
+from qsopt.circuit import Circuit, Gate, GateKind, ghz, random_circuit
 from qsopt.statevector import DenseState, bit_counts
 
 BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -37,6 +40,47 @@ def test_bit_counts_is_not_limited_to_64_qubits():
     bits = np.zeros((3, 80), dtype=np.uint8)
     bits[1, -1] = 1
     assert bit_counts(bits) == {"0" * 80: 2, "0" * 79 + "1": 1}
+
+
+def _string_keys(bits):
+    """The reference keys: each row as an n-byte ASCII string, qubit 0 first."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return np.ascontiguousarray(bits + ord("0")).view(f"S{bits.shape[-1]}")[:, 0]
+
+
+def _string_distinct(bits):
+    """`distinct_outcomes` by a sort of the string keys."""
+    _, first, rank = np.unique(_string_keys(bits), return_index=True, return_inverse=True)
+    return first, rank
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_bit_counts_match_string_keys(n):
+    rng = np.random.default_rng(n)
+    pool = (rng.random((12, n)) < 0.5).astype(np.uint8)
+    # rows that differ from row 0 only in the first qubit, the last one, and
+    # the last and first qubits of the first and second 64-bit words
+    for row, qubit in enumerate((0, n - 1, 63, 64), start=1):
+        pool[row] = pool[0]
+        pool[row, min(qubit, n - 1)] ^= 1
+    bits = pool[rng.integers(len(pool), size=500)]
+    values, counts = np.unique(_string_keys(bits), return_counts=True)
+    want = {k.decode(): c for k, c in zip(values.tolist(), counts.tolist())}
+    got = bit_counts(bits)
+    assert got == want
+    assert list(got) == list(want)
+
+
+def test_frequencies_match_string_keys_at_65_qubits(monkeypatch):
+    c = Circuit(65).h(30).h(64).rx(0, 0.7).rx(63, 1.1).rx(64, 2.0)
+    positions = metrics.rotation_positions(c)
+    spec = BackendSpec("mps", chi_max=2)
+    children = np.random.SeedSequence(5).spawn(2 * len(positions))
+    got = metrics._frequencies(c, positions, 64, spec, None, children)
+    monkeypatch.setattr(metrics, "distinct_outcomes", _string_distinct)
+    want = metrics._frequencies(c, positions, 64, spec, None, children)
+    assert 1 < got.shape[1] < 6 * 64  # outcomes repeat, and more than one occurs
+    assert np.array_equal(got, want)
 
 
 # --- edge uniforms --------------------------------------------------------
@@ -125,3 +169,94 @@ def test_dense_sample_memory_stays_small():
         tracemalloc.stop()
     # comparing every uniform with the whole CDF would hold 5000 x 2^14 booleans (82 MB)
     assert peak < 16 * 2 ** 20
+
+
+# --- the node-per-prefix walk against dense readout -----------------------
+
+# No H: with generic angles no bit has a conditional probability of
+# exactly 1/2, so an edge uniform never lands on a boundary that only
+# rounding decides.
+WALK_KINDS = (GateKind.RX, GateKind.RZ, GateKind.CX, GateKind.CZ, GateKind.SWAP)
+WALK_ANGLES = st.floats(0.1, 3.0)
+
+
+@st.composite
+def walk_stacks(draw):
+    """An MPS stack of 1-5 rows over a random circuit on 2-7 qubits, exact
+    (chi 2^(n//2), trunc_tol 0). The rows differ by one rotation: row r
+    applies it at its own angle."""
+    n = draw(st.integers(2, 7))
+    rows = draw(st.integers(1, 5))
+    gates = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(WALK_KINDS))
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 2))
+        qubits = (a,) if kind.n_qubits == 1 else (a, b + (b >= a))
+        gates.append(Gate(kind, qubits, draw(WALK_ANGLES) if kind.has_angle else None))
+    at = draw(st.integers(0, len(gates)))
+    kind = draw(st.sampled_from((GateKind.RX, GateKind.RZ)))
+    qubit = draw(st.integers(0, n - 1))
+    angles = draw(st.lists(WALK_ANGLES, min_size=rows, max_size=rows))
+    stack = mps.MpsState(n, chi_max=2 ** (n // 2), trunc_tol=0.0, batch=rows)
+    for i, g in enumerate(gates + [None]):
+        if i == at:
+            for r, angle in enumerate(angles):
+                stack.apply_gate(Gate(kind, (qubit,), angle), rows=slice(r, r + 1))
+        if g is not None:
+            stack.apply_gate(g)
+    return stack
+
+
+@st.composite
+def uniforms(draw, rows):
+    """(rows, shots) uniforms, 1-300 shots, with the edge values and
+    repeats of one uniform among them."""
+    shots = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.random((rows, shots))
+    picks = rng.random((rows, shots)) < draw(st.sampled_from((0.0, 0.1, 0.5)))
+    u[picks] = rng.choice(np.array(EDGE_U), size=picks.sum())
+    repeats = rng.random((rows, shots)) < draw(st.sampled_from((0.0, 0.3)))
+    u[repeats] = u[:, :1].repeat(shots, axis=1)[repeats]
+    return u
+
+
+def _dense_rows(stack):
+    """One dense state per row of an MPS stack, holding that row's amplitudes."""
+    out = []
+    for amps in stack.to_dense():
+        state = DenseState(stack.n_qubits)
+        state.amps[:] = amps
+        out.append(state)
+    return out
+
+
+@given(st.data())
+def test_walk_matches_dense_readout_per_row(data):
+    stack = data.draw(walk_stacks())
+    rows = len(stack.tensors[0])
+    u = data.draw(uniforms(rows))
+    bits = stack.measure_at(u)
+    assert bits.shape == u.shape + (stack.n_qubits,)
+    dense = _dense_rows(stack)
+    for r in range(rows):
+        assert np.array_equal(bits[r], dense[r].measure_at(u[r])), r
+    # a permutation of a row's shots permutes its bits, and nothing else
+    perm = np.random.default_rng(u.shape[1]).permuted(np.tile(np.arange(u.shape[1]), (rows, 1)),
+                                                      axis=1)
+    shuffled = stack.measure_at(np.take_along_axis(u, perm, axis=1))
+    assert np.array_equal(shuffled, np.take_along_axis(bits, perm[..., None], axis=1))
+
+
+@given(st.data())
+def test_walk_on_a_single_state_takes_any_shape(data):
+    stack = data.draw(walk_stacks())
+    single = mps.MpsState(stack.n_qubits, chi_max=stack.chi_max, trunc_tol=0.0)
+    single.tensors = [t[:1].copy() for t in stack.tensors]
+    single.center = stack.center
+    u = data.draw(uniforms(data.draw(st.integers(1, 4))))
+    dense = _dense_rows(stack)[0]
+    bits = single.measure_at(u)
+    assert bits.shape == u.shape + (stack.n_qubits,)
+    assert np.array_equal(bits, dense.measure_at(u))
