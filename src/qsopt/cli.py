@@ -157,6 +157,8 @@ def _summary_text(env_cfg, result) -> str:
         f"objective (weighted delta sum): {result.best_objective:.6f}",
         f"training steps: {result.train_steps}, target syncs: {result.syncs}",
         f"final entanglement threshold: {result.final_threshold:.4f}",
+        f"next states picked from the batch's own forward: "
+        f"{result.linked_next_rows} of {result.live_next_rows}",
     ]
     return "\n".join(lines) + "\n"
 

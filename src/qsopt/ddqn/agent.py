@@ -17,11 +17,21 @@ stored next state: a push prices its transition with one batch-1
 forward. A sync marks every stored row stale, and a sample reprices the
 stale rows it draws, in one batch forward that also takes other stale
 rows; so repricing never costs more than one target forward per train
-step, nor more than ceil(stored / batch) forwards per sync. A train step
-then runs two batch forwards (the online net on next and on current
-states) instead of three, once the rows are priced. A cached row equals
-a batch-size forward of the same net up to float32 rounding, since
+step, nor more than ceil(stored / batch) forwards per sync. A cached row
+equals a batch-size forward of the same net up to float32 rounding, since
 products of other batch sizes sum in a different order.
+
+Within an episode, the next observation of one transition is the
+observation of the next, so replay links each row to the slot of its
+successor when the two are equal, and a sampled batch maps each row to
+the batch row of its successor, if that was drawn too. A train step runs
+the online net once on the batch's observations, which gives both the Q
+values to fit and, for the linked rows, the online Q of the next state
+that picks the Double-DQN action; one more forward takes only the live
+next observations that no batch row holds. A forward computes each row
+on its own, so the picks equal those of one forward of all the next
+observations, except where the rounding of another batch size decides a
+near-tie.
 """
 
 from __future__ import annotations
@@ -128,7 +138,10 @@ class Transition:
 @dataclass(frozen=True)
 class Batch:
     """Replay rows, one array per field with the row on the first axis.
-    `next_q` is the target net's Q on each next observation."""
+    `next_q` is the target net's Q on each next observation, and `next_row`
+    the batch row of each row's linked successor, whose observation is that
+    next observation, or -1 where the row has no linked successor in the
+    batch."""
     grid: np.ndarray
     aux: np.ndarray
     action: np.ndarray
@@ -138,6 +151,7 @@ class Batch:
     next_aux: np.ndarray
     next_mask: np.ndarray
     next_q: np.ndarray
+    next_row: np.ndarray
 
     def __len__(self) -> int:
         return len(self.action)
@@ -153,6 +167,12 @@ class ReplayBuffer:
     `sample` reprices the flagged rows it draws before it returns them.
     Observations are stored in the net's dtype, which the net casts its
     inputs to anyway.
+
+    `linked[k]` marks that slot k+1 (mod capacity) holds the successor of
+    slot k: the transition pushed right after it, whose observation equals
+    slot k's next observation, slot k not being terminal. A push sets the
+    link into the slot it writes and clears the one out of it, since the
+    newest row has no successor yet; so a ring of capacity 1 never links.
     """
 
     def __init__(self, capacity: int, target: QNet):
@@ -172,6 +192,7 @@ class ReplayBuffer:
         self.next_mask = ring((target.n_actions,), bool)
         self.next_q = ring((target.n_actions,))
         self.stale = ring(dtype=bool)  # next_q priced by an earlier target
+        self.linked = ring(dtype=bool)
         self._pushes = 0
 
     def __len__(self) -> int:
@@ -188,6 +209,11 @@ class ReplayBuffer:
         self.next_q[k] = self.target.forward(self.next_grid[k:k + 1],
                                              self.next_aux[k:k + 1])[0]
         self.stale[k] = False
+        self.linked[k] = False
+        prev = (k - 1) % self.capacity
+        if self.capacity > 1 and self._pushes > 1 and not self.done[prev]:
+            self.linked[prev] = (np.array_equal(self.next_grid[prev], self.grid[k])
+                                 and np.array_equal(self.next_aux[prev], self.aux[k]))
 
     def mark_stale(self) -> None:
         """The target net has changed: every filled row needs repricing."""
@@ -215,9 +241,12 @@ class ReplayBuffer:
         idx = rng.choice(n, size=batch_size, replace=False, p=probs)
         if self.stale[idx].any():
             self._reprice(idx)
+        row_of = np.full(self.capacity, -1)
+        row_of[idx] = np.arange(batch_size)
+        next_row = np.where(self.linked[idx], row_of[(idx + 1) % self.capacity], -1)
         return Batch(self.grid[idx], self.aux[idx], self.action[idx], self.reward[idx],
                      self.done[idx], self.next_grid[idx], self.next_aux[idx],
-                     self.next_mask[idx], self.next_q[idx])
+                     self.next_mask[idx], self.next_q[idx], next_row)
 
 
 def select_action(net: QNet, obs: Observation, epsilon: float,
@@ -232,18 +261,27 @@ def select_action(net: QNet, obs: Observation, epsilon: float,
     return int(np.argmax(np.where(mask, q, -np.inf)))
 
 
-def td_targets(batch: Batch, main: QNet, gamma: float) -> np.ndarray:
-    """Double-DQN targets: the online net picks, the cached target Q prices."""
-    q_main = main.forward(batch.next_grid, batch.next_aux)
-    picked = np.argmax(np.where(batch.next_mask, q_main, -np.inf), axis=1)
+def td_targets(batch: Batch, q_next: np.ndarray, gamma: float) -> np.ndarray:
+    """Double-DQN targets: `q_next`, the online net's Q on each next
+    observation, picks, and the cached target Q prices. A terminal row's
+    target is its reward, whatever its `q_next` row holds."""
+    picked = np.argmax(np.where(batch.next_mask, q_next, -np.inf), axis=1)
     live = np.where(batch.done, 0.0, 1.0)
     return batch.reward + gamma * live * batch.next_q[np.arange(len(batch)), picked]
 
 
 def train_step(main: QNet, optimizer: Adam, batch: Batch, gamma: float,
                lr: float) -> float:
-    y = td_targets(batch, main, gamma)
+    # the live next observations that no batch row holds go first, so that
+    # the batch forward's cache lasts until the backward pass
+    apart = np.flatnonzero((batch.next_row < 0) & ~batch.done)
+    if apart.size:
+        q_apart = main.forward(batch.next_grid[apart], batch.next_aux[apart])
     q, cache = main.forward_cached(batch.grid, batch.aux)
+    q_next = q[batch.next_row]  # row -1 takes the last row: replaced or terminal
+    if apart.size:
+        q_next[apart] = q_apart
+    y = td_targets(batch, q_next, gamma)
     rows = np.arange(len(batch))
     err = q[rows, batch.action] - y
     loss = float(np.mean(err ** 2))
@@ -279,6 +317,10 @@ class TrainResult:
     final_threshold: float = 0.0
     train_steps: int = 0
     syncs: int = 0
+    # the train steps' live next-state rows, and those whose online Q came
+    # from the batch's own forward
+    live_next_rows: int = 0
+    linked_next_rows: int = 0
     interrupted: bool = False
 
 
@@ -332,6 +374,8 @@ def train(agent_cfg: AgentConfig, env_cfg: EnvConfig, initial_circuits: list[Cir
                                           agent_cfg.entangling_priority_weight)
                     losses.append(train_step(main, optimizer, batch, agent_cfg.gamma, lr))
                     result.train_steps += 1
+                    result.live_next_rows += int(np.count_nonzero(~batch.done))
+                    result.linked_next_rows += int(np.count_nonzero(batch.next_row >= 0))
                     if result.train_steps % agent_cfg.target_sync_every == 0:
                         sync_target(main, buffer)
                         result.syncs += 1

@@ -52,14 +52,16 @@ draw and the checkpoint layout); a pass reorders a small copy to the
 patch order, and the weight gradients are reordered back.
 
 Activations, patches, padded inputs and backward intermediates live in
-one workspace per (net shapes, batch size, dtype), shared by every QNet
-of those shapes (the online and the target net), so a warm pass
-allocates no large array: each is sized for the widest packing, and a
-pass uses the prefix of its L columns. Returned Q values and gradients
-are fresh arrays. The arrays of a `forward_cached` cache belong to the
+one workspace per net shapes (dtype included), shared by every QNet of
+those shapes (the online and the target net) and by every batch size, so
+a warm pass allocates no large array. The workspace is sized for the
+largest batch seen so far, and grows when a larger one comes: a pass of
+b rows takes the prefix of b rows of each per-sample array and of its L
+columns of each packed-grid array. Returned Q values and gradients are
+fresh arrays. The arrays of a `forward_cached` cache belong to the
 workspace: a cache is valid until the next forward of a QNet with the
-same shapes and batch size, and `backward` consumes it. Adam keeps one
-scratch array per parameter. Every operation runs in the same order and on the same
+same shapes, and `backward` consumes it. Adam keeps one scratch array
+per parameter. Every operation runs in the same order and on the same
 element layout as a plain allocating implementation of the packed grid
 on tap-major patches, so results are bitwise equal to it (a test keeps
 that implementation as a reference). A full-grid implementation on
@@ -70,7 +72,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -187,18 +188,19 @@ def _channel_major(g: np.ndarray, c: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Every large array of one forward and backward pass at one batch size.
+    """Every large array of one forward and backward pass of up to `b` rows.
 
     An array over the packed grid is a flat buffer long enough for the
-    widest packing, B*(W+1) columns; a pass takes the prefix of its L
-    columns. A padded input is (1, H+2, B*(W+1)+2, C), and a pass takes
-    its first L+2 columns.
+    widest packing, b*(W+1) columns; a pass takes the prefix of its L
+    columns. A padded input is (1, H+2, b*(W+1)+2, C), and a pass takes
+    its first L+2 columns. A per-sample array has b rows, and a pass of
+    fewer rows takes their prefix.
     """
 
     def __init__(self, grid_shape, aux_dim, n_actions, widths, dtype, b):
         h, w, c = grid_shape
         c1, c2, hidden = widths
-        self.h = h
+        self.h, self.b = h, b
         cells = h * b * (w + 1)
 
         def buf(*shape):
@@ -233,11 +235,22 @@ class _Workspace:
         return buffer[:math.prod(shape)].reshape(shape)
 
 
-# a training run uses two: batch 1 to act and the train batch
-@lru_cache(maxsize=4)
+# net shapes -> workspace, least recently used first; a training run uses one
+_WORKSPACES: dict = {}
+_MAX_WORKSPACES = 4
+
+
 def _workspace(shapes, batch: int) -> _Workspace:
-    """The one workspace of every QNet with these shapes at this batch size."""
-    return _Workspace(*shapes, batch)
+    """The one workspace of every QNet with these shapes, holding at least
+    `batch` rows."""
+    ws = _WORKSPACES.pop(shapes, None)
+    if ws is None or ws.b < batch:
+        del ws  # free the smaller workspace before building its successor
+        ws = _Workspace(*shapes, batch)
+    _WORKSPACES[shapes] = ws
+    if len(_WORKSPACES) > _MAX_WORKSPACES:
+        del _WORKSPACES[next(iter(_WORKSPACES))]
+    return ws
 
 
 class QNet:
@@ -281,7 +294,8 @@ class QNet:
         grid, aux = np.asarray(grid), np.asarray(aux)
         if aux.shape[0] != grid.shape[0]:
             raise ValueError(f"{grid.shape[0]} grids but {aux.shape[0]} aux rows")
-        ws = _workspace(self._shapes, grid.shape[0])
+        b = grid.shape[0]
+        ws = _workspace(self._shapes, b)
         (w, c), (c1, c2, _) = self.grid_shape[1:], self.widths
         lay = _layout(grid)
         n = len(lay.sample)
@@ -306,19 +320,19 @@ class QNet:
         # column counts once for every full-grid moment it stands for
         a2[:, :, lay.seps] = 0
         a2[:, :, lay.deep] *= lay.weight[:, None]
-        readout = ws.readout
+        readout = ws.readout[:b]
         np.add.reduceat(a2[0], lay.starts, axis=1, out=readout[:, :, 0].transpose(1, 0, 2))
         readout[:, :, 0] /= w
         rows = _readout_rows(grid, lay)
         np.take(a2.reshape(-1, c2), rows, axis=0, out=readout[:, :, 1])
-        flat = ws.flat
+        flat = ws.flat[:b]
         flat[:, flat.shape[1] - self.aux_dim:] = aux
-        z3 = np.matmul(flat, p["w3"], out=ws.z3)
+        z3 = np.matmul(flat, p["w3"], out=ws.z3[:b])
         z3 += p["b3"]
-        a3 = np.maximum(z3, 0.0, out=ws.a3)
-        adv = np.matmul(a3, p["wa"], out=ws.adv)
+        a3 = np.maximum(z3, 0.0, out=ws.a3[:b])
+        adv = np.matmul(a3, p["wa"], out=ws.adv[:b])
         adv += p["ba"]
-        val = np.matmul(a3, p["wv"], out=ws.val)
+        val = np.matmul(a3, p["wv"], out=ws.val[:b])
         val += p["bv"]
         q = val + adv
         q -= adv.mean(axis=1, keepdims=True)
@@ -332,7 +346,8 @@ class QNet:
         """
         p = self.params
         p1, z1, a1, p2, z2, lay, rows, flat, z3, a3 = cache
-        ws = _workspace(self._shapes, flat.shape[0])
+        b = flat.shape[0]
+        ws = _workspace(self._shapes, b)
         dq = np.asarray(dq, dtype=self.dtype)
         g = {}
         # dueling combination: dA = dQ - mean_a dQ, dV = sum_a dQ
@@ -342,21 +357,22 @@ class QNet:
         g["ba"] = dadv.sum(axis=0)
         g["wv"] = a3.T @ dval
         g["bv"] = dval.sum(axis=0)
-        da3 = np.matmul(dadv, p["wa"].T, out=ws.da3)
-        da3 += np.matmul(dval, p["wv"].T, out=ws.dz3)
-        dz3 = np.multiply(da3, ws.positive(z3), out=ws.dz3)
+        da3 = np.matmul(dadv, p["wa"].T, out=ws.da3[:b])
+        da3 += np.matmul(dval, p["wv"].T, out=ws.dz3[:b])
+        dz3 = np.multiply(da3, ws.positive(z3), out=ws.dz3[:b])
         g["w3"] = flat.T @ dz3
         g["b3"] = dz3.sum(axis=0)
-        np.matmul(dz3, p["w3"].T, out=ws.dflat)
+        np.matmul(dz3, p["w3"].T, out=ws.dflat[:b])
         # the mean spreads its gradient evenly over a crop's moments, the
         # deep column taking its weight's share, and the read moment adds
         # its own
         (w, c), (c1, c2, _) = self.grid_shape[1:], self.widths
         n = len(lay.sample)
-        dmean, dlast = ws.dreadout[:, :, 0], ws.dreadout[:, :, 1]
-        np.divide(dmean.transpose(1, 0, 2), w, out=ws.dmean[0])
+        dmean, dlast = ws.dreadout[:b, :, 0], ws.dreadout[:b, :, 1]
+        per_moment = ws.dmean[:, :, :b]
+        np.divide(dmean.transpose(1, 0, 2), w, out=per_moment[0])
         # mode="clip" lets take write straight into `out` (indices are in range)
-        da2 = np.take(ws.dmean, lay.sample, axis=2, out=ws.packed(ws.dz2, n, c2), mode="clip")
+        da2 = np.take(per_moment, lay.sample, axis=2, out=ws.packed(ws.dz2, n, c2), mode="clip")
         da2[:, :, lay.seps] = 0
         da2[:, :, lay.deep] *= lay.weight[:, None]
         da2_rows = da2.reshape(-1, c2)

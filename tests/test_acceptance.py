@@ -193,7 +193,8 @@ def test_07_learning_stack_numerics():
         replay = ReplayBuffer(1, _FixedNet([5.0, 20.0, 7.0]))  # the target net
         replay.push(Transition(obs, 0, 1.0, obs, False, False, np.ones(3, dtype=bool)))
         batch = replay.sample(1, np.random.default_rng(0), 2.0)
-        y = td_targets(batch, _FixedNet([0.1, 0.9, 0.3]), gamma=0.95)
+        q_next = np.array([[0.1, 0.9, 0.3]])  # the online net's Q on the next state
+        y = td_targets(batch, q_next, gamma=0.95)
         assert y[0] == pytest.approx(1.0 + 0.95 * 20.0, abs=1e-12)
         assert y[0] == pytest.approx(20.0, abs=1e-12)
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,11 @@ def test_train_with_wrapped_replay_and_syncs_is_byte_deterministic(tmp_path, cap
         assert len(list(csv.DictReader(fh))) == 20 > agent["memory_size"]
     summary = (run_a / "summary.txt").read_text()
     assert "training steps: 17, target syncs: 8" in summary
+    # the last line: of the train steps' live next states, how many took
+    # their online Q from the batch's own forward
+    linked = re.search(r"next states picked from the batch's own forward: (\d+) of (\d+)\n\Z",
+                       summary)
+    assert linked and 0 < int(linked[1]) <= int(linked[2]) <= 17 * agent["batch_size"]
 
 
 # --- simulate / compare ---------------------------------------------------

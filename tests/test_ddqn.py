@@ -11,6 +11,7 @@ from qsopt.ddqn import (
     QNet,
     ReplayBuffer,
     Transition,
+    agent,
     epsilon_at,
     lr_at,
     select_action,
@@ -20,7 +21,14 @@ from qsopt.ddqn import (
     train_step,
 )
 from qsopt.ddqn.nn import Adam, _col2im, _im2col, xavier_uniform
-from qsopt.env import CH_EMPTY, N_CHANNELS, EnvConfig, Observation, action_catalog, aux_size
+from qsopt.env import (CH_ANGLE, CH_EMPTY, N_CHANNELS, EnvConfig, Observation, action_catalog,
+                       aux_size)
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # a test extra: without it the property test is not collected
+    given = None
 
 
 def tiny_net(dtype=np.float64, seed=0):
@@ -434,6 +442,57 @@ def test_sync_reprices_every_drawn_row(pushes, batch):
     assert np.array_equal(buf.next_q[k], main.forward(t.next_obs.grid[None], t.next_obs.aux[None])[0])
 
 
+# observations of the StubNet shape, by (grid id, aux id): two may share a
+# grid and differ in aux
+def _pool_obs(key):
+    g, a = key
+    return Observation(np.full((2, 2, 9), float(g)), np.full(4, float(a)))
+
+
+if given is not None:
+    _keys = st.tuples(st.integers(0, 2), st.integers(0, 1))
+
+    @given(st.integers(1, 9),
+           st.lists(st.tuples(st.booleans(), _keys, _keys, st.booleans()), min_size=1,
+                    max_size=30),
+           st.integers(0, 2 ** 32 - 1))
+    def test_replay_links_each_row_to_its_successor(capacity, pushes, seed):
+        # each push either continues from the last push's next observation
+        # or starts from a drawn one; the action is the push's index
+        obs_keys, next_keys, dones = [], [], []
+        for j, (cont, key, next_key, done) in enumerate(pushes):
+            obs_keys.append(next_keys[-1] if cont and j else key)
+            next_keys.append(next_key)
+            dones.append(done)
+        buf = ReplayBuffer(capacity, StubNet(np.zeros(5)))
+        for j, (key, next_key, done) in enumerate(zip(obs_keys, next_keys, dones)):
+            buf.push(Transition(_pool_obs(key), j, 0.0, _pool_obs(next_key), done, False,
+                                np.ones(5, dtype=bool)))
+        n, pushed = len(buf), len(pushes)
+
+        def links(j):  # push j's successor is push j + 1, if one was pushed
+            return (capacity > 1 and j + 1 < pushed and not dones[j]
+                    and next_keys[j] == obs_keys[j + 1])
+
+        for j in range(pushed - n, pushed):
+            k = j % capacity
+            assert buf.action[k] == j
+            assert buf.linked[k] == links(j)  # not terminal, not newest, equal
+            if buf.linked[k]:
+                succ = (k + 1) % capacity
+                assert np.array_equal(buf.grid[succ], buf.next_grid[k])
+                assert np.array_equal(buf.aux[succ], buf.next_aux[k])
+        rng = np.random.default_rng(seed)
+        batch = buf.sample(int(rng.integers(1, n + 1)), rng, 1.0)
+        row_of = {int(a): i for i, a in enumerate(batch.action)}
+        for i, j in enumerate(batch.action):
+            want = row_of.get(int(j) + 1, -1) if links(int(j)) else -1
+            assert batch.next_row[i] == want
+            if want >= 0:
+                assert np.array_equal(batch.grid[want], batch.next_grid[i])
+                assert np.array_equal(batch.aux[want], batch.next_aux[i])
+
+
 def test_select_action_explores_only_valid():
     net = StubNet([0.0, 0.0, 0.0])
     obs = Observation(np.zeros((2, 2, 9)), np.zeros(4))
@@ -458,8 +517,8 @@ def test_td_targets_hand_example():
     obs = Observation(np.zeros((2, 2, 9)), np.zeros(4))
     batch = _replayed(StubNet([5.0, 20.0, 7.0]),
                       Transition(obs, 0, 1.0, obs, False, False, np.ones(3, dtype=bool)))
-    main = StubNet([0.1, 0.9, 0.3])
-    y = td_targets(batch, main, gamma=0.95)
+    q_next = np.array([[0.1, 0.9, 0.3]])  # the online net's Q on the next state
+    y = td_targets(batch, q_next, gamma=0.95)
     assert y[0] == pytest.approx(1.0 + 0.95 * 20.0)
     assert y[0] == pytest.approx(20.0)
 
@@ -468,13 +527,13 @@ def test_td_targets_terminal_and_masked():
     obs = Observation(np.zeros((2, 2, 9)), np.zeros(4))
     done = _replayed(StubNet([4, 5, 6]),
                      Transition(obs, 0, -0.5, obs, True, False, np.ones(3, dtype=bool)))
-    assert td_targets(done, StubNet([1, 2, 3]), 0.95)[0] == -0.5
+    assert td_targets(done, np.array([[1.0, 2.0, 3.0]]), 0.95)[0] == -0.5
     # invalid next actions are excluded from the online argmax
     mask = np.array([True, False, True])
     batch = _replayed(StubNet([10.0, 99.0, 30.0]),
                       Transition(obs, 0, 0.0, obs, False, False, mask))
-    main = StubNet([0.1, 9.0, 0.2])   # would pick 1 unmasked
-    assert td_targets(batch, main, 1.0)[0] == pytest.approx(30.0)
+    q_next = np.array([[0.1, 9.0, 0.2]])   # would pick 1 unmasked
+    assert td_targets(batch, q_next, 1.0)[0] == pytest.approx(30.0)
 
 
 def test_sync_target_copies_everything():
@@ -512,6 +571,91 @@ def test_train_step_raises_on_nonfinite():
                                        np.ones(5, dtype=bool)))
     with pytest.raises(RuntimeError):
         train_step(main, opt, bad, gamma=0.95, lr=1e-3)
+
+
+def _two_forward_train_step(main, optimizer, batch, gamma, lr):
+    """The train step that forwards every next observation apart: the online
+    net's argmax on a batch forward of all of them. Returns (y, loss)."""
+    q_main = main.forward(batch.next_grid, batch.next_aux)
+    picked = np.argmax(np.where(batch.next_mask, q_main, -np.inf), axis=1)
+    live = np.where(batch.done, 0.0, 1.0)
+    y = batch.reward + gamma * live * batch.next_q[np.arange(len(batch)), picked]
+    q, cache = main.forward_cached(batch.grid, batch.aux)
+    rows = np.arange(len(batch))
+    err = q[rows, batch.action] - y
+    loss = float(np.mean(err ** 2))
+    dq = np.zeros_like(q)
+    dq[rows, batch.action] = 2.0 * err / len(batch)
+    optimizer.step(main.params, main.backward(cache, dq), lr)
+    return y, loss
+
+
+def _episode_observations(rng, h, w, aux_dim, steps):
+    """Encoded-looking observations of one episode: each adds a gate to the
+    last one's grid, on a random qubit at the moment after its last gate."""
+    grid = np.zeros((h, w, N_CHANNELS))
+    grid[..., CH_EMPTY] = 1.0
+    depth = np.zeros(h, dtype=int)
+    out = []
+    for _ in range(steps):
+        q = int(rng.integers(h))
+        cell = grid[q, min(depth[q], w - 1)]
+        cell[:] = 0.0
+        cell[rng.integers(CH_EMPTY + 1, CH_ANGLE)] = 1.0
+        cell[CH_ANGLE] = rng.random()
+        depth[q] += 1
+        out.append(Observation(grid.copy(), rng.normal(size=aux_dim)))
+    return out
+
+
+def test_train_step_matches_the_two_forward_step(monkeypatch):
+    # the train-exact net; episodes of 9 steps, the last terminal, wrap a
+    # 96-slot ring, so rows are linked, unlinked because their successor
+    # was not drawn, terminal, and unlinked because the next push starts
+    # from another observation
+    shapes = dict(grid_shape=(5, 30, N_CHANNELS), aux_dim=7, n_actions=55)
+    rng = np.random.default_rng(21)
+    main = QNet(rng=np.random.default_rng(0), **shapes)
+    ref_main = main.clone()
+    opt, ref_opt = Adam(main.params), Adam(ref_main.params)
+    buf = ReplayBuffer(96, QNet(rng=np.random.default_rng(1), **shapes))
+    ref_buf = ReplayBuffer(96, buf.target.clone())
+    for episode in range(12):
+        obs = _episode_observations(rng, 5, 30, 7, 10)
+        for t in range(9):
+            # a third of the episodes store a next observation that the
+            # next push does not start from
+            nxt = obs[t + 1] if episode % 3 else _episode_observations(rng, 5, 30, 7, 1)[0]
+            tr = Transition(obs[t], int(rng.integers(55)), float(rng.normal()), nxt,
+                            t == 8, False, rng.random(55) < 0.8)
+            buf.push(tr)
+            ref_buf.push(tr)
+    targets = []
+
+    def recorded(*args):
+        targets.append(td_targets(*args))
+        return targets[-1]
+
+    monkeypatch.setattr(agent, "td_targets", recorded)
+    seen = {"linked": 0, "apart": 0, "done": 0}
+    draw, ref_draw = np.random.default_rng(3), np.random.default_rng(3)
+    for step in range(6):
+        if step in (2, 4):  # stale rows are repriced by the new target
+            sync_target(main, buf)
+            sync_target(ref_main, ref_buf)
+        batch = buf.sample(64, draw, 2.0)
+        ref_batch = ref_buf.sample(64, ref_draw, 2.0)
+        assert np.array_equal(batch.next_q, ref_batch.next_q)
+        seen["linked"] += int(np.count_nonzero(batch.next_row >= 0))
+        seen["apart"] += int(np.count_nonzero((batch.next_row < 0) & ~batch.done))
+        seen["done"] += int(np.count_nonzero(batch.done))
+        loss = train_step(main, opt, batch, gamma=0.95, lr=1e-3)
+        ref_y, ref_loss = _two_forward_train_step(ref_main, ref_opt, ref_batch, 0.95, 1e-3)
+        assert np.array_equal(targets[-1], ref_y)
+        assert loss == ref_loss
+        for k in main.params:
+            assert np.array_equal(main.params[k], ref_main.params[k])
+    assert min(seen.values()) > 0
 
 
 # --- training loop --------------------------------------------------------

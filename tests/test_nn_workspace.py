@@ -20,13 +20,14 @@ patches the net used before, kept below as `_im2col_channel_major` and
 """
 
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from qsopt.ddqn import QNet, ReplayBuffer, Transition, train_step
+from qsopt.ddqn import QNet, ReplayBuffer, Transition, nn, train_step
 from qsopt.ddqn.nn import Adam, _layout
 from qsopt.ddqn.nn import _Layout as Layout
 from qsopt.env import CH_ANGLE, CH_EMPTY, N_CHANNELS, Observation
@@ -352,6 +353,33 @@ def test_workspace_matches_allocating_reference_bitwise(kind, batch):
         _assert_same(q, kept_q)
         for k in grads:
             _assert_same(grads[k], kept_grads[k])
+
+
+def test_one_workspace_per_net_shapes_grows_to_the_largest_batch():
+    main = QNet(rng=np.random.default_rng(0), **NETS["exact-f32"])
+    target = QNet(rng=np.random.default_rng(1), **NETS["exact-f32"])
+    ref = _reference(main)
+    nn._WORKSPACES.pop(main._shapes, None)  # start from no workspace
+    rng = np.random.default_rng(4)
+    built, rows = [], []
+    for b in (1, 7, 31, 128, 1):
+        grid, aux = _inputs(rng, main, b)
+        target.forward(*_inputs(rng, main, b))  # the other net of these shapes
+        dq = rng.normal(size=(b, main.n_actions))
+        q, cache = main.forward_cached(grid, aux)
+        ref_q, ref_cache = packed_forward(ref, grid, aux, keep=True)
+        _assert_same(q, ref_q)
+        grads, ref_grads = main.backward(cache, dq), packed_backward(ref, ref_cache, dq)
+        for k in grads:
+            _assert_same(grads[k], ref_grads[k])
+        ws = nn._WORKSPACES[main._shapes]
+        rows.append(ws.b)
+        if not built or built[-1]() is not ws:
+            built.append(weakref.ref(ws))
+    # each larger batch replaced the workspace; the last batch 1 ran in a prefix
+    assert rows == [1, 7, 31, 128, 128]
+    del ws, cache
+    assert [r() is None for r in built] == [True, True, True, False]
 
 
 @pytest.mark.parametrize("batch", [1, 128])
