@@ -157,6 +157,8 @@ def _summary_text(env_cfg, result) -> str:
         f"objective (weighted delta sum): {result.best_objective:.6f}",
         f"training steps: {result.train_steps}, target syncs: {result.syncs}",
         f"final entanglement threshold: {result.final_threshold:.4f}",
+        f"circuit evaluations that extended the previous rows: "
+        f"{result.extended_evaluations} of {result.evaluations}",
         f"next states picked from the batch's own forward: "
         f"{result.linked_next_rows} of {result.live_next_rows}",
     ]

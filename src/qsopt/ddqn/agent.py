@@ -141,17 +141,20 @@ class Batch:
     `next_q` is the target net's Q on each next observation, and `next_row`
     the batch row of each row's linked successor, whose observation is that
     next observation, or -1 where the row has no linked successor in the
-    batch."""
+    batch. `apart` lists the live rows without one, whose next observations
+    a train step forwards on their own: `next_grid` and `next_aux` hold
+    those, one per entry of `apart`."""
     grid: np.ndarray
     aux: np.ndarray
     action: np.ndarray
     reward: np.ndarray
     done: np.ndarray
-    next_grid: np.ndarray
-    next_aux: np.ndarray
     next_mask: np.ndarray
     next_q: np.ndarray
     next_row: np.ndarray
+    apart: np.ndarray
+    next_grid: np.ndarray
+    next_aux: np.ndarray
 
     def __len__(self) -> int:
         return len(self.action)
@@ -244,9 +247,11 @@ class ReplayBuffer:
         row_of = np.full(self.capacity, -1)
         row_of[idx] = np.arange(batch_size)
         next_row = np.where(self.linked[idx], row_of[(idx + 1) % self.capacity], -1)
+        done = self.done[idx]
+        apart = np.flatnonzero((next_row < 0) & ~done)
         return Batch(self.grid[idx], self.aux[idx], self.action[idx], self.reward[idx],
-                     self.done[idx], self.next_grid[idx], self.next_aux[idx],
-                     self.next_mask[idx], self.next_q[idx], next_row)
+                     done, self.next_mask[idx], self.next_q[idx], next_row,
+                     apart, self.next_grid[idx[apart]], self.next_aux[idx[apart]])
 
 
 def select_action(net: QNet, obs: Observation, epsilon: float,
@@ -274,13 +279,12 @@ def train_step(main: QNet, optimizer: Adam, batch: Batch, gamma: float,
                lr: float) -> float:
     # the live next observations that no batch row holds go first, so that
     # the batch forward's cache lasts until the backward pass
-    apart = np.flatnonzero((batch.next_row < 0) & ~batch.done)
-    if apart.size:
-        q_apart = main.forward(batch.next_grid[apart], batch.next_aux[apart])
+    if batch.apart.size:
+        q_apart = main.forward(batch.next_grid, batch.next_aux)
     q, cache = main.forward_cached(batch.grid, batch.aux)
     q_next = q[batch.next_row]  # row -1 takes the last row: replaced or terminal
-    if apart.size:
-        q_next[apart] = q_apart
+    if batch.apart.size:
+        q_next[batch.apart] = q_apart
     y = td_targets(batch, q_next, gamma)
     rows = np.arange(len(batch))
     err = q[rows, batch.action] - y
@@ -321,6 +325,10 @@ class TrainResult:
     # from the batch's own forward
     live_next_rows: int = 0
     linked_next_rows: int = 0
+    # the env's circuit evaluations, and those that extended the rows of
+    # the previous circuit instead of building them
+    evaluations: int = 0
+    extended_evaluations: int = 0
     interrupted: bool = False
 
 
@@ -405,6 +413,8 @@ def train(agent_cfg: AgentConfig, env_cfg: EnvConfig, initial_circuits: list[Cir
             result.final_threshold = threshold
     except KeyboardInterrupt:
         result.interrupted = True
+    result.evaluations = environment.evaluations
+    result.extended_evaluations = environment.extended_evaluations
     return result
 
 

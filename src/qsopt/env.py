@@ -12,6 +12,15 @@ the circuit unchanged and cost a flat -0.1.
 Whenever an edit leaves the aggregate entropy below the adaptive
 threshold, an entanglement injection (H plus CX across the weakest bond)
 fires automatically before metrics are computed.
+
+The env keeps the rows of its current circuit's evaluation
+(`metrics.Rows`: the base row, plus the QFI's shifted rows when the QFI
+is noiseless) from one step to the next. An edit that only appends
+gates, as every `add_*`, `inject`, `boost` and injection does, and a
+`cancel_pass` that cancels nothing, extends the rows by its new gates;
+any other edit builds them anew, and so does a reset. The entropies that
+decide an injection are read from the same rows, so no step simulates
+the circuit on its own.
 """
 
 from __future__ import annotations
@@ -186,6 +195,11 @@ class CircuitEnv:
         self._steps = 0
         self._objective = 0.0
         self._episode_entropies: list[float] = []
+        self._rows: metrics.Rows | None = None
+        # evaluations (resets and kept edits), and those that only extended
+        # the previous rows
+        self.evaluations = 0
+        self.extended_evaluations = 0
 
     # --- lifecycle --------------------------------------------------------
 
@@ -198,6 +212,7 @@ class CircuitEnv:
                            f"budget is {self.cfg.max_gates}")
         self._seeds = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._circuit = initial
+        self._rows = self._build(initial)
         self._baseline = self._evaluate(initial)
         self._record = self._baseline
         self._steps = 0
@@ -231,11 +246,26 @@ class CircuitEnv:
         if self._circuit is None:
             raise EnvError("environment used before reset()")
 
-    def _evaluate(self, circuit: Circuit,
-                  base: metrics.MetricsRecord | None = None) -> metrics.MetricsRecord:
-        """The circuit's record, its QFI seeded by the next spawned child."""
+    def _build(self, circuit: Circuit) -> metrics.Rows:
+        return metrics.Rows(circuit, self.cfg.backend, shifted=self.cfg.qfi_noise is None)
+
+    def _carry(self, circuit: Circuit) -> bool:
+        """Bring the rows to `circuit`: extend them when it only appends
+        gates to theirs, else build them anew. Returns whether they were
+        extended."""
+        if self._rows.extends_to(circuit):
+            self._rows.extend(circuit)
+            return True
+        self._rows = self._build(circuit)
+        return False
+
+    def _evaluate(self, circuit: Circuit, extended: bool = False) -> metrics.MetricsRecord:
+        """The record of the rows' circuit, its QFI seeded by the next
+        spawned child."""
+        self.evaluations += 1
+        self.extended_evaluations += extended
         return metrics.evaluate(circuit, self.cfg.backend, self.cfg.shots,
-                                self.cfg.qfi_noise, self._seeds.spawn(1)[0], base)
+                                self.cfg.qfi_noise, self._seeds.spawn(1)[0], self._rows)
 
     # --- actions ----------------------------------------------------------
 
@@ -320,7 +350,8 @@ class CircuitEnv:
         if edited is None:
             reward = INVALID_PENALTY
         else:
-            base = metrics.base_record(edited, self.cfg.backend)
+            extended = self._carry(edited)
+            base = self._rows.record()
             if (base.entropy_norm < self.threshold
                     and self._budget_left(edited) >= 2):
                 # trigger targets the weakest bond of the just-edited circuit,
@@ -328,10 +359,9 @@ class CircuitEnv:
                 # every later evaluation draws the same seed either way
                 self._seeds.spawn(1)
                 edited = self._inject(edited, base)
-                record = self._evaluate(edited)
+                self._rows.extend(edited)
                 injected = True
-            else:
-                record = self._evaluate(edited, base)
+            record = self._evaluate(edited, extended)
             value = metrics.reward(record.deltas_vs(self._baseline), self.cfg.weights)
             reward = value - self._objective
             self._objective = value

@@ -10,20 +10,29 @@ and the per-parameter values are averaged and divided by the analytic
 maximum 8 (each term is bounded by 4(P+ + P-), which sums to 8), so the
 result always lands in [0, 1].
 
-One estimate is one run of a row layout on either backend. Its rows are
-ordered (rotation k, sign +-, shot), so each shifted circuit is a
-contiguous row group: every other gate is applied once to all rows, and
-rotation k as at most four row runs (its angle before the group, +pi/2
-and -pi/2 on the group's halves, its angle after). Without noise the
-layout is one state of 2R rows, a dense batch or an MPS stack whose
-tensors hold the rows over one chain, and one `measure_at` call reads
-the shots of all its rows. Under noise the rows are (circuit, shot),
-`noise.sample_bits` splits them into states, and each shifted circuit
-draws its events from its own spawned child generator, as a per-circuit
-`sample_counts` would.
-The statistic is computed on (2R, outcomes) arrays: exact probabilities
-over all 2^n outcomes, or frequencies over the sampled ones, found by one
-sort of their packed integer keys (`statevector.distinct_outcomes`).
+A circuit's evaluation is one state of rows (`Rows`). Row 0 is the
+circuit itself, the base row: its bond entropies, read from a one-row
+copy, give the record's entropy figures. Without noise the 2R shifted
+circuits follow, ordered (rotation k, sign +-): every gate but rotation
+k acts on their rows as on the base row, and rotation k is laid out as
+at most four row runs (its angle before the pair, +pi/2 and -pi/2 on the
+pair, its angle after). The rows are a dense batch or an MPS stack whose
+tensors hold them over one chain, and one `measure_at` call reads the
+shots of all the shifted rows; the base row is never sampled.
+
+A build lays out every row from |0..0> at once. The env keeps the rows
+of its current circuit between steps, and an edit that only appends
+gates extends them (`Rows.extend`): each new gate acts on every row, and
+a new rotation first appends two copies of the base row. Under noise the
+rows hold the base row only. The noisy QFI runs its own layout of
+(circuit, shot) rows, which `noise.sample_bits` splits into states, and
+each shifted circuit draws its events for the whole circuit from its own
+spawned child generator, as a per-circuit `sample_counts` would.
+
+The statistic sums in bitstring order over exact probabilities (all 2^n
+outcomes) or over sampled frequencies. Sampled outcomes are ranked by
+one sort of their packed integer keys (`statevector.distinct_outcomes`),
+and each pair's sum runs only over the outcomes its two rows saw.
 """
 
 from __future__ import annotations
@@ -160,65 +169,140 @@ def _shift_statistic(p_plus: np.ndarray, p_minus: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _row_runs(circuit: Circuit, positions: list[int], group: int) -> list[tuple]:
-    """Per gate, the runs (`QubitState.apply_runs`) of the 2R shifted
-    circuits laid over the rows of one batch, ordered (rotation k, sign,
-    row), `group` rows per shifted circuit. A gate that is not a rotation
-    is one run over every row. Rotation k keeps its angle on the rows of
-    the other rotations, before and after its group, and is shifted by
-    +pi/2 and -pi/2 on the two halves of its group."""
-    total = 2 * len(positions) * group
+def _rotation_runs(gate: Gate, plus: int, group: int, total: int) -> tuple:
+    """The runs of rotation `gate` over rows 0..total-1 when rows
+    plus..plus+group-1 shift it by +pi/2 and the next `group` rows by
+    -pi/2: every other row keeps its angle."""
+    minus, end = plus + group, plus + 2 * group
+    return tuple(run for run in (
+        (0, plus, gate),
+        (plus, minus, _shifted(gate, SHIFT)),
+        (minus, end, _shifted(gate, -SHIFT)),
+        (end, total, gate)) if run[0] < run[1])
+
+
+def _row_runs(circuit: Circuit, positions: list[int], group: int, first: int = 0) -> list[tuple]:
+    """Per gate, the runs (`QubitState.apply_runs`) of a batch whose `first`
+    rows run the circuit itself and whose other rows are the 2R shifted
+    circuits, ordered (rotation k, sign, row), `group` rows per shifted
+    circuit. A gate that is not a rotation is one run over every row.
+    Rotation k keeps its angle on every row but its group's, and is
+    shifted by +pi/2 and -pi/2 on the two halves of its group."""
+    total = first + 2 * len(positions) * group
     runs = whole_runs(circuit, total)
     for k, pos in enumerate(positions):
-        g = circuit.gates[pos]
-        plus, minus, end = 2 * k * group, (2 * k + 1) * group, (2 * k + 2) * group
-        runs[pos] = tuple(run for run in (
-            (0, plus, g),
-            (plus, minus, _shifted(g, SHIFT)),
-            (minus, end, _shifted(g, -SHIFT)),
-            (end, total, g)) if run[0] < run[1])
+        runs[pos] = _rotation_runs(circuit.gates[pos], first + 2 * k * group, group, total)
     return runs
 
 
-def _frequencies(circuit: Circuit, positions: list[int], shots: int,
-                 spec: BackendSpec, noise: NoiseParams | None, children) -> np.ndarray:
-    """The outcome distributions of the 2R shifted circuits as the rows of
-    one array, ordered (rotation, sign), from one run of their row layout.
-    shots = 0 gives the exact (2R, 2^n) probabilities, else frequencies
-    over the outcomes seen in any row, in bitstring order (an outcome a
-    pair never saw adds +0.0 to its statistic). Without noise the layout
-    is one state, each shifted circuit one row of it, read out at
-    default_rng(child).random(shots) as `sample_counts` draws it, all rows
-    in one `measure_at` call over a (2R, shots) array; with noise the rows
-    are (circuit, shot), and each circuit's events come from its own child
-    (`noise.sample_bits`).
-    """
-    pairs = 2 * len(positions)
+class Rows:
+    """The rows of one circuit's evaluation, as one state of `spec`'s
+    backend. Row 0 is the circuit itself, the base row, whose bond
+    entropies the record reads. With `shifted`, rows 1 + 2k and 2 + 2k
+    follow: the circuit with rotation k shifted by +pi/2 and -pi/2, whose
+    outcome distributions the QFI compares.
+
+    A build lays every row out from |0..0> at once (`_row_runs`). `extend`
+    brings the rows to a circuit that only appends gates to theirs: a
+    rotation first appends two copies of the base row, at +pi/2 and
+    -pi/2, and every other gate acts on every row."""
+
+    def __init__(self, circuit: Circuit, spec: BackendSpec, shifted: bool = True):
+        positions = rotation_positions(circuit) if shifted else []
+        total = 1 + 2 * len(positions)
+        self.circuit, self.spec, self.shifted = circuit, spec, shifted
+        self.rotations = len(positions)
+        self.state = spec.fresh(circuit.n_qubits, batch=total)
+        for gate_runs in _row_runs(circuit, positions, 1, first=1):
+            self.state.apply_runs(gate_runs, 0, total)
+        self._record = None
+
+    def extends_to(self, circuit: Circuit) -> bool:
+        """Whether `circuit` is the rows' circuit with gates appended (or none)."""
+        old = self.circuit.gates
+        return circuit.n_qubits == self.circuit.n_qubits and circuit.gates[:len(old)] == old
+
+    def extend(self, circuit: Circuit) -> None:
+        """Apply the gates that `circuit` appends to the rows' circuit."""
+        if not self.extends_to(circuit):
+            raise ValueError("the circuit does not extend the rows' circuit")
+        for gate in circuit.gates[len(self.circuit):]:
+            if self.shifted and gate.kind.has_angle:
+                plus = 1 + 2 * self.rotations
+                self.state.append_rows(0, 2)
+                self.rotations += 1
+                self.state.apply_runs(_rotation_runs(gate, plus, 1, plus + 2), 0, plus + 2)
+            else:
+                self.state.apply_gate(gate)
+        self.circuit = circuit
+        self._record = None
+
+    def record(self) -> MetricsRecord:
+        """Everything of the circuit's record but its QFI (qfi_norm 0); the
+        entropies are those of a one-row copy of the base row."""
+        if self._record is None:
+            c = self.circuit
+            entropies = tuple(self.state.row_copy(0).bond_entropies())
+            self._record = MetricsRecord(
+                qfi_norm=0.0,
+                entropy_norm=normalized_entropy(entropies, c.n_qubits, self.state.chi_max),
+                bond_entropies=entropies,
+                depth=depth(c),
+                gate_count=gate_count(c),
+                flags=() if c.n_qubits >= 2 else ("no_bonds",),
+            )
+        return self._record
+
+
+def _shifted_bits(circuit: Circuit, positions: list[int], shots: int, spec: BackendSpec,
+                  noise: NoiseParams | None, children, rows: Rows | None) -> np.ndarray:
+    """Sampled outcomes of the 2R shifted circuits as the bit rows of one
+    (2R * shots, n) array, ordered (rotation, sign, shot). Without noise
+    they are read out of the shifted rows of `rows` at
+    default_rng(child).random(shots), as `sample_counts` draws them, all
+    in one `measure_at` call over a (2R, shots) array; the base row is not
+    read. With noise the rows of one layout are (circuit, shot), and each
+    circuit's events come from its own child (`noise.sample_bits`)."""
     if noise is not None:
-        bits = sample_bits(circuit, spec, noise, shots, children,
+        return sample_bits(circuit, spec, noise, shots, children,
                            _row_runs(circuit, positions, shots))
-    else:
-        state = spec.fresh(circuit.n_qubits, batch=pairs)
-        for gate_runs in _row_runs(circuit, positions, 1):
-            state.apply_runs(gate_runs, 0, pairs)
-        if shots == 0:
-            return state.probabilities()
-        u = np.stack([np.random.default_rng(child).random(shots) for child in children])
-        bits = state.measure_at(u).reshape(-1, circuit.n_qubits)
-    rows, outcome = distinct_outcomes(bits)
-    cell = np.repeat(np.arange(pairs), shots) * len(rows) + outcome
-    return np.bincount(cell, minlength=pairs * len(rows)).reshape(pairs, -1) / shots
+    u = np.stack([np.random.default_rng(child).random(shots) for child in children])
+    return rows.state.measure_at(u, rows=slice(1, None)).reshape(-1, circuit.n_qubits)
+
+
+def _pair_frequencies(bits: np.ndarray, pairs: int, shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frequencies of the outcomes each pair of rows saw, the shots of
+    pair k being rows 2k (+) and 2k+1 (-) of `shots` bit rows each: two
+    (pairs / 2, width) arrays, row k holding pair k's outcomes in
+    bitstring order, then zeros. An outcome neither row of a pair saw
+    adds +0.0 to its statistic, so it is left out."""
+    _, outcome = distinct_outcomes(bits)
+    row = np.repeat(np.arange(pairs), shots)
+    span = int(outcome.max()) + 1
+    # one cell per (pair, outcome seen by either row), sorted by both
+    cells, cell = np.unique(row // 2 * span + outcome, return_inverse=True)
+    pair = cells // span
+    col = np.arange(len(cells)) - np.searchsorted(pair, pair)
+    minus_row = row % 2 == 1
+    out = []
+    for sign in (~minus_row, minus_row):
+        freq = np.zeros((pairs // 2, int(col.max()) + 1))
+        freq[pair, col] = np.bincount(cell[sign], minlength=len(cells)) / shots
+        out.append(freq)
+    return out[0], out[1]
 
 
 def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
-        noise: NoiseParams | None = None, seed=0) -> float:
+        noise: NoiseParams | None = None, seed=0, rows: Rows | None = None) -> float:
     """Normalized parameter-shift QFI in [0, 1].
 
     shots = 0 selects exact-distribution mode, which evaluates the dense
     reference backend, needs no RNG and cannot model noise; shots >= 1
     samples measurement outcomes (per-parameter child seeds keep results
-    independent of evaluation order). On both backends the 2R shifted
-    circuits run as the rows of one layout (`_frequencies`).
+    independent of evaluation order). Without noise the 2R shifted
+    circuits are the shifted rows of `rows`, the circuit's `Rows`, built
+    here when not given; under noise they run as the rows of one noisy
+    layout, and `rows` is not read.
     """
     positions = rotation_positions(circuit)
     if not positions:
@@ -230,46 +314,42 @@ def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
         raise ValueError("exact QFI mode (shots=0) requires the statevector backend")
     if shots == 0 and noisy:
         raise ValueError("exact QFI mode (shots=0) cannot model noise; use shots >= 1")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(2 * len(positions))
-    freqs = _frequencies(circuit, positions, shots, spec, noise if noisy else None, children)
-    stats = _shift_statistic(freqs[0::2], freqs[1::2])
+    if not noisy:
+        if rows is None:
+            rows = Rows(circuit, spec)
+        elif not (rows.shifted and rows.spec == spec and rows.circuit == circuit):
+            raise ValueError("rows of another circuit or without shifted rows")
+    pairs = 2 * len(positions)
+    if shots == 0:
+        probs = rows.state.probabilities()[1:]
+        plus, minus = probs[0::2], probs[1::2]
+    else:
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        bits = _shifted_bits(circuit, positions, shots, spec, noise if noisy else None,
+                             root.spawn(pairs), rows)
+        plus, minus = _pair_frequencies(bits, pairs, shots)
+    stats = _shift_statistic(plus, minus)
     return float(np.cumsum(stats)[-1] / len(positions) / QFI_MAX)
 
 
 # --- combined evaluation --------------------------------------------------
 
-def base_record(circuit: Circuit, spec: BackendSpec) -> MetricsRecord:
-    """Everything of a circuit's record but its QFI (qfi_norm 0), from one
-    base run for the entropies."""
-    if circuit.n_qubits < 2:
-        entropies, chi_max, flags = (), None, ("no_bonds",)
-    else:
-        state = spec.run(circuit)
-        entropies, chi_max, flags = tuple(state.bond_entropies()), state.chi_max, ()
-    return MetricsRecord(
-        qfi_norm=0.0,
-        entropy_norm=normalized_entropy(entropies, circuit.n_qubits, chi_max),
-        bond_entropies=entropies,
-        depth=depth(circuit),
-        gate_count=gate_count(circuit),
-        flags=flags,
-    )
-
-
 def evaluate(circuit: Circuit, spec: BackendSpec, shots: int,
              noise: NoiseParams | None = None, seed=0,
-             base: MetricsRecord | None = None) -> MetricsRecord:
-    """Simulate the circuit once for entropies, estimate QFI, and collect
-    depth and gate count into one record. `base`, the circuit's
-    `base_record` if the caller already has it, saves the base run.
-    Circuits without rotation gates get qfi_norm = 0 with an explanatory
-    flag instead of an error so that bare initial circuits can still be
-    scored."""
-    if base is None:
-        base = base_record(circuit, spec)
+             rows: Rows | None = None) -> MetricsRecord:
+    """The circuit's entropies (from its base row), QFI, depth and gate
+    count as one record. `rows`, the circuit's `Rows` if the caller
+    carries them, is built here when not given: with shifted rows unless
+    the QFI models noise. Circuits without rotation gates get qfi_norm = 0
+    with an explanatory flag instead of an error so that bare initial
+    circuits can still be scored."""
+    if rows is None:
+        rows = Rows(circuit, spec, shifted=noise is None or not noise.enabled)
+    elif rows.circuit != circuit:
+        raise ValueError("rows of another circuit")
+    base = rows.record()
     try:
-        q = qfi(circuit, shots, spec, noise, seed)
+        q = qfi(circuit, shots, spec, noise, seed, rows)
     except QfiUndefinedError:
         return replace(base, flags=base.flags + ("qfi_undefined",))
     return replace(base, qfi_norm=q)

@@ -24,6 +24,15 @@ a row of smaller rank keeps its dropped tail as exact zeros. Two-qubit
 gates on non-adjacent qubits are routed with temporary SWAP layers and
 the qubit order is restored afterwards.
 
+`append_rows` grows a stack by copies of one of its rows: that row of
+every site tensor, and its discarded weight. The copies share the
+stack's bonds and centre from then on. `row_copy` takes one row out as a
+single state, so that a sweep over it leaves the stack's gauge alone.
+
+Bond entropies come from one SVD sweep (`bond_entropies`): with the
+centre at site 0, an SVD of each centre tensor gives the Schmidt values
+of the bond to its right and also moves the centre one site on.
+
 Noise events are `QubitState`'s, applied to the site tensor of their
 qubit. A reset first moves the center to its qubit, so it QR-shifts rows
 that drew no reset too; they keep their state up to rounding.
@@ -133,6 +142,28 @@ class MpsState(QubitState):
         self._put(c - 1, (prev.reshape(rows, -1, l) @ lmat).reshape(*prev.shape[:3], k))
         self.center = c - 1
 
+    def append_rows(self, row: int, count: int) -> None:
+        """Append `count` copies of stack row `row`: that row of every site
+        tensor, and its discarded weight."""
+        if self.batch is None:
+            raise ValueError("rows are appended to a batch")
+        for site, t in enumerate(self.tensors):
+            self._put(site, np.concatenate((t, np.repeat(t[row:row + 1], count, axis=0))))
+        self._discarded = np.concatenate((self._discarded, np.repeat(self._discarded[row], count)))
+        self.batch += count
+        if self._size > self.peak_size:
+            self.peak_size = self._size
+
+    def row_copy(self, row: int) -> "MpsState":
+        """Stack row `row` as a single state of its own, at the same centre."""
+        out = MpsState(self.n_qubits, chi_max=self.chi_max, trunc_tol=self.trunc_tol)
+        for site, t in enumerate(self.tensors):
+            out._put(site, t[row:row + 1].copy())
+        out.center = self.center
+        out.max_bond_seen, out.peak_size = self.max_bond_seen, out._size
+        out._discarded = self._discarded[row:row + 1].copy()
+        return out
+
     def move_center(self, site: int) -> None:
         while self.center < site:
             self._shift_right()
@@ -226,6 +257,28 @@ class MpsState(QubitState):
             v = v @ self.tensors[site][:, :, int(ch), :]
         return self._per_row(v[:, 0, 0])
 
+    def bond_entropies(self) -> list[float]:
+        """The entropy of every bond, from one SVD sweep of a one-row state
+        from site 0: each centre tensor's SVD gives the Schmidt values of
+        the bond to its right, and the centre moves on to the next site as
+        U and S Vh."""
+        if len(self.tensors[0]) != 1:
+            raise ValueError("entropies are read from a one-row state")
+        self.move_center(0)
+        out = []
+        for site in range(self.n_qubits - 1):
+            a = self.tensors[site]
+            _, l, p, r = a.shape
+            u, s, vh = np.linalg.svd(a.reshape(1, l * p, r), full_matrices=False)
+            k = s.shape[-1]
+            self._put(site, u.reshape(1, l, p, k))
+            nxt = self.tensors[site + 1]
+            carried = (s[..., None] * vh) @ nxt.reshape(1, r, -1)
+            self._put(site + 1, carried.reshape(1, k, *nxt.shape[2:]))
+            self.center = site + 1
+            out.append(self.schmidt_entropy(s[0]))
+        return out
+
     def schmidt_values(self, bond: int) -> np.ndarray:
         """Singular values across the cut [0, bond) | [bond, n) of a
         one-row state."""
@@ -243,14 +296,14 @@ class MpsState(QubitState):
 
     # --- measurement ------------------------------------------------------
 
-    def measure_at(self, u) -> np.ndarray:
+    def measure_at(self, u, rows: slice = slice(None)) -> np.ndarray:
         """Z-basis outcomes fixed by uniforms in [0, 1): the basis state
         whose interval of the cumulative distribution (basis order, qubit
         0 most significant) contains u, found site by site from the
         conditional bit probabilities, with u rescaled into the chosen
         bit's interval. A single state takes any number of uniforms, a
-        batch a leading row axis: (rows,) or (rows, shots). Returns bits of
-        shape u.shape + (n,).
+        batch a leading row axis over its rows in the slice `rows`: (rows,)
+        or (rows, shots). Returns bits of shape u.shape + (n,).
 
         The walk keeps one node per distinct (row, bit prefix), not one per
         shot. Each row's shots are sorted by u once; the rescaling keeps
@@ -261,9 +314,10 @@ class MpsState(QubitState):
         and the rescaling of u run per shot. So the complex work follows
         the number of distinct prefixes."""
         self.move_center(0)
+        tensors = [t[rows] for t in self.tensors]
         u = np.array(u, dtype=float)
         shape = u.shape
-        rows = len(self.tensors[0])
+        rows = len(tensors[0])
         if self.batch is not None and shape[:1] != (rows,):
             raise ValueError(f"a batch of {rows} rows takes uniforms of shape ({rows}, ...)")
         u = u.reshape(rows, -1)
@@ -294,7 +348,7 @@ class MpsState(QubitState):
             flat = index + np.take(width * np.arange(rows) - (counts.cumsum() - counts), node_row)
             pos = np.zeros(rows * width, dtype=np.intp)
             pos[flat] = index
-            a = self.tensors[site]
+            a = tensors[site]
             _, l, _, r = a.shape
             grid = np.take(vec, pos, axis=0).reshape(rows, width, l) @ a.reshape(rows, l, 2 * r)
             m = np.take(grid.reshape(-1, 2 * r), flat, axis=0).reshape(-1, r)

@@ -15,6 +15,9 @@ rows only, in place; `apply_runs` uses it to give row groups different
 angles of one rotation. The noise model runs its trajectories this way,
 and the parameter-shift QFI its shifted circuits. Each state keeps one
 scratch buffer for the products, so a gate allocates no temporary.
+`append_rows` grows a batch by byte copies of one of its rows (the
+scratch buffer grows with it), and `row_copy` takes one row out as a
+single state; `measure_at` reads a row slice.
 
 Noise events act on the rows through `apply_paulis`, `reset_rows` and
 `flip_z`, which take one event array entry per row and apply each to all
@@ -90,8 +93,9 @@ class QubitState:
     backend provides only n_qubits, its gate kernels
     apply_unitary_1q/2q(matrix, *qubits, rows=slice(None)), which change
     only the rows of the slice `rows`, _qubit_view(qubit), its rows as a
-    (rows, a, 2, b) array whose axis 2 is the qubit, schmidt_values(bond)
-    and measure_at(u)."""
+    (rows, a, 2, b) array whose axis 2 is the qubit, schmidt_values(bond),
+    measure_at(u, rows=slice(None)), and the row copies append_rows(row,
+    count) and row_copy(row)."""
 
     n_qubits: int
     chi_max: int | None = None  # bond cap; None where nothing is truncated
@@ -117,7 +121,12 @@ class QubitState:
             raise ValueError(f"bond {bond} out of range [1, {self.n_qubits - 1}]")
 
     def bond_entropy(self, bond: int) -> float:
-        lam2 = self.schmidt_values(bond) ** 2
+        return self.schmidt_entropy(self.schmidt_values(bond))
+
+    @staticmethod
+    def schmidt_entropy(schmidt_values: np.ndarray) -> float:
+        """The entropy, in bits, of a cut with these Schmidt values."""
+        lam2 = schmidt_values ** 2
         lam2 = lam2[lam2 > ENTROPY_FLOOR]
         lam2 = lam2 / lam2.sum()  # renormalize so a pure spectrum gives exactly 0
         return float(-np.sum(lam2 * np.log2(lam2)) + 0.0)
@@ -235,6 +244,18 @@ class DenseState(QubitState):
 
     apply_unitary_1q = apply_unitary_2q = apply_unitary
 
+    def append_rows(self, row: int, count: int) -> None:
+        """Append `count` byte copies of batch row `row`, and grow the
+        scratch buffer to match."""
+        self.amps = np.concatenate((self.amps, np.repeat(self.amps[row:row + 1], count, axis=0)))
+        self._scratch = np.empty(2 * self.amps.size, dtype=complex)
+
+    def row_copy(self, row: int) -> "DenseState":
+        """Batch row `row` as a single state of its own."""
+        out = DenseState(self.n_qubits, max_qubits=self.n_qubits)
+        out.amps[...] = self.amps[row]
+        return out
+
     # --- readout ---------------------------------------------------------
 
     def norm(self) -> float:
@@ -254,12 +275,13 @@ class DenseState(QubitState):
         return {format(i, f"0{width}b"): float(p)
                 for i, p in enumerate(probs) if p > 0.0}
 
-    def measure_at(self, u) -> np.ndarray:
+    def measure_at(self, u, rows: slice = slice(None)) -> np.ndarray:
         """Z-basis outcomes fixed by uniforms in [0, 1), as `outcome_index`
         picks them from this state's probabilities. A single state takes
-        any number of uniforms, a batch a leading row axis: (rows,) or
-        (rows, shots). Returns bits of shape u.shape + (n,)."""
-        index = outcome_index(self.probabilities(), u)
+        any number of uniforms, a batch a leading row axis over its rows in
+        the slice `rows`: (rows,) or (rows, shots). Returns bits of shape
+        u.shape + (n,)."""
+        index = outcome_index(np.abs(self.amps[rows]) ** 2, u)
         shifts = np.arange(self.n_qubits - 1, -1, -1)
         return ((index[..., None] >> shifts) & 1).astype(np.uint8)
 

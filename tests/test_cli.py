@@ -157,6 +157,10 @@ def test_train_with_wrapped_replay_and_syncs_is_byte_deterministic(tmp_path, cap
     linked = re.search(r"next states picked from the batch's own forward: (\d+) of (\d+)\n\Z",
                        summary)
     assert linked and 0 < int(linked[1]) <= int(linked[2]) <= 17 * agent["batch_size"]
+    # one evaluation per reset and per kept edit; a reset always builds
+    extended = re.search(r"\ncircuit evaluations that extended the previous rows: (\d+) of (\d+)\n"
+                         r"next states picked", summary)
+    assert extended and 0 < int(extended[1]) <= int(extended[2]) - 4 <= 20
 
 
 # --- simulate / compare ---------------------------------------------------

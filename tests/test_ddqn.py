@@ -427,7 +427,8 @@ def test_sync_reprices_every_drawn_row(pushes, batch):
     while buf.stale.any():
         drawn = buf.sample(batch, rng, 1.0)
         samples += 1
-        assert within_rounding(drawn.next_q, drawn.next_grid, drawn.next_aux)
+        slots = drawn.action % 10  # push i, of action i, lands in slot i mod 10
+        assert within_rounding(drawn.next_q, buf.next_grid[slots], buf.next_aux[slots])
     # one forward of `batch` rows per sample at most, ceil(filled / batch) in all
     assert counted.sizes == [batch] * len(counted.sizes)
     assert len(counted.sizes) <= min(samples, -(-filled // batch))
@@ -489,8 +490,16 @@ if given is not None:
             want = row_of.get(int(j) + 1, -1) if links(int(j)) else -1
             assert batch.next_row[i] == want
             if want >= 0:
-                assert np.array_equal(batch.grid[want], batch.next_grid[i])
-                assert np.array_equal(batch.aux[want], batch.next_aux[i])
+                assert np.array_equal(batch.grid[want], buf.next_grid[int(j) % capacity])
+                assert np.array_equal(batch.aux[want], buf.next_aux[int(j) % capacity])
+        # only the live rows without a successor in the batch carry their
+        # next observations
+        apart = [i for i, j in enumerate(batch.action)
+                 if batch.next_row[i] < 0 and not dones[int(j)]]
+        assert batch.apart.tolist() == apart
+        slots = batch.action[apart] % capacity
+        assert np.array_equal(batch.next_grid, buf.next_grid[slots])
+        assert np.array_equal(batch.next_aux, buf.next_aux[slots])
 
 
 def test_select_action_explores_only_valid():
@@ -573,10 +582,12 @@ def test_train_step_raises_on_nonfinite():
         train_step(main, opt, bad, gamma=0.95, lr=1e-3)
 
 
-def _two_forward_train_step(main, optimizer, batch, gamma, lr):
+def _two_forward_train_step(main, optimizer, buf, batch, gamma, lr):
     """The train step that forwards every next observation apart: the online
-    net's argmax on a batch forward of all of them. Returns (y, loss)."""
-    q_main = main.forward(batch.next_grid, batch.next_aux)
+    net's argmax on a batch forward of all of them, gathered from the
+    buffer, whose pushes all have distinct rewards. Returns (y, loss)."""
+    slots = [int(np.flatnonzero(buf.reward == r)[0]) for r in batch.reward]
+    q_main = main.forward(buf.next_grid[slots], buf.next_aux[slots])
     picked = np.argmax(np.where(batch.next_mask, q_main, -np.inf), axis=1)
     live = np.where(batch.done, 0.0, 1.0)
     y = batch.reward + gamma * live * batch.next_q[np.arange(len(batch)), picked]
@@ -650,7 +661,8 @@ def test_train_step_matches_the_two_forward_step(monkeypatch):
         seen["apart"] += int(np.count_nonzero((batch.next_row < 0) & ~batch.done))
         seen["done"] += int(np.count_nonzero(batch.done))
         loss = train_step(main, opt, batch, gamma=0.95, lr=1e-3)
-        ref_y, ref_loss = _two_forward_train_step(ref_main, ref_opt, ref_batch, 0.95, 1e-3)
+        ref_y, ref_loss = _two_forward_train_step(ref_main, ref_opt, ref_buf, ref_batch,
+                                                   0.95, 1e-3)
         assert np.array_equal(targets[-1], ref_y)
         assert loss == ref_loss
         for k in main.params:

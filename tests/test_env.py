@@ -429,3 +429,29 @@ def test_rollout_is_deterministic_given_seed():
         return rewards
 
     assert rollout() == rollout()
+
+
+def test_appending_edits_extend_the_rows_and_other_edits_rebuild_them():
+    env = CircuitEnv(exact_cfg(entanglement_threshold=0.0))
+    env.reset(ghz(5).rx(0, 0.7), seed=1)
+    assert (env.extended_evaluations, env.evaluations) == (0, 1)  # a reset builds
+    steps = [("add_rx", dict(qubit=2, angle=math.pi / 4), True),
+             ("inject", {}, True),
+             ("cancel_pass", {}, True),  # cancels nothing
+             ("remove_last", dict(qubit=4), False),
+             ("add_cz", dict(pair=(3, 4)), True),
+             ("add_cz", dict(pair=(3, 4)), True),
+             ("cancel_pass", {}, False),  # cancels the cz pair
+             ("replace_last", dict(qubit=2), False)]
+    for name, fields, extends in steps:
+        rows = env._rows
+        _, _, _, info = env.step(_action_id(env.catalog, name, **fields))
+        assert not info["invalid"]
+        assert (env._rows is rows) == extends, name
+        assert env._rows.circuit == env.circuit
+    assert (env.extended_evaluations, env.evaluations) == (5, 1 + len(steps))
+    # an invalid action evaluates nothing
+    env.reset(Circuit(5), seed=1)
+    rows = env._rows
+    _, _, _, info = env.step(_action_id(env.catalog, "remove_last", qubit=0))
+    assert info["invalid"] and env._rows is rows and env.evaluations == 10

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qsopt import statevector
-from qsopt.circuit import Circuit, Gate, ghz, random_circuit
+from qsopt.circuit import Circuit, Gate, GateKind, ghz, random_circuit
 from qsopt.mps import COMPLEX_BYTES, MpsState, PeakStats, run
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -315,3 +315,63 @@ def test_row_slice_takes_no_two_qubit_gate():
     s = MpsState(3, batch=4)
     with pytest.raises(ValueError):
         s.apply_gate(Circuit(3).cx(0, 1).gates[0], rows=slice(1, 3))
+
+
+def test_appended_rows_copy_tensors_and_discarded_weight():
+    rng = np.random.default_rng(5)
+    c = random_circuit(5, 30, rng)
+    stack = MpsState(5, chi_max=2, trunc_tol=0.0, batch=2)
+    stack.apply_gate(Gate(GateKind.RX, (0,), 0.9), rows=slice(1, 2))  # the rows differ
+    stack.run(c)
+    before = [t.copy() for t in stack.tensors]
+    discarded = stack.total_discarded
+    assert (discarded > 0.0).all() and discarded[0] != discarded[1]
+    stack.append_rows(1, 2)
+    assert stack.batch == 4
+    for t, old in zip(stack.tensors, before):
+        assert np.array_equal(t[:2], old)
+        assert np.array_equal(t[2], old[1]) and np.array_equal(t[3], old[1])
+    assert stack.total_discarded.tolist() == discarded.tolist() + [discarded[1]] * 2
+    # a 1q gate on the copies and a 2q gate on every row equal one-row runs
+    tail = Circuit(5).rx(2, 0.3).cx(1, 2)
+    stack.apply_gate(tail.gates[0], rows=slice(2, 4))
+    stack.apply_gate(tail.gates[1])
+    single = MpsState(5, chi_max=2, trunc_tol=0.0)
+    single.apply_gate(Gate(GateKind.RX, (0,), 0.9))
+    single.run(c).run(tail)
+    dense = stack.to_dense()
+    for r in (2, 3):
+        assert np.array_equal(dense[r], single.to_dense()), r
+        assert stack.total_discarded[r] == single.total_discarded
+    with pytest.raises(ValueError):
+        single.append_rows(0, 1)  # a single state is not a batch
+
+
+def test_row_copy_leaves_the_stack_alone():
+    stack = MpsState(4, batch=3).run(ghz(4))
+    stack.apply_gate(Gate(GateKind.RX, (3,), 0.4), rows=slice(2, 3))
+    before = [t.copy() for t in stack.tensors]
+    one = stack.row_copy(2)
+    assert one.batch is None and type(one.total_discarded) is float
+    want = stack.to_dense()[2]
+    assert np.array_equal(one.to_dense(), want)
+    one.bond_entropies()  # sweeps and re-gauges the copy only
+    assert all(np.array_equal(t, old) for t, old in zip(stack.tensors, before))
+    assert np.max(np.abs(one.to_dense() - want)) < 1e-12
+
+
+def test_entropy_sweep_equals_per_bond_schmidt_values():
+    rng = np.random.default_rng(8)
+    for n, chi in ((6, 8), (7, 2)):
+        c = random_circuit(n, 40, rng)
+        swept = run(c, chi_max=chi)
+        per_bond = run(c, chi_max=chi)
+        got = swept.bond_entropies()
+        assert got == pytest.approx([per_bond.bond_entropy(b) for b in range(1, n)],
+                                    rel=1e-12, abs=1e-12)
+        assert swept.center == n - 1
+        if chi == 8:  # not truncating: the dense entropies
+            dense = statevector.run(c)
+            assert got == pytest.approx(dense.bond_entropies(), rel=1e-10, abs=1e-10)
+    with pytest.raises(ValueError):
+        MpsState(3, batch=2).bond_entropies()

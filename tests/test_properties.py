@@ -13,6 +13,7 @@ from qsopt import metrics, mps, statevector
 from qsopt.backend import BackendSpec
 from qsopt.circuit import Circuit, Gate, GateKind, cancel_pairs, emit, ghz, parse
 from qsopt.env import INVALID_PENALTY, CircuitEnv, EnvConfig
+from qsopt.noise import NoiseParams
 
 # angles that make merges, full turns and cancellations likely
 NICE_ANGLES = st.sampled_from([math.pi / 4, math.pi / 2, -math.pi / 2, math.pi,
@@ -125,3 +126,47 @@ def test_valid_mask_matches_the_edits_it_allows(c, actions, threshold):
     env.threshold = threshold
     built = [env.apply_action(env.circuit, a) is not None for a in env.catalog]
     assert env.valid_mask().tolist() == built
+
+
+# the env's carried rows against a fresh evaluation of its circuit: exact
+# and sampled QFI, dense and MPS, and a noisy QFI (which carries only the
+# base row); 3 qubits and a budget of 12 leave room for injections
+ROW_ENVS = {
+    "statevector-exact": EnvConfig(n_qubits=3, max_gates=12, shots=0,
+                                   backend=BackendSpec(kind="statevector")),
+    "statevector-sampled": EnvConfig(n_qubits=3, max_gates=12, shots=16,
+                                     backend=BackendSpec(kind="statevector")),
+    "mps-sampled": EnvConfig(n_qubits=3, max_gates=12, shots=16,
+                             backend=BackendSpec(kind="mps", chi_max=2)),
+    "statevector-noisy": EnvConfig(n_qubits=3, max_gates=12, shots=4,
+                                   backend=BackendSpec(kind="statevector"),
+                                   noise=NoiseParams()),
+}
+
+
+@pytest.mark.parametrize("name", ROW_ENVS)
+@given(circuits(min_qubits=3, max_qubits=3, max_gates=6, angles=NICE_ANGLES),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8),
+       st.floats(0.0, 1.0))
+def test_carried_rows_give_the_record_of_a_fresh_evaluation(name, c, picks, threshold):
+    cfg = ROW_ENVS[name]
+    env = CircuitEnv(cfg)
+    env.reset(c, seed=7)
+    env.threshold = threshold  # high thresholds make edits inject
+    spawned = 1  # reset's child
+    for pick in picks:
+        valid = np.flatnonzero(env.valid_mask())
+        _, _, _, info = env.step(int(valid[int(pick * len(valid))]))
+        spawned += 1 + info["injected"]  # an injection skips its edit's child
+        seed = np.random.SeedSequence(7).spawn(spawned)[-1]
+        want = metrics.evaluate(env.circuit, cfg.backend, cfg.shots, cfg.qfi_noise, seed)
+        got = info["record"]
+        if cfg.backend.kind == "statevector":
+            assert repr(got) == repr(want)
+        else:
+            assert (got.depth, got.gate_count, got.flags) == (want.depth, want.gate_count,
+                                                              want.flags)
+            assert got.qfi_norm == pytest.approx(want.qfi_norm, rel=1e-12, abs=1e-12)
+            assert got.bond_entropies == pytest.approx(want.bond_entropies, rel=1e-12,
+                                                       abs=1e-12)
+            assert got.entropy_norm == pytest.approx(want.entropy_norm, rel=1e-12, abs=1e-12)

@@ -157,6 +157,37 @@ def test_batched_qfi_equals_per_circuit_qfi(n, mode):
                                                                               spec.kind)
 
 
+@pytest.mark.parametrize("mode", ["exact", "shots"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_extended_rows_give_the_per_circuit_qfi(n, mode):
+    # rows built for a prefix of the circuit, then extended gate run by gate
+    # run to all of it, give the per-circuit QFI: the appended rotations'
+    # rows are copies of the base row, and only the shifted rows are read
+    shots, _ = MODES[mode]
+    specs = (SV, MPS_EXACT) if shots else (SV,)
+    rng = np.random.default_rng(n)
+    for i, c in enumerate(_circuits(n, 6, 20 + n)):
+        for spec in specs:
+            cut = sorted(rng.integers(0, len(c) + 1, size=2).tolist())
+            rows = metrics.Rows(Circuit(n, c.gates[:cut[0]]), spec)
+            for stop in (cut[1], len(c)):
+                rows.extend(Circuit(n, c.gates[:stop]))
+            assert rows.rotations == len(rotation_positions(c))
+            want = ref_qfi(c, shots, spec, seed=i)
+            assert repr(qfi(c, shots, spec, seed=i, rows=rows)) == repr(want), (n, i, spec.kind)
+
+
+def test_rows_refuse_a_circuit_they_do_not_hold():
+    c = Circuit(3).h(0).rx(1, 0.4).cx(0, 1)
+    rows = metrics.Rows(c, SV)
+    with pytest.raises(ValueError):
+        rows.extend(Circuit(3).h(0).rx(1, 0.5).cx(0, 1).h(2))  # not a prefix
+    with pytest.raises(ValueError):
+        qfi(c.h(2), 0, SV, rows=rows)
+    with pytest.raises(ValueError):  # a noisy evaluation's rows hold no shifted rows
+        qfi(c, 0, SV, rows=metrics.Rows(c, SV, shifted=False))
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_two_qubit_qfi_within_rounding(mode):
     # at two qubits a single state's product takes another BLAS path than
@@ -223,7 +254,7 @@ def test_noiseless_qfi_builds_one_state(monkeypatch, spec, shots, params):
     monkeypatch.setattr(BackendSpec, "fresh", counted)
     c = Circuit(4).h(0).cx(0, 1).rx(1, .4).rz(2, 1.1).cx(2, 3).rx(3, .9)
     qfi(c, shots, spec, params, seed=3)
-    assert batches == [6]  # 2R rows, R = 3 rotations
+    assert batches == [7]  # the base row and 2R shifted rows, R = 3 rotations
 
 
 def test_noisy_mps_qfi_is_unchanged():

@@ -76,11 +76,14 @@ def test_frequencies_match_string_keys_at_65_qubits(monkeypatch):
     positions = metrics.rotation_positions(c)
     spec = BackendSpec("mps", chi_max=2)
     children = np.random.SeedSequence(5).spawn(2 * len(positions))
-    got = metrics._frequencies(c, positions, 64, spec, None, children)
+    bits = metrics._shifted_bits(c, positions, 64, spec, None, children,
+                                 metrics.Rows(c, spec))
+    got = metrics._pair_frequencies(bits, 6, 64)
     monkeypatch.setattr(metrics, "distinct_outcomes", _string_distinct)
-    want = metrics._frequencies(c, positions, 64, spec, None, children)
-    assert 1 < got.shape[1] < 6 * 64  # outcomes repeat, and more than one occurs
-    assert np.array_equal(got, want)
+    want = metrics._pair_frequencies(bits, 6, 64)
+    # per pair, outcomes repeat, and more than one occurs
+    assert all(1 < np.count_nonzero(p + m) < 2 * 64 for p, m in zip(*got))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # --- edge uniforms --------------------------------------------------------

@@ -175,3 +175,29 @@ def test_entropy_unchanged_by_local_gates():
     base = run(ghz(5)).bond_entropies()
     rotated = run(ghz(5).rx(2, 0.9).h(4).rz(0, 0.3)).bond_entropies()
     assert rotated == pytest.approx(base, abs=1e-12)
+
+
+def test_appended_rows_are_byte_copies_that_run_like_one_row_states():
+    rng = np.random.default_rng(3)
+    c = random_circuit(4, 20, rng)
+    batch = DenseState(4, batch=2)
+    batch.apply_unitary(G.H, 1, rows=slice(1, 2))  # the rows differ
+    batch.run(c)
+    before = batch.amps.copy()
+    batch.append_rows(1, 3)
+    assert batch.amps.shape == (5, 16)
+    assert np.array_equal(batch.amps[:2], before)
+    assert all(np.array_equal(batch.amps[r], before[1]) for r in (2, 3, 4))
+    # the grown scratch buffer serves a gate over every row, and a 1q and
+    # a 2q gate on the copies equal one-row runs bit for bit
+    tail = Circuit(4).rx(2, 0.3).cx(2, 3).h(0)
+    batch.run(tail)
+    single = DenseState(4)
+    single.apply_unitary(G.H, 1)
+    single.run(c).run(tail)
+    for r in (1, 2, 3, 4):
+        assert np.array_equal(batch.amps[r], single.amps), r
+    one = batch.row_copy(3)
+    assert one.amps.shape == (16,) and np.array_equal(one.amps, single.amps)
+    one.run(tail)  # an independent copy
+    assert np.array_equal(batch.amps[3], single.amps)
