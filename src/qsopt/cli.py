@@ -157,6 +157,8 @@ def _summary_text(env_cfg, result) -> str:
         f"objective (weighted delta sum): {result.best_objective:.6f}",
         f"training steps: {result.train_steps}, target syncs: {result.syncs}",
         f"final entanglement threshold: {result.final_threshold:.4f}",
+        *([f"MPS discarded weight of the best circuit's rows: {best.discarded_weight:.6e}"]
+          if env_cfg.backend.kind == "mps" else []),
         f"circuit evaluations that extended the previous rows: "
         f"{result.extended_evaluations} of {result.evaluations}",
         f"next states picked from the batch's own forward: "

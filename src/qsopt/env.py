@@ -15,12 +15,13 @@ fires automatically before metrics are computed.
 
 The env keeps the rows of its current circuit's evaluation
 (`metrics.Rows`: the base row, plus the QFI's shifted rows when the QFI
-is noiseless) from one step to the next. An edit that only appends
-gates, as every `add_*`, `inject`, `boost` and injection does, and a
-`cancel_pass` that cancels nothing, extends the rows by its new gates;
-any other edit builds them anew, and so does a reset. The entropies that
-decide an injection are read from the same rows, so no step simulates
-the circuit on its own.
+is noiseless) from one step to the next. A reset makes them, and each
+kept edit, then its injection, brings them on with `Rows.update`, which
+alone decides what is rerun: an edit that only appends gates, as every
+`add_*`, `inject`, `boost` and injection does, and a `cancel_pass` that
+cancels nothing, runs only its new gates. The entropies that decide an
+injection are read from the same rows, so no step simulates the circuit
+on its own.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ class CircuitEnv:
                            f"budget is {self.cfg.max_gates}")
         self._seeds = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._circuit = initial
-        self._rows = self._build(initial)
+        self._rows = metrics.Rows(initial, self.cfg.backend, shifted=self.cfg.qfi_noise is None)
         self._baseline = self._evaluate(initial)
         self._record = self._baseline
         self._steps = 0
@@ -245,19 +246,6 @@ class CircuitEnv:
     def _require_reset(self):
         if self._circuit is None:
             raise EnvError("environment used before reset()")
-
-    def _build(self, circuit: Circuit) -> metrics.Rows:
-        return metrics.Rows(circuit, self.cfg.backend, shifted=self.cfg.qfi_noise is None)
-
-    def _carry(self, circuit: Circuit) -> bool:
-        """Bring the rows to `circuit`: extend them when it only appends
-        gates to theirs, else build them anew. Returns whether they were
-        extended."""
-        if self._rows.extends_to(circuit):
-            self._rows.extend(circuit)
-            return True
-        self._rows = self._build(circuit)
-        return False
 
     def _evaluate(self, circuit: Circuit, extended: bool = False) -> metrics.MetricsRecord:
         """The record of the rows' circuit, its QFI seeded by the next
@@ -350,7 +338,7 @@ class CircuitEnv:
         if edited is None:
             reward = INVALID_PENALTY
         else:
-            extended = self._carry(edited)
+            extended = self._rows.update(edited)
             base = self._rows.record()
             if (base.entropy_norm < self.threshold
                     and self._budget_left(edited) >= 2):
@@ -359,7 +347,7 @@ class CircuitEnv:
                 # every later evaluation draws the same seed either way
                 self._seeds.spawn(1)
                 edited = self._inject(edited, base)
-                self._rows.extend(edited)
+                self._rows.update(edited)
                 injected = True
             record = self._evaluate(edited, extended)
             value = metrics.reward(record.deltas_vs(self._baseline), self.cfg.weights)

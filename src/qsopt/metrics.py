@@ -20,14 +20,17 @@ pair, its angle after). The rows are a dense batch or an MPS stack whose
 tensors hold them over one chain, and one `measure_at` call reads the
 shots of all the shifted rows; the base row is never sampled.
 
-A build lays out every row from |0..0> at once. The env keeps the rows
-of its current circuit between steps, and an edit that only appends
-gates extends them (`Rows.extend`): each new gate acts on every row, and
-a new rotation first appends two copies of the base row. Under noise the
-rows hold the base row only. The noisy QFI runs its own layout of
-(circuit, shot) rows, which `noise.sample_bits` splits into states, and
-each shifted circuit draws its events for the whole circuit from its own
-spawned child generator, as a per-circuit `sample_counts` would.
+`Rows.update` brings the rows to any circuit through one gate loop, and
+the env carries them between steps this way. A circuit that only
+appends gates runs its new gates: each acts on every row, and a new
+rotation first appends two copies of the base row. Any other circuit
+restarts the state from |0..0> with all 1 + 2R rows allocated up front,
+since appending rows copies every MPS site tensor, and runs every gate.
+Under noise the rows hold the base row only. The noisy QFI runs its own layout
+of (circuit, shot) rows (`_row_runs`), which `noise.sample_bits` splits
+into states, and each shifted circuit draws its events for the whole
+circuit from its own spawned child generator, as a per-circuit
+`sample_counts` would.
 
 The statistic sums in bitstring order over exact probabilities (all 2^n
 outcomes) or over sampled frequencies. Sampled outcomes are ranked by
@@ -103,6 +106,9 @@ class MetricsRecord:
     depth: int
     gate_count: int
     flags: tuple[str, ...] = ()
+    # the MPS truncation of the evaluation's rows (`Rows.record`); 0 on the
+    # dense backend
+    discarded_weight: float = 0.0
 
     def deltas_vs(self, baseline: "MetricsRecord") -> MetricDeltas:
         """QFI/entropy as plain differences, depth/gates as reduction
@@ -181,17 +187,17 @@ def _rotation_runs(gate: Gate, plus: int, group: int, total: int) -> tuple:
         (end, total, gate)) if run[0] < run[1])
 
 
-def _row_runs(circuit: Circuit, positions: list[int], group: int, first: int = 0) -> list[tuple]:
-    """Per gate, the runs (`QubitState.apply_runs`) of a batch whose `first`
-    rows run the circuit itself and whose other rows are the 2R shifted
-    circuits, ordered (rotation k, sign, row), `group` rows per shifted
-    circuit. A gate that is not a rotation is one run over every row.
-    Rotation k keeps its angle on every row but its group's, and is
-    shifted by +pi/2 and -pi/2 on the two halves of its group."""
-    total = first + 2 * len(positions) * group
+def _row_runs(circuit: Circuit, positions: list[int], group: int) -> list[tuple]:
+    """Per gate, the runs (`QubitState.apply_runs`) of the noisy layout,
+    whose rows are the 2R shifted circuits, ordered (rotation k, sign,
+    row), `group` rows per shifted circuit. A gate that is not a rotation
+    is one run over every row. Rotation k keeps its angle on every row but
+    its group's, and is shifted by +pi/2 and -pi/2 on the two halves of
+    its group."""
+    total = 2 * len(positions) * group
     runs = whole_runs(circuit, total)
     for k, pos in enumerate(positions):
-        runs[pos] = _rotation_runs(circuit.gates[pos], first + 2 * k * group, group, total)
+        runs[pos] = _rotation_runs(circuit.gates[pos], 2 * k * group, group, total)
     return runs
 
 
@@ -202,44 +208,49 @@ class Rows:
     follow: the circuit with rotation k shifted by +pi/2 and -pi/2, whose
     outcome distributions the QFI compares.
 
-    A build lays every row out from |0..0> at once (`_row_runs`). `extend`
-    brings the rows to a circuit that only appends gates to theirs: a
-    rotation first appends two copies of the base row, at +pi/2 and
-    -pi/2, and every other gate acts on every row."""
+    `update` is the one way the rows reach a circuit, and one gate loop
+    serves it: a circuit that only appends gates to the rows' circuit
+    runs its new gates, any other restarts from |0..0> with all 1 + 2R
+    rows allocated and runs every gate. A rotation whose rows are not held
+    yet first appends two copies of the base row."""
 
     def __init__(self, circuit: Circuit, spec: BackendSpec, shifted: bool = True):
-        positions = rotation_positions(circuit) if shifted else []
-        total = 1 + 2 * len(positions)
-        self.circuit, self.spec, self.shifted = circuit, spec, shifted
-        self.rotations = len(positions)
-        self.state = spec.fresh(circuit.n_qubits, batch=total)
-        for gate_runs in _row_runs(circuit, positions, 1, first=1):
-            self.state.apply_runs(gate_runs, 0, total)
-        self._record = None
+        self.circuit, self.spec, self.shifted = None, spec, shifted
+        self.update(circuit)
 
-    def extends_to(self, circuit: Circuit) -> bool:
-        """Whether `circuit` is the rows' circuit with gates appended (or none)."""
-        old = self.circuit.gates
-        return circuit.n_qubits == self.circuit.n_qubits and circuit.gates[:len(old)] == old
-
-    def extend(self, circuit: Circuit) -> None:
-        """Apply the gates that `circuit` appends to the rows' circuit."""
-        if not self.extends_to(circuit):
-            raise ValueError("the circuit does not extend the rows' circuit")
-        for gate in circuit.gates[len(self.circuit):]:
-            if self.shifted and gate.kind.has_angle:
-                plus = 1 + 2 * self.rotations
+    def update(self, circuit: Circuit) -> bool:
+        """Bring the rows to `circuit`. Returns whether they were extended,
+        that is whether the rows' circuit is a prefix of `circuit`."""
+        old = self.circuit
+        extended = (old is not None and circuit.n_qubits == old.n_qubits
+                    and circuit.gates[:len(old)] == old.gates)
+        if extended:
+            gates, k = circuit.gates[len(old):], self.rotations
+        else:
+            gates, k = circuit.gates, 0
+            self.rotations = len(rotation_positions(circuit)) if self.shifted else 0
+            self.state = self.spec.fresh(circuit.n_qubits, batch=1 + 2 * self.rotations)
+        for gate in gates:
+            if not (self.shifted and gate.kind.has_angle):
+                self.state.apply_gate(gate)
+                continue
+            if k == self.rotations:  # rotation k's rows are not held yet
                 self.state.append_rows(0, 2)
                 self.rotations += 1
-                self.state.apply_runs(_rotation_runs(gate, plus, 1, plus + 2), 0, plus + 2)
-            else:
-                self.state.apply_gate(gate)
-        self.circuit = circuit
-        self._record = None
+            held = 1 + 2 * self.rotations
+            self.state.apply_runs(_rotation_runs(gate, 1 + 2 * k, 1, held), 0, held)
+            k += 1
+        # even an empty update drops the record: the QFI's readout moves
+        # the MPS centre, and the next record reads the stack as it is then
+        self.circuit, self._record = circuit, None
+        return extended
 
     def record(self) -> MetricsRecord:
         """Everything of the circuit's record but its QFI (qfi_norm 0); the
-        entropies are those of a one-row copy of the base row."""
+        entropies are those of a one-row copy of the base row. On the MPS
+        the discarded weight is the largest of the rows' totals: the base
+        and shifted rows, or under noise the base row alone, since the
+        noisy QFI's trajectories are not these rows."""
         if self._record is None:
             c = self.circuit
             entropies = tuple(self.state.row_copy(0).bond_entropies())
@@ -250,6 +261,8 @@ class Rows:
                 depth=depth(c),
                 gate_count=gate_count(c),
                 flags=() if c.n_qubits >= 2 else ("no_bonds",),
+                discarded_weight=(float(np.max(self.state.total_discarded))
+                                  if self.spec.kind == "mps" else 0.0),
             )
         return self._record
 

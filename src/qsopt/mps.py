@@ -100,10 +100,6 @@ class MpsState(QubitState):
         self._size = self.peak_size = sum(t.size for t in self.tensors)
         self._discarded = np.zeros(rows)
 
-    def _per_row(self, values: np.ndarray):
-        """values, one per row, as a batch reads them; a single state's one."""
-        return values if self.batch is not None else values[0]
-
     @property
     def total_discarded(self):
         """Squared weight dropped by truncation, relative to the weight
@@ -283,6 +279,8 @@ class MpsState(QubitState):
         """Singular values across the cut [0, bond) | [bond, n) of a
         one-row state."""
         self._check_bond(bond)
+        if len(self.tensors[0]) != 1:
+            raise ValueError("entropies are read from a one-row state")
         self.move_center(bond - 1)
         (a,) = self.tensors[bond - 1]
         l, p, r = a.shape

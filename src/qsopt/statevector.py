@@ -17,7 +17,9 @@ and the parameter-shift QFI its shifted circuits. Each state keeps one
 scratch buffer for the products, so a gate allocates no temporary.
 `append_rows` grows a batch by byte copies of one of its rows (the
 scratch buffer grows with it), and `row_copy` takes one row out as a
-single state; `measure_at` reads a row slice.
+single state; `measure_at` reads a row slice. As on the MPS, a batch
+reads its norm and amplitudes per row, and entropies and distributions
+are read from a one-row state only.
 
 Noise events act on the rows through `apply_paulis`, `reset_rows` and
 `flip_z`, which take one event array entry per row and apply each to all
@@ -90,7 +92,7 @@ def bit_counts(bits) -> dict[str, int]:
 class QubitState:
     """The surface both backends share: gate dispatch, entropies, readout
     and every noise event (`apply_paulis`, `reset_rows`, `flip_z`). A
-    backend provides only n_qubits, its gate kernels
+    backend provides only n_qubits, batch, its gate kernels
     apply_unitary_1q/2q(matrix, *qubits, rows=slice(None)), which change
     only the rows of the slice `rows`, _qubit_view(qubit), its rows as a
     (rows, a, 2, b) array whose axis 2 is the qubit, schmidt_values(bond),
@@ -99,6 +101,11 @@ class QubitState:
 
     n_qubits: int
     chi_max: int | None = None  # bond cap; None where nothing is truncated
+    batch: int | None = None  # rows of a batch; None for a single state
+
+    def _per_row(self, values: np.ndarray):
+        """values, one per row, as a batch reads them; a single state's one."""
+        return values if self.batch is not None else values[0]
 
     def apply_gate(self, gate: Gate, rows: slice = slice(None)) -> None:
         apply = self.apply_unitary_1q if gate.kind.n_qubits == 1 else self.apply_unitary_2q
@@ -213,6 +220,7 @@ class DenseState(QubitState):
         if n_qubits > max_qubits:
             raise CapacityError(f"{n_qubits} qubits exceeds the dense cap of {max_qubits}")
         self.n_qubits = n_qubits
+        self.batch = batch
         shape = (2 ** n_qubits,) if batch is None else (batch, 2 ** n_qubits)
         self.amps = np.zeros(shape, dtype=complex)
         self.amps[..., 0] = 1.0
@@ -244,33 +252,51 @@ class DenseState(QubitState):
 
     apply_unitary_1q = apply_unitary_2q = apply_unitary
 
+    def _by_row(self) -> np.ndarray:
+        """The amplitudes as (rows, 2^n); a single state is one row."""
+        return self.amps.reshape(-1, 2 ** self.n_qubits)
+
+    def _one_row(self, what: str) -> np.ndarray:
+        """The amplitudes of a one-row state; `what` names the readout
+        that a state of more rows refuses."""
+        rows = self._by_row()
+        if len(rows) != 1:
+            raise ValueError(f"{what} are read from a one-row state")
+        return rows[0]
+
     def append_rows(self, row: int, count: int) -> None:
         """Append `count` byte copies of batch row `row`, and grow the
         scratch buffer to match."""
+        if self.batch is None:
+            raise ValueError("rows are appended to a batch")
         self.amps = np.concatenate((self.amps, np.repeat(self.amps[row:row + 1], count, axis=0)))
         self._scratch = np.empty(2 * self.amps.size, dtype=complex)
+        self.batch += count
 
     def row_copy(self, row: int) -> "DenseState":
-        """Batch row `row` as a single state of its own."""
+        """Row `row` (0 of a single state) as a single state of its own."""
         out = DenseState(self.n_qubits, max_qubits=self.n_qubits)
-        out.amps[...] = self.amps[row]
+        out.amps[...] = self._by_row()[row]
         return out
 
     # --- readout ---------------------------------------------------------
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
+    def norm(self):
+        """The norm, one per row of a batch."""
+        return self._per_row(np.sqrt(np.sum(np.abs(self._by_row()) ** 2, axis=-1)))
 
-    def amplitude(self, bitstring: str) -> complex:
+    def amplitude(self, bitstring: str):
+        """The amplitude of `bitstring`, one per row of a batch."""
         self._check_bitstring(bitstring)
-        return complex(self.amps[int(bitstring, 2)])
+        return self._per_row(self._by_row()[:, int(bitstring, 2)])
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
     def distribution(self) -> dict[str, float]:
-        """Exact outcome distribution; omits zero-probability bitstrings."""
-        probs = self.probabilities()
+        """Exact outcome distribution of a one-row state; omits
+        zero-probability bitstrings."""
+        probs = np.abs(self._one_row("distributions")) ** 2
         width = self.n_qubits
         return {format(i, f"0{width}b"): float(p)
                 for i, p in enumerate(probs) if p > 0.0}
@@ -286,9 +312,10 @@ class DenseState(QubitState):
         return ((index[..., None] >> shifts) & 1).astype(np.uint8)
 
     def schmidt_values(self, bond: int) -> np.ndarray:
-        """Singular values across the cut [0, bond) | [bond, n)."""
+        """Singular values across the cut [0, bond) | [bond, n) of a
+        one-row state."""
         self._check_bond(bond)
-        m = self.amps.reshape(2 ** bond, 2 ** (self.n_qubits - bond))
+        m = self._one_row("entropies").reshape(2 ** bond, 2 ** (self.n_qubits - bond))
         return np.linalg.svd(m, compute_uv=False)
 
 

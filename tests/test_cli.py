@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsopt import cli
-from qsopt.circuit import emit_file, ghz
+from qsopt import cli, metrics
+from qsopt.backend import BackendSpec
+from qsopt.circuit import emit_file, ghz, parse
 from qsopt.cli import ConfigError, load_run_config, main
 
 
@@ -111,6 +112,7 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
     assert list(srows[0]) == cli.STEP_FIELDS
     summary = (out / "summary.txt").read_text()
     assert "objective" in summary and "Qubits" in summary
+    assert "discarded weight" not in summary  # a statevector run truncates nothing
 
 
 def _strip_timing(path):
@@ -161,6 +163,23 @@ def test_train_with_wrapped_replay_and_syncs_is_byte_deterministic(tmp_path, cap
     extended = re.search(r"\ncircuit evaluations that extended the previous rows: (\d+) of (\d+)\n"
                          r"next states picked", summary)
     assert extended and 0 < int(extended[1]) <= int(extended[2]) - 4 <= 20
+
+
+def test_mps_summary_reports_the_best_circuits_truncation(tmp_path, capsys):
+    env = {"n_qubits": 4, "max_gates": 10, "max_steps_per_episode": 5, "shots": 8,
+           "backend": "mps", "chi_max": 1}
+    assert main(["train", "--config", str(write_config(tmp_path, env=env))]) == 0
+    out = tmp_path / "out"
+    summary = (out / "summary.txt").read_text()
+    # before the two evaluation lines, the last of which the test above anchors
+    line = re.search(r"\nMPS discarded weight of the best circuit's rows: (\S+)\n"
+                     r"circuit evaluations that extended", summary)
+    assert line
+    # the carried rows of the best circuit hold what a fresh evaluation does
+    best = parse((out / "final_circuit.qc").read_text())
+    rows = metrics.Rows(best, BackendSpec(kind="mps", chi_max=1))
+    assert line[1] == f"{rows.record().discarded_weight:.6e}"
+    assert float(line[1]) > 0.0  # chi 1 truncates the GHZ start
 
 
 # --- simulate / compare ---------------------------------------------------

@@ -444,14 +444,14 @@ def test_appending_edits_extend_the_rows_and_other_edits_rebuild_them():
              ("cancel_pass", {}, False),  # cancels the cz pair
              ("replace_last", dict(qubit=2), False)]
     for name, fields, extends in steps:
-        rows = env._rows
+        before = env.extended_evaluations
         _, _, _, info = env.step(_action_id(env.catalog, name, **fields))
         assert not info["invalid"]
-        assert (env._rows is rows) == extends, name
+        assert env.extended_evaluations - before == extends, name
         assert env._rows.circuit == env.circuit
     assert (env.extended_evaluations, env.evaluations) == (5, 1 + len(steps))
     # an invalid action evaluates nothing
     env.reset(Circuit(5), seed=1)
-    rows = env._rows
+    state = env._rows.state
     _, _, _, info = env.step(_action_id(env.catalog, "remove_last", qubit=0))
-    assert info["invalid"] and env._rows is rows and env.evaluations == 10
+    assert info["invalid"] and env._rows.state is state and env.evaluations == 10

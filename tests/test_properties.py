@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from qsopt import metrics, mps, statevector
 from qsopt.backend import BackendSpec
-from qsopt.circuit import Circuit, Gate, GateKind, cancel_pairs, emit, ghz, parse
+from qsopt.circuit import (Circuit, Gate, GateKind, cancel_pairs, emit, ghz, parse,
+                           random_circuit)
 from qsopt.env import INVALID_PENALTY, CircuitEnv, EnvConfig
 from qsopt.noise import NoiseParams
 
@@ -21,22 +22,23 @@ NICE_ANGLES = st.sampled_from([math.pi / 4, math.pi / 2, -math.pi / 2, math.pi,
 ANY_ANGLE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _draw_gate(draw, n, angles) -> Gate:
+    kind = draw(st.sampled_from([k for k in GateKind if k.n_qubits <= n]))
+    if kind.n_qubits == 1:
+        qubits = (draw(st.integers(0, n - 1)),)
+    else:
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 2))
+        qubits = (a, b + (b >= a))  # b skips a: the pair is distinct
+    angle = draw(angles) if kind.has_angle else None
+    return Gate(kind, qubits, angle)
+
+
 @st.composite
 def circuits(draw, max_qubits=6, max_gates=24, angles=ANY_ANGLE, min_qubits=1):
     n = draw(st.integers(min_qubits, max_qubits))
-    kinds = [k for k in GateKind if k.n_qubits <= n]
-    gates = []
-    for _ in range(draw(st.integers(0, max_gates))):
-        kind = draw(st.sampled_from(kinds))
-        if kind.n_qubits == 1:
-            qubits = (draw(st.integers(0, n - 1)),)
-        else:
-            a = draw(st.integers(0, n - 1))
-            b = draw(st.integers(0, n - 2))
-            qubits = (a, b + (b >= a))  # b skips a: the pair is distinct
-        angle = draw(angles) if kind.has_angle else None
-        gates.append(Gate(kind, qubits, angle))
-    return Circuit(n, tuple(gates))
+    return Circuit(n, tuple(_draw_gate(draw, n, angles)
+                            for _ in range(draw(st.integers(0, max_gates)))))
 
 
 FINITE_CIRCUITS = circuits(angles=st.floats(-10.0, 10.0))
@@ -170,3 +172,84 @@ def test_carried_rows_give_the_record_of_a_fresh_evaluation(name, c, picks, thre
             assert got.bond_entropies == pytest.approx(want.bond_entropies, rel=1e-12,
                                                        abs=1e-12)
             assert got.entropy_norm == pytest.approx(want.entropy_norm, rel=1e-12, abs=1e-12)
+
+
+# edits that Rows.update meets: appends (rotations among them) and edits
+# that are not appends, among them a change of qubit count
+EDITS = ("append", "remove", "replace", "swap", "qubits", "none")
+
+
+def _seeded_circuit(draw, n, max_gates):
+    """From a drawn seed, an RX on every qubit, then a `random_circuit` of
+    up to max_gates gates on n qubits: more entangled than hypothesis'
+    small examples, so that a chi-2 MPS truncates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    start = tuple(Gate(GateKind.RX, (q,), float(rng.uniform(0.0, 2 * math.pi)))
+                  for q in range(n))
+    return Circuit(n, start + random_circuit(n, draw(st.integers(0, max_gates)), rng).gates)
+
+
+@st.composite
+def edit_chains(draw, max_qubits=5, max_gates=16):
+    """A circuit and the circuits that 1 to 6 random edits make of it."""
+    angles = st.floats(-10.0, 10.0)
+    chain = [_seeded_circuit(draw, draw(st.integers(1, max_qubits)), max_gates)]
+    for _ in range(draw(st.integers(1, 6))):
+        c = chain[-1]
+        n, gates = c.n_qubits, list(c.gates)
+        edit = draw(st.sampled_from(EDITS))
+        if edit == "append":
+            gates += [_draw_gate(draw, n, angles) for _ in range(draw(st.integers(1, 4)))]
+        elif edit == "qubits":
+            n = draw(st.integers(1, max_qubits).filter(lambda m: m != c.n_qubits))
+            gates = list(_seeded_circuit(draw, n, max_gates).gates)
+        elif edit != "none" and gates:
+            i = draw(st.integers(0, len(gates) - 1))
+            if edit == "remove":
+                del gates[i]
+            elif edit == "replace":
+                gates[i] = _draw_gate(draw, n, angles)
+            else:
+                j = draw(st.integers(0, len(gates) - 1))
+                gates[i], gates[j] = gates[j], gates[i]
+        chain.append(Circuit(n, tuple(gates)))
+    return chain
+
+
+def _assert_same_state(got, want):
+    if isinstance(want, statevector.DenseState):
+        assert got.amps.shape == want.amps.shape
+        if want.n_qubits == 1:
+            # a gate on one row of one qubit is a (2, 2) x (2, 1) product,
+            # which BLAS may run as a matrix-vector product that rounds
+            # differently from a batch's; no env has fewer than 2 qubits
+            assert np.allclose(got.amps, want.amps, rtol=0.0, atol=1e-12)
+        else:
+            assert np.array_equal(got.amps, want.amps)
+    else:
+        assert len(got.tensors) == len(want.tensors)
+        for a, b in zip(got.tensors, want.tensors):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.array_equal(got.total_discarded, want.total_discarded)
+
+
+# the MPS truncates: chi 1 as soon as a row entangles, chi 2 from 4 qubits
+# on, where the middle bond can reach 4, and then rows of rank 1 and 2 mix
+UPDATE_SPECS = {"statevector": BackendSpec(kind="statevector"),
+                "mps-chi1": BackendSpec(kind="mps", chi_max=1),
+                "mps-chi2": BackendSpec(kind="mps", chi_max=2)}
+
+
+@pytest.mark.parametrize("shifted", [True, False], ids=["shifted", "base-only"])
+@pytest.mark.parametrize("name", UPDATE_SPECS)
+@given(edit_chains())
+def test_updated_rows_equal_fresh_rows(name, shifted, chain):
+    spec = UPDATE_SPECS[name]
+    rows = metrics.Rows(chain[0], spec, shifted)
+    for old, new in zip(chain, chain[1:]):
+        prefix = (new.n_qubits == old.n_qubits and len(new) >= len(old)
+                  and all(a == b for a, b in zip(old.gates, new.gates)))
+        assert rows.update(new) == prefix
+        fresh = metrics.Rows(new, spec, shifted)
+        assert rows.circuit == new and rows.rotations == fresh.rotations
+        _assert_same_state(rows.state, fresh.state)

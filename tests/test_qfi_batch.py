@@ -171,7 +171,7 @@ def test_extended_rows_give_the_per_circuit_qfi(n, mode):
             cut = sorted(rng.integers(0, len(c) + 1, size=2).tolist())
             rows = metrics.Rows(Circuit(n, c.gates[:cut[0]]), spec)
             for stop in (cut[1], len(c)):
-                rows.extend(Circuit(n, c.gates[:stop]))
+                assert rows.update(Circuit(n, c.gates[:stop]))
             assert rows.rotations == len(rotation_positions(c))
             want = ref_qfi(c, shots, spec, seed=i)
             assert repr(qfi(c, shots, spec, seed=i, rows=rows)) == repr(want), (n, i, spec.kind)
@@ -180,12 +180,30 @@ def test_extended_rows_give_the_per_circuit_qfi(n, mode):
 def test_rows_refuse_a_circuit_they_do_not_hold():
     c = Circuit(3).h(0).rx(1, 0.4).cx(0, 1)
     rows = metrics.Rows(c, SV)
+    # a circuit that does not extend the rows' circuit rebuilds them
+    other = Circuit(3).h(0).rx(1, 0.5).cx(0, 1).h(2)
+    assert not rows.update(other)
+    assert np.array_equal(rows.state.amps, metrics.Rows(other, SV).state.amps)
+    assert repr(qfi(other, 0, SV, rows=rows)) == repr(qfi(other, 0, SV))
     with pytest.raises(ValueError):
-        rows.extend(Circuit(3).h(0).rx(1, 0.5).cx(0, 1).h(2))  # not a prefix
-    with pytest.raises(ValueError):
-        qfi(c.h(2), 0, SV, rows=rows)
+        qfi(c, 0, SV, rows=rows)
     with pytest.raises(ValueError):  # a noisy evaluation's rows hold no shifted rows
         qfi(c, 0, SV, rows=metrics.Rows(c, SV, shifted=False))
+
+
+def test_record_reports_the_largest_discarded_weight_of_the_rows():
+    # rx(0) leaves the base row a product state, while the cx entangles
+    # its shifted rows, and chi 1 drops half of their weight
+    c = Circuit(2).rx(0, 0.0).cx(0, 1)
+    spec = BackendSpec(kind="mps", chi_max=1)
+    rows = metrics.Rows(c, spec)
+    assert rows.state.total_discarded.tolist() == pytest.approx([0.0, 0.5, 0.5])
+    assert rows.record().discarded_weight == float(np.max(rows.state.total_discarded))
+    assert metrics.evaluate(c, spec, 8).discarded_weight == rows.record().discarded_weight
+    # under noise the rows hold the base row alone; the dense backend drops nothing
+    assert metrics.Rows(c, spec, shifted=False).record().discarded_weight == 0.0
+    assert metrics.evaluate(c, spec, 8, HIGH).discarded_weight == 0.0
+    assert metrics.evaluate(c, SV, 0).discarded_weight == 0.0
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -204,8 +222,9 @@ def test_batch_split_inside_a_group_keeps_values(monkeypatch, mode):
     circuits = _circuits(4, 4, 7)
     whole = [qfi(c, shots, SV, params, seed=3) for c in circuits]
     # 5 rows of 4 qubits per batch, but at least one row per shifted
-    # circuit: noisy splits fall inside the 48-shot groups, while the
-    # noiseless layouts, one row per circuit, stay one batch
+    # circuit: noisy splits fall inside the 48-shot groups; noiseless
+    # modes do not go through `row_states`, since their rows are the one
+    # state of `metrics.Rows`, which the cap does not split
     monkeypatch.setattr(noise, "BATCH_AMPLITUDES", 16 * 5)
     assert [qfi(c, shots, SV, params, seed=3) for c in circuits] == whole
 

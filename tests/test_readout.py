@@ -263,3 +263,35 @@ def test_walk_on_a_single_state_takes_any_shape(data):
     bits = single.measure_at(u)
     assert bits.shape == u.shape + (stack.n_qubits,)
     assert np.array_equal(bits, dense.measure_at(u))
+
+
+@pytest.mark.parametrize("kind", ["statevector", "mps"])
+def test_row_ops_and_readouts_keep_one_contract_on_both_backends(kind):
+    spec = BackendSpec(kind=kind)
+    c = ghz(3).rx(2, 0.7)
+    single = spec.run(c)
+    with pytest.raises(ValueError, match="appended to a batch"):
+        single.append_rows(0, 2)
+    copy = single.row_copy(0)  # a single state is row 0
+    basis = ("000", "010", "110", "111")
+    assert [copy.amplitude(b) for b in basis] == [single.amplitude(b) for b in basis]
+    assert single.norm() == pytest.approx(1.0)
+    # a batch reads out one value per row, whatever its size
+    batch = spec.fresh(3, batch=2).run(c)
+    batch.apply_gate(Gate(GateKind.RX, (0,), 0.4), rows=slice(1, 2))  # the rows differ
+    batch.append_rows(1, 2)
+    assert batch.batch == 4
+    assert np.asarray(batch.norm()) == pytest.approx(np.ones(4))
+    other = spec.run(Circuit(3, c.gates + (Gate(GateKind.RX, (0,), 0.4),)))
+    for bits in ("000", "111", "101"):
+        want = [single.amplitude(bits)] + [other.amplitude(bits)] * 3
+        assert np.asarray(batch.amplitude(bits)) == pytest.approx(np.array(want), abs=1e-12)
+    # entropies, and the dense distribution, are read from one row
+    for read in (batch.bond_entropies, lambda: batch.bond_entropy(1)):
+        with pytest.raises(ValueError, match="one-row state"):
+            read()
+    if kind == "statevector":
+        with pytest.raises(ValueError, match="one-row state"):
+            batch.distribution()
+    one_row = spec.fresh(3, batch=1).run(c)
+    assert one_row.bond_entropies() == pytest.approx(single.bond_entropies(), abs=1e-12)
