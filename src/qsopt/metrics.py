@@ -26,11 +26,18 @@ appends gates runs its new gates: each acts on every row, and a new
 rotation first appends two copies of the base row. Any other circuit
 restarts the state from |0..0> with all 1 + 2R rows allocated up front,
 since appending rows copies every MPS site tensor, and runs every gate.
-Under noise the rows hold the base row only. The noisy QFI runs its own layout
-of (circuit, shot) rows (`_row_runs`), which `noise.sample_bits` splits
-into states, and each shifted circuit draws its events for the whole
-circuit from its own spawned child generator, as a per-circuit
-`sample_counts` would.
+Under noise the rows hold the base row only, and the noisy QFI runs the
+2R shifted circuits in its own layout (`_row_runs`), by the method
+`noise.density_rows` picks. On the dense backend with 2^n <= shots (and
+2n within the dense cap) each shifted circuit is one density row
+(`noise.density_probabilities`), whose exact distribution its shots
+are drawn from at default_rng(child).random(shots), the uniforms of the
+noiseless QFI: a row of 4^n amplitudes then replaces trajectories of
+2^n amplitudes per shot, and no event is drawn. Otherwise, and on the
+MPS, the rows are (circuit, shot) trajectories, which `noise.sample_bits`
+splits into states, and each shifted circuit draws its events for the
+whole circuit from its own spawned child generator, as a per-circuit
+`sample_counts` would. Both methods sample the same channel model.
 
 The statistic sums in bitstring order over exact probabilities (all 2^n
 outcomes) or over sampled frequencies. Sampled outcomes are ranked by
@@ -47,9 +54,9 @@ import numpy as np
 
 from .backend import BackendSpec, require_real
 from .circuit import Circuit, Gate, depth, gate_count, replace_gate
-from .noise import NoiseParams, sample_bits, whole_runs
+from .noise import NoiseParams, density_probabilities, density_rows, sample_bits, whole_runs
 from .noise import sample_counts  # noqa: F401  (bench/tracing.py wraps it by this name)
-from .statevector import distinct_outcomes
+from .statevector import distinct_outcomes, outcome_index
 
 QFI_MAX = 8.0
 SHIFT = math.pi / 2.0
@@ -267,20 +274,39 @@ class Rows:
         return self._record
 
 
+def _uniforms(children, shots: int) -> np.ndarray:
+    """The measurement uniforms of the 2R shifted circuits, (2R, shots):
+    default_rng(child).random(shots) per circuit, as `sample_counts` draws
+    them."""
+    return np.stack([np.random.default_rng(child).random(shots) for child in children])
+
+
 def _shifted_bits(circuit: Circuit, positions: list[int], shots: int, spec: BackendSpec,
                   noise: NoiseParams | None, children, rows: Rows | None) -> np.ndarray:
     """Sampled outcomes of the 2R shifted circuits as the bit rows of one
     (2R * shots, n) array, ordered (rotation, sign, shot). Without noise
-    they are read out of the shifted rows of `rows` at
-    default_rng(child).random(shots), as `sample_counts` draws them, all
-    in one `measure_at` call over a (2R, shots) array; the base row is not
-    read. With noise the rows of one layout are (circuit, shot), and each
+    they are read out of the shifted rows of `rows` at their `_uniforms`,
+    all in one `measure_at` call; the base row is not read. With noise the
+    rows of one layout are (circuit, shot) trajectories, and each
     circuit's events come from its own child (`noise.sample_bits`)."""
     if noise is not None:
         return sample_bits(circuit, spec, noise, shots, children,
                            _row_runs(circuit, positions, shots))
-    u = np.stack([np.random.default_rng(child).random(shots) for child in children])
+    u = _uniforms(children, shots)
     return rows.state.measure_at(u, rows=slice(1, None)).reshape(-1, circuit.n_qubits)
+
+
+def _density_frequencies(circuit: Circuit, positions: list[int], shots: int,
+                         spec: BackendSpec, noise: NoiseParams, children) -> np.ndarray:
+    """The sampled outcome frequencies of the 2R shifted circuits under
+    noise, (2R, 2^n) in bitstring order: each circuit's shots drawn at its
+    `_uniforms` from its exact distribution, its density row
+    (`noise.density_probabilities`)."""
+    pairs = len(children)
+    probs = density_probabilities(circuit, spec, noise, _row_runs(circuit, positions, 1), pairs)
+    index = outcome_index(probs, _uniforms(children, shots))
+    cell = index + probs.shape[1] * np.arange(pairs)[:, None]
+    return np.bincount(cell.ravel(), minlength=probs.size).reshape(probs.shape) / shots
 
 
 def _pair_frequencies(bits: np.ndarray, pairs: int, shots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,8 +340,8 @@ def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
     samples measurement outcomes (per-parameter child seeds keep results
     independent of evaluation order). Without noise the 2R shifted
     circuits are the shifted rows of `rows`, the circuit's `Rows`, built
-    here when not given; under noise they run as the rows of one noisy
-    layout, and `rows` is not read.
+    here when not given; under noise they run as density rows or as
+    trajectories (`noise.density_rows`), and `rows` is not read.
     """
     positions = rotation_positions(circuit)
     if not positions:
@@ -338,9 +364,13 @@ def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
         plus, minus = probs[0::2], probs[1::2]
     else:
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        bits = _shifted_bits(circuit, positions, shots, spec, noise if noisy else None,
-                             root.spawn(pairs), rows)
-        plus, minus = _pair_frequencies(bits, pairs, shots)
+        if noisy and density_rows(spec, circuit.n_qubits, shots):
+            freq = _density_frequencies(circuit, positions, shots, spec, noise, root.spawn(pairs))
+            plus, minus = freq[0::2], freq[1::2]
+        else:
+            bits = _shifted_bits(circuit, positions, shots, spec, noise if noisy else None,
+                                 root.spawn(pairs), rows)
+            plus, minus = _pair_frequencies(bits, pairs, shots)
     stats = _shift_statistic(plus, minus)
     return float(np.cumsum(stats)[-1] / len(positions) / QFI_MAX)
 

@@ -1,6 +1,7 @@
-"""Trajectory noise model: stochastic Pauli and reset insertions.
+"""Noise model: stochastic Pauli and reset insertions, run as one
+trajectory per shot or as exact density rows.
 
-Three channels, all realized as discrete events sampled per shot:
+Three channels, all defined as discrete events sampled per shot:
 
 * depolarizing after every gate: with probability p_1q (p_2q for two-qubit
   gates) one uniformly chosen non-identity Pauli lands on one uniformly
@@ -34,15 +35,31 @@ disabled model draws the same arrays with every probability zero. Each
 shot is read out by the backend's `measure_at` at its measurement
 uniform and the flipped bits are counted by `bit_counts`, as in
 `sample`.
+
+Each shot's outcome is a draw from the diagonal of the circuit's noisy
+density matrix, the events averaged out (Nielsen & Chuang, ch. 8).
+`density_probabilities` computes that distribution exactly, with no
+event drawn: vec(rho) of each circuit is a dense row of 2n qubits, and
+each channel a superoperator. A qubit's 1q gates and relaxation compose
+into one 4x4 matrix, which acts through `apply_unitary` at the qubit's
+next 2q gate (fused with it) or at the readout. A row holds 4^n
+amplitudes where the circuit's trajectories hold 2^n per shot, so the
+noisy QFI runs density rows where they hold no more amplitudes
+(`density_rows`): on the dense backend, with 2^n <= shots and 2n within
+the dense cap. Elsewhere, and on the MPS, it runs trajectories
+(`sample_bits`), and `sample_counts` (`qsopt simulate`/`compare`) always
+does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import reduce
 
 import numpy as np
 
+from . import gates as G
 from .backend import BackendSpec, require_real
 from .circuit import Circuit, moments
 from .statevector import bit_counts
@@ -117,6 +134,23 @@ class NoiseEvents:
         return NoiseEvents(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
+def _event_probabilities(circuit: Circuit, layers: list[list[int]],
+                         params: NoiseParams) -> tuple:
+    """The probabilities of the model's events: a depolarizing Pauli per
+    gate; a reset and a Z flip per (moment, qubit), those of the moment's
+    longest gate; a readout flip per bit. All are zero when the model is
+    disabled."""
+    scale = 1.0 if params.enabled else 0.0
+    two = np.array([g.kind.n_qubits == 2 for g in circuit.gates], dtype=bool)
+    p_gate = np.where(two, params.p_2q, params.p_1q) * scale
+    gate_us = np.where(two, params.dur_2q_us, params.dur_1q_us)
+    duration = np.array([gate_us[layer].max() for layer in layers])
+    p_amp = (1.0 - np.exp(-duration / params.t1_us)) * scale
+    # T_phi = inf (T2 = 2*T1) gives exp(-0) = 1: no dephasing
+    p_phase = (1.0 - np.exp(-duration / params.t_phi_us)) * scale
+    return p_gate, p_amp, p_phase, params.p_meas * scale
+
+
 def draw_events(circuit: Circuit, layers: list[list[int]], params: NoiseParams,
                 shots: int, *rngs: np.random.Generator) -> NoiseEvents:
     """Draw the noise events of `shots` runs of `circuit` (scheduled into
@@ -127,19 +161,12 @@ def draw_events(circuit: Circuit, layers: list[list[int]], params: NoiseParams,
     per shot; readout flips per (shot, qubit). Only the circuit's gate
     kinds, qubits and moments matter, not its angles."""
     n = circuit.n_qubits
-    scale = 1.0 if params.enabled else 0.0
-    two = np.array([g.kind.n_qubits == 2 for g in circuit.gates], dtype=bool)
-    p_gate = np.where(two, params.p_2q, params.p_1q) * scale
-    gate_us = np.where(two, params.dur_2q_us, params.dur_1q_us)
-    duration = np.array([gate_us[layer].max() for layer in layers])
-    p_amp = (1.0 - np.exp(-duration / params.t1_us)) * scale
-    # T_phi = inf (T2 = 2*T1) gives exp(-0) = 1: no dephasing
-    p_phase = (1.0 - np.exp(-duration / params.t_phi_us)) * scale
+    p_gate, p_amp, p_phase, p_meas = _event_probabilities(circuit, layers, params)
     first = np.array([g.qubits[0] for g in circuit.gates], dtype=int)
     last = np.array([g.qubits[-1] for g in circuit.gates], dtype=int)
 
     def draw(rng):
-        hit = rng.random((shots, len(two))) < p_gate
+        hit = rng.random((shots, len(p_gate))) < p_gate
         target = np.where(rng.integers(2, size=hit.shape) == 1, last, first)
         pauli = np.where(hit, 1 + rng.integers(3, size=hit.shape), 0)
         grid = (shots, len(layers), n)
@@ -147,7 +174,7 @@ def draw_events(circuit: Circuit, layers: list[list[int]], params: NoiseParams,
         reset_u = rng.random(grid)
         phase = rng.random(grid) < p_phase[:, None]
         meas_u = rng.random(shots)
-        flips = rng.random((shots, n)) < params.p_meas * scale
+        flips = rng.random((shots, n)) < p_meas
         return NoiseEvents(pauli, target, reset, reset_u, phase, meas_u, flips)
 
     parts = [draw(rng) for rng in rngs]
@@ -238,6 +265,122 @@ def sample_bits(circuit: Circuit, spec: BackendSpec, params: NoiseParams, shots:
         _evolve(state, runs, layers, ev, start)
         bits.append(state.measure_at(ev.meas_u))
     return np.concatenate(bits) ^ events.flips
+
+
+def density_rows(spec: BackendSpec, n_qubits: int, shots: int) -> bool:
+    """Whether `shots` noisy shots of each of several n-qubit circuits run
+    as one density row per circuit (`density_probabilities`) rather than
+    one trajectory per shot: on the dense backend, when a row's 4^n
+    amplitudes are no more than the circuit's trajectories hold, shots
+    times 2^n (so 2^n <= shots), and its 2n qubits fit the dense cap."""
+    return (spec.kind == "statevector" and 2 ** n_qubits <= shots
+            and 2 * n_qubits <= spec.dense_cap)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices, or of two stacks of them matrix by
+    matrix, without np.kron's general-shape overhead."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    size = a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (size, size))
+
+
+def _superoperator(u: np.ndarray) -> np.ndarray:
+    """rho -> u rho u^dagger on vec(rho), whose ket bits come first."""
+    return _kron(u, u.conj())
+
+
+# the mean of P rho P over the 3 Paulis on the qubit of a 1q gate, and over
+# the 6 (qubit, Pauli) pairs of a 2q gate, as superoperators on the gate's
+# ket qubits then their bra qubits
+_DEPOLARIZED = {
+    1: sum(_superoperator(p) for p in (G.X, G.Y, G.Z)) / 3.0,
+    2: sum(_superoperator(_kron(p, G.I2)) + _superoperator(_kron(G.I2, p))
+           for p in (G.X, G.Y, G.Z)) / 6.0,
+}
+_IDENTITY = np.eye(4)  # a qubit with nothing pending
+
+
+def _relaxation(p_amp: float, p_phase: float) -> np.ndarray:
+    """A moment's reset (p_amp) then Z flip (p_phase) on one qubit, on its
+    (ket, bra) bits: |1><1| keeps 1 - p_amp of its weight, the rest going
+    to |0><0|, and the coherences keep (1 - p_amp)(1 - 2 p_phase)."""
+    keep = 1.0 - p_amp
+    coherence = keep * (1.0 - 2.0 * p_phase)
+    return np.array([[1.0, 0.0, 0.0, p_amp],
+                     [0.0, coherence, 0.0, 0.0],
+                     [0.0, 0.0, coherence, 0.0],
+                     [0.0, 0.0, 0.0, keep]])
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Superoperators a and b, each on one qubit's (ket, bra) bits, or
+    stacks of them, as one on (ket a, ket b, bra a, bra b)."""
+    a = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
+    b = b.reshape(b.shape[:-2] + (2, 2, 2, 2))
+    out = a[..., :, None, :, None, :, None, :, None] * b[..., None, :, None, :, None, :, None, :]
+    return out.reshape(out.shape[:-8] + (16, 16))
+
+
+def _gate_channel(runs, rows: int, after: np.ndarray) -> np.ndarray:
+    """One gate, laid over `rows` rows by `runs`, followed by the channel
+    `after`: one superoperator when one run covers every row, else a
+    (rows, d, d) stack with one per row. The runs of a layout
+    (`whole_runs`, `metrics._row_runs`) cover every row."""
+    if len(runs) == 1:
+        return after @ _superoperator(G.matrix(runs[0][2]))
+    size = 2 ** len(runs[0][2].qubits)
+    unitaries = np.empty((rows, size, size), dtype=complex)
+    for lo, hi, gate in runs:
+        unitaries[lo:hi] = G.matrix(gate)
+    return after @ _superoperator(unitaries)
+
+
+def density_probabilities(circuit: Circuit, spec: BackendSpec, params: NoiseParams,
+                          runs, rows: int) -> np.ndarray:
+    """The exact readout distributions, readout flips applied, of the
+    `rows` circuits that `runs` lays over the rows of a layout (see
+    `QubitState.apply_runs`; `whole_runs` for one circuit): a (rows, 2^n)
+    array in basis order. Each row is the distribution of one shot's bits
+    under the events `draw_events` draws.
+
+    The rows hold vec(rho), one per circuit, in one dense
+    `spec.fresh(2n, batch=rows)`: qubit q is rho's ket bit and q + n its
+    bra bit, so |0..0> is |0..0><0..0|. Every channel is a superoperator
+    on a qubit's (ket, bra) bits: a gate with its depolarizing channel,
+    and a moment's reset and Z flip. Those of one qubit compose into one
+    4x4 matrix, which waits until a 2q gate on the qubit or the readout:
+    it acts on vec(rho) through `apply_unitary` only then, with the 2q
+    gate as one 16x16 superoperator, or as a stack of one per row once a
+    shifted rotation has acted. Channels on other qubits commute with it,
+    so the order they act in does not change rho. The readout flips act
+    on the diagonal as a 2x2 stochastic matrix per bit; rounding
+    negatives are clipped to 0."""
+    n = circuit.n_qubits
+    layers = moments(circuit)
+    p_gate, p_amp, p_phase, p_meas = _event_probabilities(circuit, layers, params)
+    # the depolarizing channel after a gate of k qubits; p_gate depends on k alone
+    depolarizing = {k: (1.0 - p) * np.eye(4 ** k) + p * _DEPOLARIZED[k]
+                    for k, p in {len(g.qubits): p for g, p in zip(circuit.gates, p_gate)}.items()}
+    pending = [_IDENTITY] * n
+    state = spec.fresh(2 * n, batch=rows)
+    for m, layer in enumerate(layers):
+        for idx in layer:
+            qubits = circuit.gates[idx].qubits
+            channel = _gate_channel(runs[idx], rows, depolarizing[len(qubits)])
+            if len(qubits) == 1:
+                pending[qubits[0]] = channel @ pending[qubits[0]]
+                continue
+            a, b = qubits
+            state.apply_unitary(channel @ _pair(pending[a], pending[b]), a, b, a + n, b + n)
+            pending[a] = pending[b] = _IDENTITY
+        relax = _relaxation(p_amp[m], p_phase[m])
+        pending = [relax @ waiting for waiting in pending]
+    for q, waiting in enumerate(pending):
+        state.apply_unitary(waiting, q, q + n)
+    diagonal = state.amps.reshape(rows, 2 ** n, 2 ** n).diagonal(axis1=1, axis2=2).real
+    flip = np.array([[1.0 - p_meas, p_meas], [p_meas, 1.0 - p_meas]])
+    return np.maximum(diagonal @ reduce(_kron, [flip] * n).T, 0.0)
 
 
 def sample_counts(circuit: Circuit, spec: BackendSpec, shots: int, seed,

@@ -13,13 +13,16 @@ A state built with `batch=B` holds B independent states as the rows of a
 one outcome per row. A gate given a row slice (`rows`) acts on those
 rows only, in place; `apply_runs` uses it to give row groups different
 angles of one rotation. The noise model runs its trajectories this way,
-and the parameter-shift QFI its shifted circuits. Each state keeps one
-scratch buffer for the products, so a gate allocates no temporary.
-`append_rows` grows a batch by byte copies of one of its rows (the
-scratch buffer grows with it), and `row_copy` takes one row out as a
-single state; `measure_at` reads a row slice. As on the MPS, a batch
-reads its norm and amplitudes per row, and entropies and distributions
-are read from a one-row state only.
+and the parameter-shift QFI its shifted circuits. `apply_unitary` takes
+any square matrix, or a stack of them with one per row: the noise
+model's density rows, vec(rho) over 2n qubits, take superoperators, one
+per row once a shifted rotation has acted. Each state keeps one scratch
+buffer for the products, so a gate allocates no temporary. `append_rows`
+grows a batch by byte copies of one of its rows (the scratch buffer
+grows with it), and `row_copy` takes one row out as a single state;
+`measure_at` reads a row slice. As on the MPS, a batch reads its norm
+and amplitudes per row, and entropies and distributions are read from a
+one-row state only.
 
 Noise events act on the rows through `apply_paulis`, `reset_rows` and
 `flip_z`, which take one event array entry per row and apply each to all
@@ -234,20 +237,26 @@ class DenseState(QubitState):
 
     def apply_unitary(self, matrix: np.ndarray, *qubits: int,
                       rows: slice = slice(None)) -> None:
-        """Apply a 2^k x 2^k unitary to the listed qubits of the batch rows
+        """Apply a 2^k x 2^k matrix to the listed qubits of the batch rows
         in the slice `rows` (a single state takes the default, all of it);
-        the first listed qubit is the matrix's most significant bit. The
-        moved amplitudes and the product go through the scratch buffer."""
+        the first listed qubit is the matrix's most significant bit. A
+        (rows, 2^k, 2^k) stack applies one matrix to each row of the slice.
+        The moved amplitudes and the product go through the scratch
+        buffer."""
         amps = self.amps[rows]
         lead = amps.ndim - 1
         view = amps.reshape(amps.shape[:-1] + (2,) * self.n_qubits)
         moved = [lead + q for q in qubits]
+        shape = (len(matrix), -1)
+        if matrix.ndim == 3:  # a stack keeps the row axis in front, as the product's batch axis
+            moved.insert(0, 0)
+            shape = matrix.shape[:-1] + (-1,)
         front = view.transpose(moved + [a for a in range(view.ndim) if a not in moved])
         size = amps.size
         packed = self._scratch[:size].reshape(front.shape)
         np.copyto(packed, front)
-        product = self._scratch[size:2 * size].reshape(len(matrix), -1)
-        np.matmul(matrix, packed.reshape(len(matrix), -1), out=product)
+        product = self._scratch[size:2 * size].reshape(shape)
+        np.matmul(matrix, packed.reshape(shape), out=product)
         front[...] = product.reshape(front.shape)
 
     apply_unitary_1q = apply_unitary_2q = apply_unitary

@@ -254,3 +254,37 @@ def test_reset_on_basis_states_stays_finite(make, ones):
                 assert state.measure_reset0(q, u) == int(ones)
         assert state.norm() == pytest.approx(1.0)
         assert abs(state.amplitude("000")) == pytest.approx(1.0)
+
+
+# --- density rows ---------------------------------------------------------
+
+def _chi2_999(df):
+    """The 99.9th percentile of chi^2 at df degrees of freedom, by the
+    Wilson-Hilferty approximation (within 1% from df = 3)."""
+    z = 3.090232  # the standard normal's 99.9th percentile
+    return df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
+
+
+DISTRIBUTION_CIRCUITS = [
+    ghz(3).rx(1, 0.9),
+    Circuit(3).h(0).cx(0, 2).rz(2, 0.7).h(2).cz(1, 2).rx(1, 1.3).swap(0, 1),
+    random_circuit(3, 12, np.random.default_rng(21)),
+]
+
+
+@pytest.mark.parametrize("params", [NoiseParams(), HIGH], ids=["default", "high"])
+def test_trajectory_counts_follow_the_density_rows(params):
+    # trajectories and density rows model the same channels: 50k trajectory
+    # shots must pass a chi^2 test against the density row's distribution
+    shots = 50_000
+    for i, c in enumerate(DISTRIBUTION_CIRCUITS):
+        counts = sample_counts(c, SV, shots, 300 + i, params)
+        observed = np.array([counts.get(format(k, "03b"), 0) for k in range(8)])
+        probs = noise.density_probabilities(c, SV, params, noise.whole_runs(c, 1), 1)[0]
+        expected = shots * probs
+        rare = expected < 5.0  # pooled into one bin
+        if rare.any():
+            observed = np.append(observed[~rare], observed[rare].sum())
+            expected = np.append(expected[~rare], expected[rare].sum())
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2 < _chi2_999(len(observed) - 1), (i, chi2, len(observed))

@@ -9,7 +9,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsopt import metrics, mps, statevector
+from kraus_reference import shifted_probabilities
+from qsopt import metrics, mps, noise, statevector
 from qsopt.backend import BackendSpec
 from qsopt.circuit import (Circuit, Gate, GateKind, cancel_pairs, emit, ghz, parse,
                            random_circuit)
@@ -89,6 +90,41 @@ def test_unseen_outcomes_leave_the_shift_statistic_unchanged(pair):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+@st.composite
+def noise_models(draw):
+    """Enabled noise parameters, their edges included: certain depolarizing
+    and readout flips, and T2 = 2*T1 (no pure dephasing)."""
+    def probability():
+        return draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+
+    t1 = draw(st.floats(0.5, 100.0))
+    t2 = draw(st.one_of(st.just(2.0 * t1), st.floats(0.1, 2.0 * t1)))
+    return NoiseParams(p_meas=probability(), p_1q=probability(), p_2q=probability(),
+                       t1_us=t1, t2_us=t2, dur_1q_us=draw(st.floats(0.01, 5.0)),
+                       dur_2q_us=draw(st.floats(0.01, 5.0)))
+
+
+@st.composite
+def rotated_circuits(draw):
+    """Circuits on 1-4 qubits with at least one rotation."""
+    c = draw(circuits(max_qubits=4, max_gates=8, angles=st.floats(-10.0, 10.0)))
+    return c.rx(draw(st.integers(0, c.n_qubits - 1)), draw(st.floats(-10.0, 10.0)))
+
+
+@given(rotated_circuits(), noise_models())
+def test_density_rows_equal_the_kraus_reference(c, params):
+    # the QFI's layout of shifted circuits: rotation k shifted on rows 2k, 2k+1
+    positions = metrics.rotation_positions(c)
+    rows = 2 * len(positions)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = noise.density_probabilities(c, BackendSpec(kind="statevector"), params,
+                                          metrics._row_runs(c, positions, 1), rows)
+    assert got.shape == (rows, 2 ** c.n_qubits)
+    assert np.isfinite(got).all() and (got >= 0.0).all()
+    assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(got - shifted_probabilities(c, params)).max() <= 1e-12
+
+
 # a small gate budget makes adds and injections run out, so episodes mix
 # valid and invalid steps
 SMALL_ENV = EnvConfig(n_qubits=3, max_gates=6, max_steps_per_episode=5, shots=0,
@@ -143,6 +179,10 @@ ROW_ENVS = {
     "statevector-noisy": EnvConfig(n_qubits=3, max_gates=12, shots=4,
                                    backend=BackendSpec(kind="statevector"),
                                    noise=NoiseParams()),
+    # 2^3 <= 8 shots: the noisy QFI runs density rows
+    "statevector-noisy-density": EnvConfig(n_qubits=3, max_gates=12, shots=8,
+                                           backend=BackendSpec(kind="statevector"),
+                                           noise=NoiseParams()),
 }
 
 

@@ -12,6 +12,13 @@ were matched as bitstrings. Both estimators must agree bit for bit on the
 statevector and on an untruncated MPS. Where the bond cap truncates,
 stacked noisy MPS rows of unequal rank round differently from one-row
 runs, and their QFI can differ (ROADMAP, item 6).
+
+Under noise the reference holds for trajectories: on the MPS, and on the
+statevector where the method rule (`noise.density_rows`) sends the QFI to
+them, with shots < 2^n or a dense cap below 2n. Where the rule picks
+density rows, the QFI is checked against `ref_density_qfi`, which draws
+the same shots from the distributions of the Kraus reference
+(`kraus_reference.py`).
 """
 
 import copy
@@ -20,6 +27,7 @@ import math
 import numpy as np
 import pytest
 
+from kraus_reference import shifted_probabilities
 from qsopt import gates as G
 from qsopt import metrics, noise
 from qsopt.backend import BackendSpec
@@ -32,6 +40,13 @@ from qsopt.statevector import DenseState, bit_counts
 SV = BackendSpec(kind="statevector")
 MPS_EXACT = BackendSpec(kind="mps", chi_max=64, trunc_tol=0.0)
 HIGH = NoiseParams(p_meas=0.05, p_1q=0.1, p_2q=0.2, t1_us=5.0, t2_us=7.0)
+
+
+def _trajectory_spec(n):
+    """A statevector whose dense cap, below 2n, sends a noisy QFI of n
+    qubits to trajectories at any shot count."""
+    return BackendSpec(kind="statevector", dense_cap=2 * n - 1)
+
 
 # --- the per-circuit reference --------------------------------------------
 
@@ -130,6 +145,27 @@ def ref_qfi(circuit, shots, spec, noise_params=None, seed=0) -> float:
     return raw / len(positions) / QFI_MAX
 
 
+def ref_density_qfi(circuit, shots, noise_params, seed=0) -> float:
+    """The noisy QFI whose shifted circuits' shots are drawn from their
+    exact distributions (`kraus_reference.shifted_probabilities`), each at
+    default_rng(child).random(shots) by inverting its CDF."""
+    n = circuit.n_qubits
+    probs = np.maximum(shifted_probabilities(circuit, noise_params), 0.0)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    freqs = []
+    for p, child in zip(probs, root.spawn(len(probs))):
+        cdf = np.cumsum(p)
+        u = np.random.default_rng(child).random(shots)
+        index = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(p) - 1)
+        counts = {}
+        for i in index.tolist():
+            key = format(i, f"0{n}b")
+            counts[key] = counts.get(key, 0) + 1
+        freqs.append(_frequencies(counts, shots))
+    raw = sum(ref_shift_statistic(plus, minus) for plus, minus in zip(freqs[0::2], freqs[1::2]))
+    return raw / (len(probs) // 2) / QFI_MAX
+
+
 # --- equality with the reference ------------------------------------------
 
 MODES = {"exact": (0, None), "shots": (48, None), "noisy": (48, HIGH)}
@@ -150,11 +186,16 @@ def _circuits(n, count, seed):
 def test_batched_qfi_equals_per_circuit_qfi(n, mode):
     shots, params = MODES[mode]
     specs = (SV, MPS_EXACT) if shots else (SV,)  # exact mode is statevector-only
+    if params is not None and 2 ** n <= shots:  # SV runs density rows
+        specs = (_trajectory_spec(n), MPS_EXACT)
     for i, c in enumerate(_circuits(n, 6, 10 * n)):
         for spec in specs:
             want = ref_qfi(c, shots, spec, params, seed=i)
             assert repr(qfi(c, shots, spec, params, seed=i)) == repr(want), (n, mode, i,
                                                                               spec.kind)
+        if params is not None and 2 ** n <= shots:
+            want = ref_density_qfi(c, shots, params, seed=i)
+            assert abs(qfi(c, shots, SV, params, seed=i) - want) <= 1e-12, (n, i)
 
 
 @pytest.mark.parametrize("mode", ["exact", "shots"])
@@ -211,22 +252,33 @@ def test_two_qubit_qfi_within_rounding(mode):
     # at two qubits a single state's product takes another BLAS path than
     # a batch's, so exact probabilities can differ in their last bits
     shots, params = MODES[mode]
+    spec = SV if params is None else _trajectory_spec(2)
     for i, c in enumerate(_circuits(2, 8, 2)):
-        want = ref_qfi(c, shots, SV, params, seed=i)
-        assert abs(qfi(c, shots, SV, params, seed=i) - want) <= 1e-12
+        want = ref_qfi(c, shots, spec, params, seed=i)
+        assert abs(qfi(c, shots, spec, params, seed=i) - want) <= 1e-12
+        if params is not None:  # density rows, at 2^2 <= 48 shots
+            want = ref_density_qfi(c, shots, params, seed=i)
+            assert abs(qfi(c, shots, SV, params, seed=i) - want) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_batch_split_inside_a_group_keeps_values(monkeypatch, mode):
     shots, params = MODES[mode]
+    spec = SV if params is None else _trajectory_spec(4)  # noisy: trajectories
     circuits = _circuits(4, 4, 7)
-    whole = [qfi(c, shots, SV, params, seed=3) for c in circuits]
+    whole = [qfi(c, shots, spec, params, seed=3) for c in circuits]
     # 5 rows of 4 qubits per batch, but at least one row per shifted
     # circuit: noisy splits fall inside the 48-shot groups; noiseless
     # modes do not go through `row_states`, since their rows are the one
     # state of `metrics.Rows`, which the cap does not split
     monkeypatch.setattr(noise, "BATCH_AMPLITUDES", 16 * 5)
-    assert [qfi(c, shots, SV, params, seed=3) for c in circuits] == whole
+    states = []
+    fresh = BackendSpec.fresh
+    monkeypatch.setattr(BackendSpec, "fresh",
+                        lambda self, n, batch=None: states.append(batch) or fresh(self, n, batch))
+    assert [qfi(c, shots, spec, params, seed=3) for c in circuits] == whole
+    if params is not None:  # `row_states` split each QFI's rows into states
+        assert len(states) > len(circuits)
 
 
 def _largest_row(n, chi):
@@ -274,6 +326,27 @@ def test_noiseless_qfi_builds_one_state(monkeypatch, spec, shots, params):
     c = Circuit(4).h(0).cx(0, 1).rx(1, .4).rz(2, 1.1).cx(2, 3).rx(3, .9)
     qfi(c, shots, spec, params, seed=3)
     assert batches == [7]  # the base row and 2R shifted rows, R = 3 rotations
+
+
+@pytest.mark.parametrize("shots,cap,density", [(8, 14, True), (4, 14, False), (8, 5, False)],
+                         ids=["2^n=shots", "2^n=2*shots", "2n=cap+1"])
+def test_noisy_qfi_runs_density_rows_where_they_hold_no_more_amplitudes(monkeypatch, shots,
+                                                                          cap, density):
+    states = []
+    fresh = BackendSpec.fresh
+
+    def counted(self, n_qubits, batch=None):
+        states.append((n_qubits, batch))
+        return fresh(self, n_qubits, batch)
+
+    monkeypatch.setattr(BackendSpec, "fresh", counted)
+    c = Circuit(3).h(0).cx(0, 1).rx(1, .4).rz(2, 1.1)  # R = 2 rotations
+    qfi(c, shots, BackendSpec(kind="statevector", dense_cap=cap), HIGH, seed=3)
+    if density:  # one row of 2n qubits per shifted circuit
+        assert states == [(6, 4)]
+    else:  # one row of n qubits per shot of each shifted circuit
+        assert {n for n, _ in states} == {3}
+        assert sum(batch for _, batch in states) == 4 * shots
 
 
 def test_noisy_mps_qfi_is_unchanged():
@@ -416,6 +489,23 @@ def test_row_slice_gates_share_the_scratch_buffer_safely():
     # the whole batch still runs correctly after its row slices used the buffer
     state.run(c)
     assert np.allclose(np.linalg.norm(state.amps, axis=1), 1.0)
+
+
+def test_a_matrix_stack_applies_one_matrix_to_each_row():
+    # density rows after a shifted rotation: rows 1..4 of 6, each its own matrix
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+    state = _random_batch(3, 6, 8)
+    want = state.amps.copy()
+    for r, m in enumerate(stack, start=1):
+        row = DenseState(3, batch=1)
+        row.amps[0] = want[r]
+        row.apply_unitary(m, 2, 0)
+        want[r] = row.amps[0]
+    state.apply_unitary(stack, 2, 0, rows=slice(1, 5))
+    # a batched product may round unlike a single one
+    assert np.allclose(state.amps, want, rtol=0.0, atol=1e-13)
+    assert np.array_equal(state.amps[[0, 5]], want[[0, 5]])
 
 
 def test_1q_gate_on_a_row_slice_changes_only_those_rows():
