@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuit as circ
-from . import metrics, noise, plots
+from . import metrics, plots
 from .backend import BACKENDS, BackendSpec, require_int, require_real
 from .circuit import ParseError
 from .ddqn import AgentConfig, train
@@ -67,6 +67,14 @@ def _build_backend(env_dict: dict) -> BackendSpec:
                           if key in env_dict})
 
 
+def _section(raw: dict, name: str) -> dict:
+    """A copy of section `name`, a JSON object; {} if absent or null."""
+    value = {} if raw.get(name) is None else raw[name]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def load_run_config(path: Path):
     """Parse and validate a run config; returns everything cmd_train needs."""
     try:
@@ -85,16 +93,18 @@ def load_run_config(path: Path):
         seed = require_int("seed", raw.get("seed", 0))
         if seed < 0:
             raise ConfigError(f"seed={seed} must be >= 0")
-        env_dict = dict(raw.get("env") or {})
+        env_dict = _section(raw, "env")
+        missing = [key for key in ("n_qubits", "max_gates") if key not in env_dict]
+        if missing:
+            raise ConfigError(f"env is missing {', '.join(missing)}")
         backend = _build_backend(env_dict)
         angle_catalog = tuple(float(require_real("angle_catalog", a)) for a in env_dict.pop(
             "angle_catalog", (math.pi / 4.0, math.pi / 2.0)))
-        weights = RewardWeights(**(raw.get("weights") or {}))
-        noise_dict = raw.get("noise")
-        noise_params = NoiseParams(**noise_dict) if noise_dict else None
+        weights = RewardWeights(**_section(raw, "weights"))
+        noise_params = None if raw.get("noise") is None else NoiseParams(**_section(raw, "noise"))
         env_cfg = EnvConfig(weights=weights, backend=backend, noise=noise_params,
                             angle_catalog=angle_catalog, **env_dict)
-        agent_cfg = AgentConfig(**(raw.get("agent") or {}))
+        agent_cfg = AgentConfig(**_section(raw, "agent"))
         output_dir = raw.get("output_dir", "out")
         if not isinstance(output_dir, str):
             raise ConfigError(f"output_dir={output_dir!r} must be a string")

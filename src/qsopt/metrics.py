@@ -17,8 +17,7 @@ circuits follow, ordered (rotation k, sign +-): every gate but rotation
 k acts on their rows as on the base row, and rotation k is laid out as
 at most four row runs (its angle before the pair, +pi/2 and -pi/2 on the
 pair, its angle after). The rows are a dense batch or an MPS stack whose
-tensors hold them over one chain, and one `measure_at` call reads the
-shots of all the shifted rows; the base row is never sampled.
+tensors hold them over one chain.
 
 `Rows.update` brings the rows to any circuit through one gate loop, and
 the env carries them between steps this way. A circuit that only
@@ -26,23 +25,23 @@ appends gates runs its new gates: each acts on every row, and a new
 rotation first appends two copies of the base row. Any other circuit
 restarts the state from |0..0> with all 1 + 2R rows allocated up front,
 since appending rows copies every MPS site tensor, and runs every gate.
-Under noise the rows hold the base row only, and the noisy QFI runs the
-2R shifted circuits in its own layout (`_row_runs`), by the method
-`noise.density_rows` picks. On the dense backend with 2^n <= shots (and
-2n within the dense cap) each shifted circuit is one density row
-(`noise.density_probabilities`), whose exact distribution its shots
-are drawn from at default_rng(child).random(shots), the uniforms of the
-noiseless QFI: a row of 4^n amplitudes then replaces trajectories of
-2^n amplitudes per shot, and no event is drawn. Otherwise, and on the
-MPS, the rows are (circuit, shot) trajectories, which `noise.sample_bits`
-splits into states, and each shifted circuit draws its events for the
-whole circuit from its own spawned child generator, as a per-circuit
-`sample_counts` would. Both methods sample the same channel model.
+Under noise the rows hold the base row only, and the noisy QFI lays the
+2R shifted circuits out in its own rows (`_row_runs`) as
+`noise.density_rows` picks: one density row each
+(`noise.density_probabilities`), or (circuit, shot) trajectories
+(`noise.sample_bits`) whose events each circuit draws from its own child
+generator, as a per-circuit `sample_counts` would.
 
-The statistic sums in bitstring order over exact probabilities (all 2^n
-outcomes) or over sampled frequencies. Sampled outcomes are ranked by
-one sort of their packed integer keys (`statevector.distinct_outcomes`),
-and each pair's sum runs only over the outcomes its two rows saw.
+The QFI reads the shifted circuits, never the base row, one of two ways:
+* Distributions, on the statevector: one (2R, 2^n) array, the shifted
+  rows' probabilities or, under noise, the density rows'. Shots 0 reads
+  it as it is; else circuit c's shots are drawn from its row at
+  default_rng(child c).random(shots) (`_sampled`).
+* Bits, from the MPS rows (one `measure_at` call at the same uniforms)
+  and the noisy trajectories, ranked by one sort of their packed keys
+  (`statevector.distinct_outcomes`). Each pair's frequencies span only
+  the outcomes its rows saw: an unseen one adds +0.0 to the statistic,
+  which sums in bitstring order.
 """
 
 from __future__ import annotations
@@ -275,37 +274,16 @@ class Rows:
 
 
 def _uniforms(children, shots: int) -> np.ndarray:
-    """The measurement uniforms of the 2R shifted circuits, (2R, shots):
-    default_rng(child).random(shots) per circuit, as `sample_counts` draws
-    them."""
+    """The (2R, shots) measurement uniforms of the shifted circuits, one
+    default_rng(child).random(shots) each, as `sample_counts` draws them."""
     return np.stack([np.random.default_rng(child).random(shots) for child in children])
 
 
-def _shifted_bits(circuit: Circuit, positions: list[int], shots: int, spec: BackendSpec,
-                  noise: NoiseParams | None, children, rows: Rows | None) -> np.ndarray:
-    """Sampled outcomes of the 2R shifted circuits as the bit rows of one
-    (2R * shots, n) array, ordered (rotation, sign, shot). Without noise
-    they are read out of the shifted rows of `rows` at their `_uniforms`,
-    all in one `measure_at` call; the base row is not read. With noise the
-    rows of one layout are (circuit, shot) trajectories, and each
-    circuit's events come from its own child (`noise.sample_bits`)."""
-    if noise is not None:
-        return sample_bits(circuit, spec, noise, shots, children,
-                           _row_runs(circuit, positions, shots))
-    u = _uniforms(children, shots)
-    return rows.state.measure_at(u, rows=slice(1, None)).reshape(-1, circuit.n_qubits)
-
-
-def _density_frequencies(circuit: Circuit, positions: list[int], shots: int,
-                         spec: BackendSpec, noise: NoiseParams, children) -> np.ndarray:
-    """The sampled outcome frequencies of the 2R shifted circuits under
-    noise, (2R, 2^n) in bitstring order: each circuit's shots drawn at its
-    `_uniforms` from its exact distribution, its density row
-    (`noise.density_probabilities`)."""
-    pairs = len(children)
-    probs = density_probabilities(circuit, spec, noise, _row_runs(circuit, positions, 1), pairs)
+def _sampled(probs: np.ndarray, children, shots: int) -> np.ndarray:
+    """The frequencies, (2R, 2^n), of `shots` outcomes drawn from each row
+    of `probs` at its `_uniforms` (`outcome_index`)."""
     index = outcome_index(probs, _uniforms(children, shots))
-    cell = index + probs.shape[1] * np.arange(pairs)[:, None]
+    cell = index + probs.shape[1] * np.arange(len(probs))[:, None]
     return np.bincount(cell.ravel(), minlength=probs.size).reshape(probs.shape) / shots
 
 
@@ -359,18 +337,23 @@ def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
         elif not (rows.shifted and rows.spec == spec and rows.circuit == circuit):
             raise ValueError("rows of another circuit or without shifted rows")
     pairs = 2 * len(positions)
-    if shots == 0:
-        probs = rows.state.probabilities()[1:]
-        plus, minus = probs[0::2], probs[1::2]
-    else:
+    if shots:  # exact mode spawns nothing
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        if noisy and density_rows(spec, circuit.n_qubits, shots):
-            freq = _density_frequencies(circuit, positions, shots, spec, noise, root.spawn(pairs))
-            plus, minus = freq[0::2], freq[1::2]
+        children = root.spawn(pairs)
+    trajectories = noisy and not density_rows(spec, circuit.n_qubits, shots)
+    if spec.kind == "statevector" and not trajectories:  # distributions
+        probs = (density_probabilities(circuit, spec, noise, _row_runs(circuit, positions, 1),
+                                       pairs) if noisy else rows.state.probabilities()[1:])
+        if shots:
+            probs = _sampled(probs, children, shots)
+        plus, minus = probs[0::2], probs[1::2]
+    else:  # bits
+        if trajectories:
+            bits = sample_bits(circuit, spec, noise, shots, children,
+                               _row_runs(circuit, positions, shots))
         else:
-            bits = _shifted_bits(circuit, positions, shots, spec, noise if noisy else None,
-                                 root.spawn(pairs), rows)
-            plus, minus = _pair_frequencies(bits, pairs, shots)
+            bits = rows.state.measure_at(_uniforms(children, shots), rows=slice(1, None))
+        plus, minus = _pair_frequencies(bits.reshape(-1, circuit.n_qubits), pairs, shots)
     stats = _shift_statistic(plus, minus)
     return float(np.cumsum(stats)[-1] / len(positions) / QFI_MAX)
 

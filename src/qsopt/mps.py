@@ -313,11 +313,9 @@ class MpsState(QubitState):
         the number of distinct prefixes."""
         self.move_center(0)
         tensors = [t[rows] for t in self.tensors]
-        u = np.array(u, dtype=float)
-        shape = u.shape
         rows = len(tensors[0])
-        if self.batch is not None and shape[:1] != (rows,):
-            raise ValueError(f"a batch of {rows} rows takes uniforms of shape ({rows}, ...)")
+        u = self._row_uniforms(u, rows)
+        shape = u.shape
         u = u.reshape(rows, -1)
         shots = u.shape[1]
         # the shots by row, then by u (equal uniforms draw equal bits, so

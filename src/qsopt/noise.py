@@ -27,8 +27,8 @@ layout and one definition of the noise semantics. `row_states` maps the
 rows of a noisy layout to states by one rule for both backends: the
 dense statevector evolves rows together as a (rows, 2^n) array, the MPS
 as a stack of rows over one chain, and a state holds at most
-BATCH_AMPLITUDES amplitudes or tensor entries (but at least one row per
-circuit). Each event is one state op over the rows it hits
+BATCH_AMPLITUDES amplitudes or tensor entries (but at least one row).
+Each event is one state op over the rows it hits
 (`apply_paulis`, `reset_rows`, `flip_z`, written once in `QubitState`
 for both backends), and the same `_evolve` loop drives every state. A
 disabled model draws the same arrays with every probability zero. Each
@@ -47,8 +47,8 @@ amplitudes where the circuit's trajectories hold 2^n per shot, so the
 noisy QFI runs density rows where they hold no more amplitudes
 (`density_rows`): on the dense backend, with 2^n <= shots and 2n within
 the dense cap. Elsewhere, and on the MPS, it runs trajectories
-(`sample_bits`), and `sample_counts` (`qsopt simulate`/`compare`) always
-does.
+(`sample_bits`), and `sample_counts`, which serves the Python API and the
+noise demo, always does.
 """
 
 from __future__ import annotations
@@ -223,21 +223,20 @@ def run_one_trajectory(circuit: Circuit, spec: BackendSpec, params: NoiseParams,
     return state
 
 
-def row_states(spec: BackendSpec, n_qubits: int, rows: int, circuits: int):
-    """The states that hold the `rows` rows of a batch layout of `circuits`
-    circuits, as (start, stop, state) with rows start..stop-1 in state,
-    each from `spec.fresh(n_qubits, batch)`. A state holds at most
-    max(circuits, BATCH_AMPLITUDES // s) rows, s the largest size of one
-    row: 2^n on the dense statevector, on the MPS the sum of 2 d[k-1] d[k]
-    over its sites, with bonds d[k] = min(2^k, 2^(n-k), chi_max). Splits
-    fall at row boundaries, so a state can end inside a run; a layout of
-    one row per circuit is one state."""
+def row_states(spec: BackendSpec, n_qubits: int, rows: int):
+    """The states that hold the `rows` rows of a batch layout, as (start,
+    stop, state) with rows start..stop-1 in state, each from
+    `spec.fresh(n_qubits, batch)`. A state holds max(1, BATCH_AMPLITUDES
+    // s) rows, s the largest size of one row: 2^n on the dense
+    statevector, on the MPS the sum of 2 d[k-1] d[k] over its sites, with
+    bonds d[k] = min(2^k, 2^(n-k), chi_max). Splits fall at row
+    boundaries, even inside a run or a circuit's shots."""
     if spec.kind == "statevector":
         size = 2 ** n_qubits
     else:
         bonds = [min(2 ** k, 2 ** (n_qubits - k), spec.chi_max) for k in range(n_qubits + 1)]
         size = sum(2 * a * b for a, b in zip(bonds, bonds[1:]))
-    step = max(circuits, BATCH_AMPLITUDES // size)
+    step = max(1, BATCH_AMPLITUDES // size)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
         yield start, stop, spec.fresh(n_qubits, batch=stop - start)
@@ -260,7 +259,7 @@ def sample_bits(circuit: Circuit, spec: BackendSpec, params: NoiseParams, shots:
                          *(np.random.default_rng(s) for s in seeds))
     runs = whole_runs(circuit, events.shots) if runs is None else runs
     bits = []
-    for start, stop, state in row_states(spec, circuit.n_qubits, events.shots, len(seeds)):
+    for start, stop, state in row_states(spec, circuit.n_qubits, events.shots):
         ev = events.rows(slice(start, stop))
         _evolve(state, runs, layers, ev, start)
         bits.append(state.measure_at(ev.meas_u))

@@ -32,7 +32,7 @@ of the dense amplitudes, or the MPS site tensor.
 
 `QubitState` holds what the dense and MPS backends share: gate dispatch,
 entropies from per-bond Schmidt values, and one readout path. Every
-Z-basis outcome comes from a backend's `measure_at(u)`, which maps
+outcome read as bits comes from a backend's `measure_at(u)`, which maps
 uniforms to basis states, and `bit_counts` turns bit rows into counts,
 sorting them by `bit_keys`, the bits packed into 64-bit integers.
 """
@@ -125,6 +125,13 @@ class QubitState:
     def _check_bitstring(self, bitstring: str) -> None:
         if len(bitstring) != self.n_qubits or set(bitstring) - {"0", "1"}:
             raise ValueError(f"bad bitstring {bitstring!r} for {self.n_qubits} qubits")
+
+    def _row_uniforms(self, u, rows: int) -> np.ndarray:
+        """u as floats; a batch reading `rows` rows wants one row of u each."""
+        u = np.asarray(u, dtype=float)
+        if self.batch is not None and u.shape[:1] != (rows,):
+            raise ValueError(f"a batch of {rows} rows takes uniforms of shape ({rows}, ...)")
+        return u
 
     def _check_bond(self, bond: int) -> None:
         if not 1 <= bond <= self.n_qubits - 1:
@@ -316,7 +323,8 @@ class DenseState(QubitState):
         any number of uniforms, a batch a leading row axis over its rows in
         the slice `rows`: (rows,) or (rows, shots). Returns bits of shape
         u.shape + (n,)."""
-        index = outcome_index(np.abs(self.amps[rows]) ** 2, u)
+        probs = np.abs(self.amps[rows]) ** 2
+        index = outcome_index(probs, self._row_uniforms(u, len(probs)))
         shifts = np.arange(self.n_qubits - 1, -1, -1)
         return ((index[..., None] >> shifts) & 1).astype(np.uint8)
 

@@ -16,6 +16,7 @@ from qsopt import cli, metrics
 from qsopt.backend import BackendSpec
 from qsopt.circuit import emit_file, ghz, parse
 from qsopt.cli import ConfigError, load_run_config, main
+from qsopt.noise import NoiseParams
 
 
 def write_config(tmp_path, **overrides):
@@ -73,6 +74,14 @@ def test_load_config_rejects_bad_input(tmp_path, overrides):
     path = write_config(tmp_path, **overrides)
     with pytest.raises(ConfigError):
         load_run_config(path)
+
+
+def test_empty_noise_section_is_the_default_model(tmp_path):
+    env = {"n_qubits": 2, "max_gates": 8, "shots": 8, "backend": "statevector"}
+    env_cfg = load_run_config(write_config(tmp_path, env=env, noise={}))[0]
+    assert env_cfg.noise == NoiseParams()
+    env_cfg = load_run_config(write_config(tmp_path, env=env, noise=None))[0]
+    assert env_cfg.noise is None
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -352,6 +361,13 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
     ("batch_size", {"agent": {"memory_size": 8, "batch_size": 64}}),
     ("initial_circuits", {"initial_circuits": [5]}),
     ("initial_circuits", {"initial_circuits": "a.qc"}),
+    ("noise", {"noise": []}),
+    ("noise", {"noise": 0}),
+    ("env", {"env": [["n_qubits", 3], ["max_gates", 8]]}),
+    ("agent", {"agent": [1]}),
+    ("weights", {"weights": "x"}),
+    ("n_qubits, max_gates", {"env": {}}),
+    ("max_gates", {"env": {"n_qubits": 2, "shots": 0, "backend": "statevector"}}),
 ], ids=["t1-nan", "angle-nan", "angle-inf", "lr-nan", "lr-inf", "seed-negative",
         "enabled-string", "during-training-int", "shots-float", "n-qubits-float",
         "max-gates-string", "max-steps-bool", "episodes-float", "seed-float",
@@ -360,7 +376,8 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
         "output-dir-int", "angle-bool", "angle-string", "weight-bool", "p-1q-bool",
         "duration-bool", "trunc-tol-bool", "threshold-bool", "lr-decay-bool",
         "plateau-factor-string", "batch-over-memory", "initial-not-a-string",
-        "initial-not-a-list"])
+        "initial-not-a-list", "noise-list", "noise-zero", "env-pairs", "agent-list",
+        "weights-string", "env-empty", "max-gates-missing"])
 def test_train_bad_config_value_exits_1(tmp_path, capsys, key, overrides):
     path = write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1

@@ -29,7 +29,7 @@ import pytest
 
 from kraus_reference import shifted_probabilities
 from qsopt import gates as G
-from qsopt import metrics, noise
+from qsopt import metrics, noise, statevector
 from qsopt.backend import BackendSpec
 from qsopt.circuit import Circuit, moments, random_circuit
 from qsopt.metrics import QFI_MAX, SHIFT, qfi, rotation_positions, shift_angle
@@ -198,6 +198,30 @@ def test_batched_qfi_equals_per_circuit_qfi(n, mode):
             assert abs(qfi(c, shots, SV, params, seed=i) - want) <= 1e-12, (n, i)
 
 
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_statevector_qfi_reads_distributions_not_bits(monkeypatch, mode):
+    # on the statevector the exact, sampled and density-row QFIs read the
+    # shifted circuits' distributions as one array (at 4 qubits, 2^n <= 48
+    # shots sends the noisy QFI to density rows): nothing is read out as
+    # bits. The references read bits, so they run before the patch.
+    shots, params = MODES[mode]
+    circuits = _circuits(4, 6, 11)
+    if params is None:
+        want = [ref_qfi(c, shots, SV, seed=i) for i, c in enumerate(circuits)]
+    else:
+        want = [ref_density_qfi(c, shots, params, seed=i) for i, c in enumerate(circuits)]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the statevector QFI read out bits")
+
+    monkeypatch.setattr(DenseState, "measure_at", refuse)
+    monkeypatch.setattr(metrics, "distinct_outcomes", refuse)
+    monkeypatch.setattr(statevector, "distinct_outcomes", refuse)
+    for i, c in enumerate(circuits):
+        got = qfi(c, shots, SV, params, seed=i)
+        assert repr(got) == repr(want[i]), (mode, i)
+
+
 @pytest.mark.parametrize("mode", ["exact", "shots"])
 @pytest.mark.parametrize("n", [3, 5])
 def test_extended_rows_give_the_per_circuit_qfi(n, mode):
@@ -267,10 +291,9 @@ def test_batch_split_inside_a_group_keeps_values(monkeypatch, mode):
     spec = SV if params is None else _trajectory_spec(4)  # noisy: trajectories
     circuits = _circuits(4, 4, 7)
     whole = [qfi(c, shots, spec, params, seed=3) for c in circuits]
-    # 5 rows of 4 qubits per batch, but at least one row per shifted
-    # circuit: noisy splits fall inside the 48-shot groups; noiseless
-    # modes do not go through `row_states`, since their rows are the one
-    # state of `metrics.Rows`, which the cap does not split
+    # 5 rows of 4 qubits per batch: noisy splits fall inside the 48-shot
+    # groups; noiseless modes do not go through `row_states`, since their
+    # rows are the one state of `metrics.Rows`, which the cap does not split
     monkeypatch.setattr(noise, "BATCH_AMPLITUDES", 16 * 5)
     states = []
     fresh = BackendSpec.fresh
@@ -292,21 +315,9 @@ def test_noisy_mps_stacks_stay_bounded(n, rotations, cap):
     spec = BackendSpec(kind="mps", chi_max=16)
     assert noise.BATCH_AMPLITUDES // _largest_row(n, 16) == cap
     pairs = 2 * rotations
-    sizes = [stop - start for start, stop, _ in noise.row_states(spec, n, pairs * 5000, pairs)]
+    sizes = [stop - start for start, stop, _ in noise.row_states(spec, n, pairs * 5000)]
     assert sum(sizes) == pairs * 5000
-    assert max(sizes) == max(pairs, cap)
-
-
-@pytest.mark.parametrize("spec,n", [(BackendSpec(kind="mps", chi_max=64), 30),
-                                    (BackendSpec(kind="mps", chi_max=16), 60),
-                                    (BackendSpec(kind="statevector"), 14)],
-                         ids=["mps-30", "mps-60", "statevector-14"])
-def test_noiseless_layout_is_one_state(spec, n):
-    pairs = 2 * 38  # more rows than BATCH_AMPLITUDES holds at these widths
-    assert noise.BATCH_AMPLITUDES // (2 ** n if spec.kind == "statevector"
-                                      else _largest_row(n, spec.chi_max)) < pairs
-    assert [(start, stop) for start, stop, _ in noise.row_states(spec, n, pairs, pairs)] == [
-        (0, pairs)]
+    assert max(sizes) == cap
 
 
 @pytest.mark.parametrize("spec,shots,params", [(SV, 0, None), (SV, 16, None),

@@ -73,17 +73,27 @@ def test_bit_counts_match_string_keys(n):
 
 def test_frequencies_match_string_keys_at_65_qubits(monkeypatch):
     c = Circuit(65).h(30).h(64).rx(0, 0.7).rx(63, 1.1).rx(64, 2.0)
-    positions = metrics.rotation_positions(c)
     spec = BackendSpec("mps", chi_max=2)
-    children = np.random.SeedSequence(5).spawn(2 * len(positions))
-    bits = metrics._shifted_bits(c, positions, 64, spec, None, children,
-                                 metrics.Rows(c, spec))
+    u = np.random.default_rng(5).random((6, 64))
+    bits = metrics.Rows(c, spec).state.measure_at(u, rows=slice(1, None)).reshape(-1, 65)
     got = metrics._pair_frequencies(bits, 6, 64)
     monkeypatch.setattr(metrics, "distinct_outcomes", _string_distinct)
     want = metrics._pair_frequencies(bits, 6, 64)
     # per pair, outcomes repeat, and more than one occurs
     assert all(1 < np.count_nonzero(p + m) < 2 * 64 for p, m in zip(*got))
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("kind", ["statevector", "mps"])
+def test_a_batch_takes_one_row_of_uniforms_per_row_it_reads(kind):
+    state = BackendSpec(kind).fresh(2, batch=3)
+    assert state.measure_at(np.zeros((3, 4))).shape == (3, 4, 2)
+    assert state.measure_at(np.zeros(3)).shape == (3, 2)
+    assert state.measure_at(np.zeros((2, 4)), rows=slice(1, None)).shape == (2, 4, 2)
+    for u, rows in ((np.zeros((5, 4)), slice(None)), (np.zeros(5), slice(None)),
+                    (np.zeros((3, 4)), slice(1, None))):
+        with pytest.raises(ValueError, match="takes uniforms of shape"):
+            state.measure_at(u, rows=rows)
 
 
 # --- edge uniforms --------------------------------------------------------
