@@ -20,7 +20,7 @@ print(f"pure dephasing time t_phi = {params.t_phi_us:.1f} us")
 print()
 
 print("=== noiseless ghz(5): support is exactly {00000, 11111} ===")
-clean = sample_counts(ghz(5), SV, 2000, seed=0, params=params.disabled())
+clean = sample_counts(ghz(5), SV, 2000, seed=0, params=None)
 print(dict(sorted(clean.items())))
 
 print()

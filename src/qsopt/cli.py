@@ -28,7 +28,6 @@ _apply_thread_cap()
 import argparse
 import csv
 import json
-import math
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -75,6 +74,18 @@ def _section(raw: dict, name: str) -> dict:
     return dict(value)
 
 
+def _noise_model(raw: dict) -> NoiseParams | None:
+    """The run's noise model: None when the `noise` section is absent or
+    null or its `enabled` key is false; its other fields are checked
+    either way."""
+    fields = _section(raw, "noise")
+    enabled = fields.pop("enabled", raw.get("noise") is not None)
+    if not isinstance(enabled, bool):  # a string such as "false" is truthy
+        raise ConfigError(f"enabled={enabled!r} must be true or false")
+    model = NoiseParams(**fields)
+    return model if enabled else None
+
+
 def load_run_config(path: Path):
     """Parse and validate a run config; returns everything cmd_train needs."""
     try:
@@ -98,12 +109,15 @@ def load_run_config(path: Path):
         if missing:
             raise ConfigError(f"env is missing {', '.join(missing)}")
         backend = _build_backend(env_dict)
-        angle_catalog = tuple(float(require_real("angle_catalog", a)) for a in env_dict.pop(
-            "angle_catalog", (math.pi / 4.0, math.pi / 2.0)))
+        if "angle_catalog" in env_dict:
+            catalog = env_dict["angle_catalog"]
+            if not isinstance(catalog, list):
+                raise ConfigError(f"angle_catalog={catalog!r} must be a list of angles")
+            env_dict["angle_catalog"] = tuple(float(require_real("angle_catalog", a))
+                                              for a in catalog)
         weights = RewardWeights(**_section(raw, "weights"))
-        noise_params = None if raw.get("noise") is None else NoiseParams(**_section(raw, "noise"))
-        env_cfg = EnvConfig(weights=weights, backend=backend, noise=noise_params,
-                            angle_catalog=angle_catalog, **env_dict)
+        env_cfg = EnvConfig(weights=weights, backend=backend, noise=_noise_model(raw),
+                            **env_dict)
         agent_cfg = AgentConfig(**_section(raw, "agent"))
         output_dir = raw.get("output_dir", "out")
         if not isinstance(output_dir, str):
@@ -112,7 +126,9 @@ def load_run_config(path: Path):
         raise ConfigError(str(exc)) from exc
     except TypeError as exc:
         raise ConfigError(f"unrecognized config key: {exc}") from exc
-    initial_paths = raw.get("initial_circuits") or []
+    initial_paths = raw.get("initial_circuits")
+    if initial_paths is None:
+        initial_paths = []
     if not (isinstance(initial_paths, list) and all(isinstance(p, str) for p in initial_paths)):
         raise ConfigError(f"initial_circuits={initial_paths!r} must be a list of file names")
     initials = []

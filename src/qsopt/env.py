@@ -80,26 +80,11 @@ class EnvConfig:
             raise ValueError("max_steps_per_episode must be >= 1")
         if not 0.0 <= require_real("entanglement_threshold", self.entanglement_threshold) <= 1.0:
             raise ValueError("entanglement_threshold must lie in [0, 1]")
-        if self.shots < 0:
-            raise ValueError("shots must be >= 0")
-        if self.shots == 0 and self.backend.kind != "statevector":
-            raise ValueError("shots=0 (exact QFI) requires the statevector backend")
-        if self.shots == 0 and self.qfi_noise is not None:
-            raise ValueError("shots=0 (exact QFI) cannot model noise; use shots >= 1 "
-                             "or disable noise during training")
+        metrics.check_qfi_mode(self.shots, self.backend, self.noise)
         if not self.angle_catalog:
             raise ValueError("angle_catalog must not be empty")
         if not all(math.isfinite(a) for a in self.angle_catalog):
             raise ValueError(f"angle_catalog must hold finite angles, got {self.angle_catalog}")
-
-    @property
-    def qfi_noise(self) -> NoiseParams | None:
-        """The noise the QFI estimate models: None unless noise is enabled
-        during training."""
-        noise = self.noise
-        if noise is not None and noise.enabled and noise.during_training:
-            return noise
-        return None
 
     @property
     def grid_depth(self) -> int:
@@ -213,7 +198,7 @@ class CircuitEnv:
                            f"budget is {self.cfg.max_gates}")
         self._seeds = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._circuit = initial
-        self._rows = metrics.Rows(initial, self.cfg.backend, shifted=self.cfg.qfi_noise is None)
+        self._rows = metrics.Rows(initial, self.cfg.backend, shifted=self.cfg.noise is None)
         self._baseline = self._evaluate(initial)
         self._record = self._baseline
         self._steps = 0
@@ -253,7 +238,7 @@ class CircuitEnv:
         self.evaluations += 1
         self.extended_evaluations += extended
         return metrics.evaluate(circuit, self.cfg.backend, self.cfg.shots,
-                                self.cfg.qfi_noise, self._seeds.spawn(1)[0], self._rows)
+                                self.cfg.noise, self._seeds.spawn(1)[0], self._rows)
 
     # --- actions ----------------------------------------------------------
 

@@ -65,17 +65,12 @@ class QfiUndefinedError(ValueError):
     """QFI requested for a circuit without any rotation gate."""
 
 
-def depth_ratio(d_in: int, d_out: int) -> float:
-    """(d_in - d_out)/d_in; negative when depth grows; 0 for empty input."""
-    if d_in == 0:
+def reduction_ratio(before: int, after: int) -> float:
+    """(before - after)/before, of a depth or a gate count; negative when
+    it grows; 0 for an empty input."""
+    if before == 0:
         return 0.0
-    return (d_in - d_out) / d_in
-
-
-def gate_ratio(g_in: int, g_out: int) -> float:
-    if g_in == 0:
-        return 0.0
-    return (g_in - g_out) / g_in
+    return (before - after) / before
 
 
 @dataclass(frozen=True)
@@ -121,9 +116,9 @@ class MetricsRecord:
         ratios against the baseline (episode-initial) circuit."""
         return MetricDeltas(
             qfi=self.qfi_norm - baseline.qfi_norm,
-            depth=depth_ratio(baseline.depth, self.depth),
+            depth=reduction_ratio(baseline.depth, self.depth),
             entropy=self.entropy_norm - baseline.entropy_norm,
-            gates=gate_ratio(baseline.gate_count, self.gate_count),
+            gates=reduction_ratio(baseline.gate_count, self.gate_count),
         )
 
 
@@ -309,14 +304,26 @@ def _pair_frequencies(bits: np.ndarray, pairs: int, shots: int) -> tuple[np.ndar
     return out[0], out[1]
 
 
+def check_qfi_mode(shots: int, spec: BackendSpec, noise: NoiseParams | None) -> None:
+    """Refuse a QFI mode that does not exist: shots must be >= 0, and
+    shots = 0, the exact mode, reads the statevector's distributions
+    without noise."""
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
+    if shots == 0 and spec.kind != "statevector":
+        raise ValueError("exact QFI mode (shots=0) requires the statevector backend")
+    if shots == 0 and noise is not None:
+        raise ValueError("exact QFI mode (shots=0) cannot model noise; use shots >= 1")
+
+
 def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
         noise: NoiseParams | None = None, seed=0, rows: Rows | None = None) -> float:
     """Normalized parameter-shift QFI in [0, 1].
 
-    shots = 0 selects exact-distribution mode, which evaluates the dense
-    reference backend, needs no RNG and cannot model noise; shots >= 1
-    samples measurement outcomes (per-parameter child seeds keep results
-    independent of evaluation order). Without noise the 2R shifted
+    shots = 0 selects exact-distribution mode, which needs no RNG;
+    shots >= 1 samples measurement outcomes (per-parameter child seeds
+    keep results independent of evaluation order); `check_qfi_mode`
+    refuses every other mode. Without noise the 2R shifted
     circuits are the shifted rows of `rows`, the circuit's `Rows`, built
     here when not given; under noise they run as density rows or as
     trajectories (`noise.density_rows`), and `rows` is not read.
@@ -324,13 +331,8 @@ def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
     positions = rotation_positions(circuit)
     if not positions:
         raise QfiUndefinedError("circuit has no RX/RZ gate; QFI undefined")
-    noisy = noise is not None and noise.enabled
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
-    if shots == 0 and spec.kind != "statevector":
-        raise ValueError("exact QFI mode (shots=0) requires the statevector backend")
-    if shots == 0 and noisy:
-        raise ValueError("exact QFI mode (shots=0) cannot model noise; use shots >= 1")
+    check_qfi_mode(shots, spec, noise)
+    noisy = noise is not None
     if not noisy:
         if rows is None:
             rows = Rows(circuit, spec)
@@ -370,7 +372,7 @@ def evaluate(circuit: Circuit, spec: BackendSpec, shots: int,
     with an explanatory flag instead of an error so that bare initial
     circuits can still be scored."""
     if rows is None:
-        rows = Rows(circuit, spec, shifted=noise is None or not noise.enabled)
+        rows = Rows(circuit, spec, shifted=noise is None)
     elif rows.circuit != circuit:
         raise ValueError("rows of another circuit")
     base = rows.record()

@@ -30,8 +30,7 @@ as a stack of rows over one chain, and a state holds at most
 BATCH_AMPLITUDES amplitudes or tensor entries (but at least one row).
 Each event is one state op over the rows it hits
 (`apply_paulis`, `reset_rows`, `flip_z`, written once in `QubitState`
-for both backends), and the same `_evolve` loop drives every state. A
-disabled model draws the same arrays with every probability zero. Each
+for both backends), and the same `_evolve` loop drives every state. Each
 shot is read out by the backend's `measure_at` at its measurement
 uniform and the flipped bits are counted by `bit_counts`, as in
 `sample`.
@@ -54,7 +53,7 @@ noise demo, always does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -83,14 +82,8 @@ class NoiseParams:
     t2_us: float = 70.0
     dur_1q_us: float = 0.05
     dur_2q_us: float = 0.3
-    enabled: bool = True
-    during_training: bool = True
 
     def __post_init__(self):
-        for name in ("enabled", "during_training"):
-            flag = getattr(self, name)
-            if not isinstance(flag, bool):  # a string such as "false" is truthy
-                raise NoiseConfigError(f"{name}={flag!r} must be true or false")
         for name in ("p_meas", "p_1q", "p_2q"):
             p = require_real(name, getattr(self, name))
             if not 0.0 <= p <= 1.0:
@@ -102,9 +95,6 @@ class NoiseParams:
         if self.t2_us > 2.0 * self.t1_us:
             raise NoiseConfigError(f"t2={self.t2_us} exceeds 2*t1={2.0 * self.t1_us}; "
                                    "pure dephasing time would be negative")
-
-    def disabled(self) -> "NoiseParams":
-        return replace(self, enabled=False)
 
     @property
     def t_phi_us(self) -> float:
@@ -138,17 +128,15 @@ def _event_probabilities(circuit: Circuit, layers: list[list[int]],
                          params: NoiseParams) -> tuple:
     """The probabilities of the model's events: a depolarizing Pauli per
     gate; a reset and a Z flip per (moment, qubit), those of the moment's
-    longest gate; a readout flip per bit. All are zero when the model is
-    disabled."""
-    scale = 1.0 if params.enabled else 0.0
+    longest gate; a readout flip per bit."""
     two = np.array([g.kind.n_qubits == 2 for g in circuit.gates], dtype=bool)
-    p_gate = np.where(two, params.p_2q, params.p_1q) * scale
+    p_gate = np.where(two, params.p_2q, params.p_1q)
     gate_us = np.where(two, params.dur_2q_us, params.dur_1q_us)
     duration = np.array([gate_us[layer].max() for layer in layers])
-    p_amp = (1.0 - np.exp(-duration / params.t1_us)) * scale
+    p_amp = 1.0 - np.exp(-duration / params.t1_us)
     # T_phi = inf (T2 = 2*T1) gives exp(-0) = 1: no dephasing
-    p_phase = (1.0 - np.exp(-duration / params.t_phi_us)) * scale
-    return p_gate, p_amp, p_phase, params.p_meas * scale
+    p_phase = 1.0 - np.exp(-duration / params.t_phi_us)
+    return p_gate, p_amp, p_phase, params.p_meas
 
 
 def draw_events(circuit: Circuit, layers: list[list[int]], params: NoiseParams,
@@ -396,6 +384,6 @@ def sample_counts(circuit: Circuit, spec: BackendSpec, shots: int, seed,
     if shots < 1:
         raise ValueError("shots must be positive")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    if params is None or not params.enabled:
+    if params is None:
         return spec.run(circuit).sample(shots, np.random.default_rng(root))
     return bit_counts(sample_bits(circuit, spec, params, shots, [root]))

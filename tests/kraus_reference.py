@@ -42,7 +42,7 @@ def channel(rho: np.ndarray, ops) -> np.ndarray:
 
 def probabilities(circuit: Circuit, params) -> np.ndarray:
     """The distribution of one shot's readout bits, flips applied, in basis
-    order, under the enabled noise model `params`."""
+    order, under the noise model `params`."""
     n = circuit.n_qubits
     dim = 2 ** n
     rho = np.zeros((dim, dim), dtype=complex)

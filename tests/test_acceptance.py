@@ -31,7 +31,7 @@ from qsopt.ddqn import (
     train,
 )
 from qsopt.env import EnvConfig, Observation
-from qsopt.metrics import depth_ratio, gate_ratio, qfi
+from qsopt.metrics import qfi, reduction_ratio
 from qsopt.noise import NoiseParams, sample_counts
 
 SV = BackendSpec(kind="statevector")
@@ -99,8 +99,8 @@ def test_03_qfi_estimator():
 
 def test_04_reduction_ratios():
     with _verdict(4):
-        assert abs(depth_ratio(7, 5) - 0.2857) <= 1e-4
-        assert abs(gate_ratio(74, 68) - 0.0811) <= 1e-4
+        assert abs(reduction_ratio(7, 5) - 0.2857) <= 1e-4
+        assert abs(reduction_ratio(74, 68) - 0.0811) <= 1e-4
 
 
 def test_05_mps_scaling_beats_dense_on_shallow_circuits():
@@ -242,10 +242,9 @@ def test_10_measurement_noise_statistics():
         expect = 0.98 ** 5
         sigma = math.sqrt(expect * (1.0 - expect) / shots)
         assert abs(frac - expect) <= 3 * sigma, f"{frac:.5f} vs {expect:.5f}"
-        # disabling noise restores exact, reproducible sampling
-        off = params.disabled()
-        a = sample_counts(Circuit(5), SV, shots, seed=0, params=off)
-        b = sample_counts(Circuit(5), SV, shots, seed=0, params=off)
+        # without noise, sampling is exact and reproducible
+        a = sample_counts(Circuit(5), SV, shots, seed=0, params=None)
+        b = sample_counts(Circuit(5), SV, shots, seed=0, params=None)
         assert a == b == {"00000": shots}
 
 

@@ -84,6 +84,35 @@ def test_empty_noise_section_is_the_default_model(tmp_path):
     assert env_cfg.noise is None
 
 
+def test_noise_enabled_key_switches_the_model(tmp_path):
+    env = {"n_qubits": 2, "max_gates": 8, "shots": 8, "backend": "statevector"}
+    for section, want in [({"enabled": True}, NoiseParams()),
+                          ({"enabled": True, "p_1q": 0.5}, NoiseParams(p_1q=0.5)),
+                          ({"enabled": False}, None),
+                          ({"enabled": False, "p_1q": 0.5}, None)]:
+        env_cfg = load_run_config(write_config(tmp_path, env=env, noise=section))[0]
+        assert env_cfg.noise == want, section
+    # noise that is switched off allows the exact QFI
+    env_cfg = load_run_config(write_config(tmp_path, noise={"enabled": False}))[0]
+    assert env_cfg.shots == 0 and env_cfg.noise is None
+
+
+def test_benchmark_workload_inputs_load(tmp_path, monkeypatch):
+    """The inputs `bench/workloads.py` writes for each workload load, with
+    noise on `train-noisy` alone. bench/ is imported, never written to."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import WORKLOADS
+
+    assert set(WORKLOADS) == {"train-exact", "train-noisy", "train-wide-mps"}
+    for name, workload in WORKLOADS.items():
+        workload.write_inputs(1, tmp_path / name)
+        for config in ("run.json", "setup.json"):
+            env_cfg, _, initials, episodes, seed, _ = load_run_config(tmp_path / name / config)
+            assert env_cfg.noise == (NoiseParams() if name == "train-noisy" else None), name
+            assert len(initials) == episodes and seed == 1, name
+
+
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "run.json"
     path.write_text("{not json", encoding="utf-8")
@@ -321,6 +350,7 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
     ("seed", {"seed": -1}),
     ("enabled", {"noise": {"enabled": "false"}}),
     ("during_training", {"noise": {"during_training": 0}}),
+    ("p_1q", {"noise": {"enabled": False, "p_1q": 2.0}}),
     ("shots", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 8.5}}),
     ("n_qubits", {"env": {"n_qubits": 2.0, "max_gates": 8, "shots": 0,
                           "backend": "statevector"}}),
@@ -361,6 +391,11 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
     ("batch_size", {"agent": {"memory_size": 8, "batch_size": 64}}),
     ("initial_circuits", {"initial_circuits": [5]}),
     ("initial_circuits", {"initial_circuits": "a.qc"}),
+    ("initial_circuits", {"initial_circuits": {}}),
+    ("initial_circuits", {"initial_circuits": 0}),
+    ("initial_circuits", {"initial_circuits": False}),
+    ("angle_catalog", {"env": {"n_qubits": 2, "max_gates": 8, "shots": 0,
+                               "backend": "statevector", "angle_catalog": 5}}),
     ("noise", {"noise": []}),
     ("noise", {"noise": 0}),
     ("env", {"env": [["n_qubits", 3], ["max_gates", 8]]}),
@@ -369,14 +404,15 @@ def test_train_bad_backend_value_exits_1(tmp_path, capsys, key, value):
     ("n_qubits, max_gates", {"env": {}}),
     ("max_gates", {"env": {"n_qubits": 2, "shots": 0, "backend": "statevector"}}),
 ], ids=["t1-nan", "angle-nan", "angle-inf", "lr-nan", "lr-inf", "seed-negative",
-        "enabled-string", "during-training-int", "shots-float", "n-qubits-float",
-        "max-gates-string", "max-steps-bool", "episodes-float", "seed-float",
+        "enabled-string", "during-training-int", "disabled-noise-p-1q", "shots-float",
+        "n-qubits-float", "max-gates-string", "max-steps-bool", "episodes-float", "seed-float",
         "episodes-bool", "memory-size-float", "batch-size-float", "patience-float",
         "window-string", "sync-bool", "chi-max-float", "chi-max-bool", "dense-cap-float",
         "output-dir-int", "angle-bool", "angle-string", "weight-bool", "p-1q-bool",
         "duration-bool", "trunc-tol-bool", "threshold-bool", "lr-decay-bool",
         "plateau-factor-string", "batch-over-memory", "initial-not-a-string",
-        "initial-not-a-list", "noise-list", "noise-zero", "env-pairs", "agent-list",
+        "initial-not-a-list", "initial-object", "initial-zero", "initial-false",
+        "angle-catalog-int", "noise-list", "noise-zero", "env-pairs", "agent-list",
         "weights-string", "env-empty", "max-gates-missing"])
 def test_train_bad_config_value_exits_1(tmp_path, capsys, key, overrides):
     path = write_config(tmp_path, **overrides)

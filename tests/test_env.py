@@ -70,10 +70,28 @@ def test_config_validation():
 def test_exact_qfi_rejects_training_noise():
     with pytest.raises(ValueError, match="noise"):
         exact_cfg(noise=NoiseParams())
-    # noise that the QFI does not model is allowed with exact QFI
-    assert exact_cfg(noise=NoiseParams().disabled()).qfi_noise is None
-    assert exact_cfg(noise=NoiseParams(during_training=False)).qfi_noise is None
-    assert exact_cfg(shots=16, noise=NoiseParams()).qfi_noise == NoiseParams()
+    assert exact_cfg(noise=None).noise is None
+    assert exact_cfg(shots=16, noise=NoiseParams()).noise == NoiseParams()
+
+
+def _refusal(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("shots", [-1, 0, 16])
+@pytest.mark.parametrize("kind", ["statevector", "mps"])
+@pytest.mark.parametrize("noise", [None, NoiseParams()], ids=["noiseless", "noisy"])
+def test_env_and_qfi_refuse_the_same_modes(shots, kind, noise):
+    spec = BackendSpec(kind=kind)
+    circuit = Circuit(2).rx(0, 0.5).cx(0, 1)
+    refused = _refusal(lambda: exact_cfg(n_qubits=2, shots=shots, backend=spec, noise=noise))
+    assert refused == _refusal(lambda: metrics.qfi(circuit, shots, spec, noise))
+    assert (refused is None) == (shots > 0 or (shots == 0 and kind == "statevector"
+                                               and noise is None))
 
 
 def test_catalog_layout():

@@ -17,12 +17,11 @@ from qsopt.metrics import (
     QfiUndefinedError,
     RewardWeights,
     bell_unit_entropies,
-    depth_ratio,
     entropy_norm,
     evaluate,
-    gate_ratio,
     normalized_entropy,
     qfi,
+    reduction_ratio,
     reward,
     rotation_positions,
     shift_angle,
@@ -38,11 +37,11 @@ MPS = BackendSpec(kind="mps")
 # --- ratios and reward ----------------------------------------------------
 
 def test_depth_and_gate_ratios():
-    assert depth_ratio(7, 5) == pytest.approx(2 / 7)
-    assert gate_ratio(74, 68) == pytest.approx(6 / 74)
-    assert depth_ratio(5, 7) == pytest.approx(-0.4)  # growth goes negative
-    assert depth_ratio(0, 3) == 0.0
-    assert gate_ratio(0, 0) == 0.0
+    assert reduction_ratio(7, 5) == pytest.approx(2 / 7)
+    assert reduction_ratio(74, 68) == pytest.approx(6 / 74)
+    assert reduction_ratio(5, 7) == pytest.approx(-0.4)  # growth goes negative
+    assert reduction_ratio(0, 3) == 0.0
+    assert reduction_ratio(0, 0) == 0.0
 
 
 def test_reward_weighted_sum():
@@ -146,8 +145,8 @@ def test_exact_qfi_rejects_noise():
     c = Circuit(1).rx(0, 0.5)
     with pytest.raises(ValueError, match="noise"):
         qfi(c, 0, SV, NoiseParams())
-    # a disabled model is no noise
-    assert qfi(c, 0, SV, NoiseParams().disabled()) == qfi(c, 0, SV)
+    # None is no noise
+    assert qfi(c, 0, SV, None) == qfi(c, 0, SV)
 
 
 def test_qfi_shot_mode_is_seeded():

@@ -21,6 +21,8 @@ from qsopt.statevector import DenseState
 SV = BackendSpec(kind="statevector")
 MPS_EXACT = BackendSpec(kind="mps", chi_max=64, trunc_tol=0.0)
 HIGH = NoiseParams(p_meas=0.05, p_1q=0.1, p_2q=0.2, t1_us=5.0, t2_us=7.0)
+# a model whose every event probability is exactly 0
+ZERO = NoiseParams(p_meas=0.0, p_1q=0.0, p_2q=0.0, t1_us=math.inf, t2_us=math.inf)
 
 
 def _draw(circuit, params, shots, seed):
@@ -36,7 +38,6 @@ def _within_4_sigma(hits, trials, p):
 def test_defaults_are_valid():
     p = NoiseParams()
     assert p.p_meas == 0.02 and p.p_1q == 0.01 and p.p_2q == 0.03
-    assert p.enabled
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -57,12 +58,6 @@ def test_pure_dephasing_time():
     assert math.isinf(NoiseParams(t1_us=50.0, t2_us=100.0).t_phi_us)
 
 
-def test_disabled_copy():
-    p = NoiseParams().disabled()
-    assert not p.enabled
-    assert p.p_meas == 0.02  # other fields untouched
-
-
 # --- event draws ----------------------------------------------------------
 
 def test_depolarizing_draw_statistics():
@@ -77,7 +72,7 @@ def test_depolarizing_draw_statistics():
 
 
 def test_depolarizing_disabled_is_empty():
-    ev = _draw(Circuit(1).h(0), NoiseParams(p_1q=1.0).disabled(), 100, 0)
+    ev = _draw(Circuit(1).h(0), ZERO, 100, 0)
     assert not ev.pauli.any()
     assert not (ev.reset.any() or ev.phase.any() or ev.flips.any())
 
@@ -136,8 +131,7 @@ def test_event_frequencies_match_probabilities():
 # --- trajectories ---------------------------------------------------------
 
 def test_noiseless_trajectory_is_exact():
-    p = NoiseParams().disabled()
-    state = run_one_trajectory(ghz(3), SV, p, np.random.default_rng(0))
+    state = run_one_trajectory(ghz(3), SV, ZERO, np.random.default_rng(0))
     assert state.amplitude("000") == pytest.approx(1 / math.sqrt(2))
 
 
@@ -154,11 +148,11 @@ def test_sample_counts_validation():
 
 
 def test_sample_counts_disabled_fast_path():
-    counts = sample_counts(ghz(3), SV, 500, 42, NoiseParams().disabled())
+    counts = sample_counts(ghz(3), SV, 500, 42, None)
     assert sum(counts.values()) == 500
     assert set(counts) <= {"000", "111"}
-    # no params at all takes the same path
-    assert sample_counts(ghz(3), SV, 500, 42, None) == counts
+    # None is the default
+    assert sample_counts(ghz(3), SV, 500, 42) == counts
 
 
 def test_sample_counts_seeded_determinism():

@@ -201,7 +201,7 @@ def test_carried_rows_give_the_record_of_a_fresh_evaluation(name, c, picks, thre
         _, _, _, info = env.step(int(valid[int(pick * len(valid))]))
         spawned += 1 + info["injected"]  # an injection skips its edit's child
         seed = np.random.SeedSequence(7).spawn(spawned)[-1]
-        want = metrics.evaluate(env.circuit, cfg.backend, cfg.shots, cfg.qfi_noise, seed)
+        want = metrics.evaluate(env.circuit, cfg.backend, cfg.shots, cfg.noise, seed)
         got = info["record"]
         if cfg.backend.kind == "statevector":
             assert repr(got) == repr(want)

@@ -116,7 +116,7 @@ def _measured_bits(circuit: Circuit, layers, spec: BackendSpec, ev: NoiseEvents)
 def ref_sample_counts(circuit, spec, shots, seed, params=None):
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(root)
-    if params is None or not params.enabled:
+    if params is None:
         return spec.run(circuit).sample(shots, rng)
     layers = moments(circuit)
     events = draw_events(circuit, layers, params, shots, rng)
@@ -320,12 +320,9 @@ def test_noisy_mps_stacks_stay_bounded(n, rotations, cap):
     assert max(sizes) == cap
 
 
-@pytest.mark.parametrize("spec,shots,params", [(SV, 0, None), (SV, 16, None),
-                                               (MPS_EXACT, 16, None),
-                                               (MPS_EXACT, 16, HIGH.disabled())],
-                         ids=["statevector-exact", "statevector-sampled", "mps-sampled",
-                              "mps-noise-disabled"])
-def test_noiseless_qfi_builds_one_state(monkeypatch, spec, shots, params):
+@pytest.mark.parametrize("spec,shots", [(SV, 0), (SV, 16), (MPS_EXACT, 16)],
+                         ids=["statevector-exact", "statevector-sampled", "mps-sampled"])
+def test_noiseless_qfi_builds_one_state(monkeypatch, spec, shots):
     batches = []
     fresh = BackendSpec.fresh
 
@@ -335,7 +332,7 @@ def test_noiseless_qfi_builds_one_state(monkeypatch, spec, shots, params):
 
     monkeypatch.setattr(BackendSpec, "fresh", counted)
     c = Circuit(4).h(0).cx(0, 1).rx(1, .4).rz(2, 1.1).cx(2, 3).rx(3, .9)
-    qfi(c, shots, spec, params, seed=3)
+    qfi(c, shots, spec, None, seed=3)
     assert batches == [7]  # the base row and 2R shifted rows, R = 3 rotations
 
 
