@@ -5,7 +5,7 @@ Contents:
     Gate       -- immutable gate instance (kind, qubits, optional angle)
     Circuit    -- immutable gate list over n qubits
     depth, moments, gate_count, composition
-    insert_gate, remove_gate, replace_gate, swap_adjacent, cancel_pairs
+    remove_gate, replace_gate, swap_adjacent, cancel_pairs
     parse / parse_file, emit / emit_file   -- text format round-trip
     ghz, random_circuit                    -- construction helpers
 
@@ -165,13 +165,6 @@ def composition(circuit: Circuit) -> Composition:
     if total == 0:
         return Composition(counts, {})
     return Composition(counts, {k: c / total for k, c in counts.items()})
-
-
-def insert_gate(circuit: Circuit, gate: Gate, position: int) -> Circuit:
-    if not 0 <= position <= len(circuit.gates):
-        raise CircuitError(f"insert position {position} out of range [0, {len(circuit.gates)}]")
-    gs = circuit.gates
-    return Circuit(circuit.n_qubits, gs[:position] + (gate,) + gs[position:])
 
 
 def remove_gate(circuit: Circuit, position: int) -> Circuit:

@@ -1,6 +1,8 @@
 """Double-DQN agent: replay, schedules, TD targets and the training loop.
 
-The online net picks the next-state action, the target net prices it:
+One QNet runs two weight vectors: the online weights, which train, and
+the target weights, a copy of them taken at each sync. The online
+weights pick the next-state action, the target weights price it:
 
     y = r + gamma * Q_target(s', argmax_a Q_online(s', a))    (y = r when done)
 
@@ -9,23 +11,23 @@ is a fixed-capacity ring of arrays; sampling is weighted without
 replacement, with entangling transitions (two-qubit adds, injections,
 boosts) drawn at twice the base weight. Epsilon decays per action
 selection, the learning rate decays per episode with extra halvings when
-the moving-average return plateaus, and the target net hard-syncs on a
+the moving-average return plateaus, and the target weights hard-sync on a
 fixed step cadence.
 
-The target net changes only at a sync, so replay caches its Q on every
-stored next state: a push prices its transition with one batch-1
+The target weights change only at a sync, so replay caches their Q on
+every stored next state: a push prices its transition with one batch-1
 forward. A sync marks every stored row stale, and a sample reprices the
 stale rows it draws, in one batch forward that also takes other stale
 rows; so repricing never costs more than one target forward per train
 step, nor more than ceil(stored / batch) forwards per sync. A cached row
-equals a batch-size forward of the same net up to float32 rounding, since
-products of other batch sizes sum in a different order.
+equals a batch-size forward of the same weights up to float32 rounding,
+since products of other batch sizes sum in a different order.
 
 Within an episode, the next observation of one transition is the
 observation of the next, so replay links each row to the slot of its
 successor when the two are equal, and a sampled batch maps each row to
 the batch row of its successor, if that was drawn too. A train step runs
-the online net once on the batch's observations, which gives both the Q
+the online weights once on the batch's observations, which gives both the Q
 values to fit and, for the linked rows, the online Q of the next state
 that picks the Double-DQN action; one more forward takes only the live
 next observations that no batch row holds. A forward computes each row
@@ -138,7 +140,7 @@ class Transition:
 @dataclass(frozen=True)
 class Batch:
     """Replay rows, one array per field with the row on the first axis.
-    `next_q` is the target net's Q on each next observation, and `next_row`
+    `next_q` is the target weights' Q on each next observation, and `next_row`
     the batch row of each row's linked successor, whose observation is that
     next observation, or -1 where the row has no linked successor in the
     batch. `apart` lists the live rows without one, whose next observations
@@ -164,12 +166,12 @@ class ReplayBuffer:
     """Ring of capacity `memory_size`, one preallocated array per field;
     oldest entries evicted first, so slot k holds push k mod capacity.
 
-    Beside each transition it keeps `next_q`, the target net's Q on the
-    next observation. `push` computes a row with one batch-1 forward.
-    After the target net changes, `mark_stale` flags every filled row, and
-    `sample` reprices the flagged rows it draws before it returns them.
-    Observations are stored in the net's dtype, which the net casts its
-    inputs to anyway.
+    Beside each transition it keeps `next_q`, the Q of `net` under the
+    `target` weight vector on the next observation. `push` computes a row
+    with one batch-1 forward. After the target weights change,
+    `mark_stale` flags every filled row, and `sample` reprices the flagged
+    rows it draws before it returns them. Observations are stored in the
+    net's dtype, which the net casts its inputs to anyway.
 
     `linked[k]` marks that slot k+1 (mod capacity) holds the successor of
     slot k: the transition pushed right after it, whose observation equals
@@ -178,23 +180,22 @@ class ReplayBuffer:
     newest row has no successor yet; so a ring of capacity 1 never links.
     """
 
-    def __init__(self, capacity: int, target: QNet):
+    def __init__(self, capacity: int, net: QNet, target: np.ndarray):
         self.capacity = capacity
-        self.target = target
-        obs_dtype = target.dtype
+        self.net, self.target = net, target
 
-        def ring(shape=(), dtype=obs_dtype):
+        def ring(shape=(), dtype=net.dtype):
             return np.zeros((capacity, *shape), dtype)
 
-        self.grid, self.next_grid = ring(target.grid_shape), ring(target.grid_shape)
-        self.aux, self.next_aux = ring((target.aux_dim,)), ring((target.aux_dim,))
+        self.grid, self.next_grid = ring(net.grid_shape), ring(net.grid_shape)
+        self.aux, self.next_aux = ring((net.aux_dim,)), ring((net.aux_dim,))
         self.action = ring(dtype=np.int64)
         self.reward = ring(dtype=np.float64)
         self.done = ring(dtype=bool)
         self.entangling = ring(dtype=bool)
-        self.next_mask = ring((target.n_actions,), bool)
-        self.next_q = ring((target.n_actions,))
-        self.stale = ring(dtype=bool)  # next_q priced by an earlier target
+        self.next_mask = ring((net.n_actions,), bool)
+        self.next_q = ring((net.n_actions,))
+        self.stale = ring(dtype=bool)  # next_q priced by earlier target weights
         self.linked = ring(dtype=bool)
         self._pushes = 0
 
@@ -209,8 +210,8 @@ class ReplayBuffer:
         self.entangling[k] = t.entangling
         self.next_grid[k], self.next_aux[k] = t.next_obs.grid, t.next_obs.aux
         self.next_mask[k] = t.next_mask
-        self.next_q[k] = self.target.forward(self.next_grid[k:k + 1],
-                                             self.next_aux[k:k + 1])[0]
+        self.next_q[k] = self.net.forward(self.next_grid[k:k + 1], self.next_aux[k:k + 1],
+                                          self.target)[0]
         self.stale[k] = False
         self.linked[k] = False
         prev = (k - 1) % self.capacity
@@ -219,7 +220,7 @@ class ReplayBuffer:
                                  and np.array_equal(self.next_aux[prev], self.aux[k]))
 
     def mark_stale(self) -> None:
-        """The target net has changed: every filled row needs repricing."""
+        """The target weights have changed: every filled row needs repricing."""
         self.stale[:len(self)] = True
 
     def _reprice(self, idx: np.ndarray) -> None:
@@ -231,7 +232,8 @@ class ReplayBuffer:
         others = self.stale[:len(self)].copy()
         others[idx] = False
         rows = np.concatenate((idx[drawn], np.flatnonzero(others), idx[~drawn]))[:len(idx)]
-        self.next_q[rows] = self.target.forward(self.next_grid[rows], self.next_aux[rows])
+        self.next_q[rows] = self.net.forward(self.next_grid[rows], self.next_aux[rows],
+                                             self.target)
         self.stale[rows] = False
 
     def sample(self, batch_size: int, rng: np.random.Generator,
@@ -267,7 +269,7 @@ def select_action(net: QNet, obs: Observation, epsilon: float,
 
 
 def td_targets(batch: Batch, q_next: np.ndarray, gamma: float) -> np.ndarray:
-    """Double-DQN targets: `q_next`, the online net's Q on each next
+    """Double-DQN targets: `q_next`, the online Q on each next
     observation, picks, and the cached target Q prices. A terminal row's
     target is its reward, whatever its `q_next` row holds."""
     picked = np.argmax(np.where(batch.next_mask, q_next, -np.inf), axis=1)
@@ -296,15 +298,15 @@ def train_step(main: QNet, optimizer: Adam, batch: Batch, gamma: float,
             f"[{np.min(y)}, {np.max(y)}], lr {lr}")
     dq = np.zeros_like(q)
     dq[rows, batch.action] = 2.0 * err / len(batch)
-    grads = main.backward(cache, dq)
-    optimizer.step(main.params, grads, lr)
+    main.backward(cache, dq)
+    optimizer.step(main.weights, main.grad, lr)
     return loss
 
 
-def sync_target(main: QNet, buffer: ReplayBuffer) -> None:
-    """Copy the online net into the buffer's target net; the stored
-    transitions are repriced with it as samples draw them."""
-    buffer.target.copy_params_from(main)
+def sync_target(buffer: ReplayBuffer) -> None:
+    """Copy the net's online weights into the buffer's target weights; the
+    stored transitions are repriced with them as samples draw them."""
+    np.copyto(buffer.target, buffer.net.weights)
     buffer.mark_stale()
 
 
@@ -344,9 +346,9 @@ def train(agent_cfg: AgentConfig, env_cfg: EnvConfig, initial_circuits: list[Cir
     grid_shape = (env_cfg.n_qubits, env_cfg.grid_depth, N_CHANNELS)
     n_actions = len(environment.catalog)
     main = QNet(grid_shape, aux_size(env_cfg), n_actions, np.random.default_rng(ss_main))
-    target = QNet(grid_shape, aux_size(env_cfg), n_actions, np.random.default_rng(ss_target))
-    optimizer = Adam(main.params)
-    buffer = ReplayBuffer(agent_cfg.memory_size, target)
+    optimizer = Adam(main.weights)
+    buffer = ReplayBuffer(agent_cfg.memory_size, main,
+                          main.draw(np.random.default_rng(ss_target)))
     rng_act = np.random.default_rng(ss_act)
     rng_replay = np.random.default_rng(ss_replay)
     episode_seeds = ss_env.spawn(episodes)
@@ -385,7 +387,7 @@ def train(agent_cfg: AgentConfig, env_cfg: EnvConfig, initial_circuits: list[Cir
                     result.live_next_rows += int(np.count_nonzero(~batch.done))
                     result.linked_next_rows += int(np.count_nonzero(batch.next_row >= 0))
                     if result.train_steps % agent_cfg.target_sync_every == 0:
-                        sync_target(main, buffer)
+                        sync_target(buffer)
                         result.syncs += 1
                 step += 1
                 record = info["record"]

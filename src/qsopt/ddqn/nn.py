@@ -47,21 +47,27 @@ part of the crop.
 Convolutions run as one product over im2col patches laid out tap-major:
 patch column (3*di + dj)*C + c holds channel c at offset (di-1, dj-1), so
 each kernel row of a patch is one contiguous span of the zero-padded
-input. The conv weights keep their stored (C,3,3) row order (the init
-draw and the checkpoint layout); a pass reorders a small copy to the
-patch order, and the weight gradients are reordered back.
+input. The conv weights are held in that patch order too; only drawing,
+saving and loading them meets the (C,3,3) row order of the init draw and
+of the checkpoint layout.
+
+The learner's state is a few flat vectors of the net's dtype. A QNet's
+weights are one vector, and `params` maps each parameter's name to a view
+into it. `backward` writes every gradient into one gradient vector of the
+same layout and returns its views, which the next backward overwrites.
+The Double-DQN target is a second weight vector of that layout (`draw`),
+which `forward` runs in place of the net's own. Adam keeps two moment
+vectors and steps the whole weight vector.
 
 Activations, patches, padded inputs and backward intermediates live in
-one workspace per net shapes (dtype included), shared by every QNet of
-those shapes (the online and the target net) and by every batch size, so
-a warm pass allocates no large array. The workspace is sized for the
-largest batch seen so far, and grows when a larger one comes: a pass of
-b rows takes the prefix of b rows of each per-sample array and of its L
-columns of each packed-grid array. Returned Q values and gradients are
-fresh arrays. The arrays of a `forward_cached` cache belong to the
-workspace: a cache is valid until the next forward of a QNet with the
-same shapes, and `backward` consumes it. Adam keeps one scratch array
-per parameter. Every operation runs in the same order and on the same
+the net's workspace, shared by every weight vector it runs and by every
+batch size, so a warm pass allocates no large array. The workspace is
+sized for the largest batch seen so far, and grows when a larger one
+comes: a pass of b rows takes the prefix of b rows of each per-sample
+array and of its L columns of each packed-grid array. Returned Q values
+are fresh arrays. The arrays of a `forward_cached` cache belong to the
+workspace: a cache is valid until the net's next forward, and `backward`
+consumes it. Every operation runs in the same order and on the same
 element layout as a plain allocating implementation of the packed grid
 on tap-major patches, so results are bitwise equal to it (a test keeps
 that implementation as a reference). A full-grid implementation on
@@ -94,8 +100,8 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
 _TAP = ((slice(1, None), slice(None, -1)),
         (slice(None), slice(None)),
         (slice(None, -1), slice(1, None)))
-# Adam works through a parameter in chunks of rows of about this many
-# elements, so that the passes of one update stay in cache
+# Adam works through the weight vector in chunks of this many elements, so
+# that the passes of one update stay in cache
 _ADAM_CHUNK = 1 << 16
 
 
@@ -177,14 +183,14 @@ def _readout_rows(grid: np.ndarray, lay: _Layout) -> np.ndarray:
 
 
 def _tap_major(w: np.ndarray, c: int) -> np.ndarray:
-    """Conv weights stored with (C,3,3) rows, reordered to the (3,3,C) rows
-    of the patches: a fresh (9*C, n) array."""
+    """Conv weights with (C,3,3) rows, reordered to the (3,3,C) rows of the
+    patches: a fresh (9*C, n) array."""
     return w.reshape(c, 9, -1).transpose(1, 0, 2).reshape(9 * c, -1)
 
 
-def _channel_major(g: np.ndarray, c: int) -> np.ndarray:
-    """The inverse of `_tap_major`, for weight gradients."""
-    return g.reshape(9, c, -1).transpose(1, 0, 2).reshape(9 * c, -1)
+def _channel_major(w: np.ndarray, c: int) -> np.ndarray:
+    """The inverse of `_tap_major`."""
+    return w.reshape(9, c, -1).transpose(1, 0, 2).reshape(9 * c, -1)
 
 
 class _Workspace:
@@ -197,28 +203,28 @@ class _Workspace:
     fewer rows takes their prefix.
     """
 
-    def __init__(self, grid_shape, aux_dim, n_actions, widths, dtype, b):
-        h, w, c = grid_shape
-        c1, c2, hidden = widths
+    def __init__(self, net: "QNet", b: int):
+        h, w, c = net.grid_shape
+        c1, c2, hidden = net.widths
         self.h, self.b = h, b
         cells = h * b * (w + 1)
 
         def buf(*shape):
-            return np.empty(shape, dtype)
+            return np.empty(shape, net.dtype)
 
         self.cols1, self.cols2 = buf(cells * 9 * c), buf(cells * 9 * c1)
         # zero top, bottom and left borders, written once: a pass writes
         # only the interior of its first L + 2 columns, and re-zeroes its
         # right border, which a longer pass may have written
-        self.pad1 = np.zeros((1, h + 2, b * (w + 1) + 2, c), dtype)
-        self.pad2 = np.zeros((1, h + 2, b * (w + 1) + 2, c1), dtype)
+        self.pad1 = np.zeros((1, h + 2, b * (w + 1) + 2, c), net.dtype)
+        self.pad2 = np.zeros((1, h + 2, b * (w + 1) + 2, c1), net.dtype)
         self.z1, self.a1, self.da1 = buf(cells * c1), buf(cells * c1), buf(cells * c1)
         self.z2, self.a2, self.dz2 = buf(cells * c2), buf(cells * c2), buf(cells * c2)
-        self.flat = buf(b, 2 * h * c2 + aux_dim)
+        self.flat = buf(b, 2 * h * c2 + net.aux_dim)
         # per qubit row: [0] the mean over moments, [1] the last occupied moment
         self.readout = self.flat[:, :2 * h * c2].reshape(b, h, 2, c2)  # a view into flat
         self.z3, self.a3 = buf(b, hidden), buf(b, hidden)
-        self.adv, self.val = buf(b, n_actions), buf(b, 1)
+        self.adv, self.val = buf(b, net.n_actions), buf(b, 1)
         self.da3, self.dz3 = buf(b, hidden), buf(b, hidden)
         self.dflat = buf(*self.flat.shape)
         self.dreadout = self.dflat[:, :2 * h * c2].reshape(b, h, 2, c2)
@@ -235,24 +241,6 @@ class _Workspace:
         return buffer[:math.prod(shape)].reshape(shape)
 
 
-# net shapes -> workspace, least recently used first; a training run uses one
-_WORKSPACES: dict = {}
-_MAX_WORKSPACES = 4
-
-
-def _workspace(shapes, batch: int) -> _Workspace:
-    """The one workspace of every QNet with these shapes, holding at least
-    `batch` rows."""
-    ws = _WORKSPACES.pop(shapes, None)
-    if ws is None or ws.b < batch:
-        del ws  # free the smaller workspace before building its successor
-        ws = _Workspace(*shapes, batch)
-    _WORKSPACES[shapes] = ws
-    if len(_WORKSPACES) > _MAX_WORKSPACES:
-        del _WORKSPACES[next(iter(_WORKSPACES))]
-    return ws
-
-
 class QNet:
     def __init__(self, grid_shape: tuple[int, int, int], aux_dim: int, n_actions: int,
                  rng: np.random.Generator, conv1: int = 16, conv2: int = 32,
@@ -264,38 +252,63 @@ class QNet:
         self.widths = (conv1, conv2, hidden)
         self.dtype = np.dtype(dtype)
         flat = 2 * h * conv2 + aux_dim
-        self.params = {
-            "w1": xavier_uniform(rng, 9 * c, 9 * conv1, (9 * c, conv1)),
-            "b1": np.zeros(conv1),
-            "w2": xavier_uniform(rng, 9 * conv1, 9 * conv2, (9 * conv1, conv2)),
-            "b2": np.zeros(conv2),
-            "w3": xavier_uniform(rng, flat, hidden, (flat, hidden)),
-            "b3": np.zeros(hidden),
-            "wa": xavier_uniform(rng, hidden, n_actions, (hidden, n_actions)),
-            "ba": np.zeros(n_actions),
-            "wv": xavier_uniform(rng, hidden, 1, (hidden, 1)),
-            "bv": np.zeros(1),
-        }
-        self.params = {k: v.astype(self.dtype) for k, v in self.params.items()}
-        self._shapes = (tuple(grid_shape), aux_dim, n_actions, self.widths, self.dtype)
+        # each parameter's shape, in the order of the weight vector and of the draw
+        self.shapes = {"w1": (9 * c, conv1), "b1": (conv1,), "w2": (9 * conv1, conv2),
+                       "b2": (conv2,), "w3": (flat, hidden), "b3": (hidden,),
+                       "wa": (hidden, n_actions), "ba": (n_actions,),
+                       "wv": (hidden, 1), "bv": (1,)}
+        # the input channels of each conv weight, whose rows are held tap-major
+        self._conv_in = {"w1": c, "w2": conv1}
+        self.weights = self.draw(rng)
+        self.params = self.views(self.weights)
+        self.grad = np.empty_like(self.weights)
+        self._ws: _Workspace | None = None
 
     def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.weights.size
 
-    def forward(self, grid: np.ndarray, aux: np.ndarray) -> np.ndarray:
-        q, _ = self._forward(grid, aux, keep=False)
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view into a weight or gradient vector."""
+        out, lo = {}, 0
+        for name, shape in self.shapes.items():
+            hi = lo + math.prod(shape)
+            out[name] = vector[lo:hi].reshape(shape)
+            lo = hi
+        return out
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """A fresh weight vector: every weight matrix Xavier-uniform, drawn in
+        parameter order (a conv weight with its (C,3,3) rows, the fans of a
+        3x3 kernel), and every bias zero."""
+        weights = np.zeros(sum(math.prod(s) for s in self.shapes.values()), self.dtype)
+        for name, view in self.views(weights).items():
+            if name.startswith("w"):
+                fan_in, fan_out = view.shape
+                c = self._conv_in.get(name)
+                drawn = xavier_uniform(rng, fan_in, fan_out * (9 if c else 1), view.shape)
+                view[...] = _tap_major(drawn, c) if c else drawn
+        return weights
+
+    def forward(self, grid: np.ndarray, aux: np.ndarray,
+                weights: np.ndarray | None = None) -> np.ndarray:
+        """Q values under `weights`, a vector of this net's layout, or under
+        the net's own weights."""
+        params = self.params if weights is None else self.views(weights)
+        q, _ = self._forward(grid, aux, params, keep=False)
         return q
 
     def forward_cached(self, grid: np.ndarray, aux: np.ndarray):
-        return self._forward(grid, aux, keep=True)
+        return self._forward(grid, aux, self.params, keep=True)
 
-    def _forward(self, grid: np.ndarray, aux: np.ndarray, keep: bool):
-        p = self.params
+    def _forward(self, grid: np.ndarray, aux: np.ndarray, p: dict[str, np.ndarray], keep: bool):
         grid, aux = np.asarray(grid), np.asarray(aux)
         if aux.shape[0] != grid.shape[0]:
             raise ValueError(f"{grid.shape[0]} grids but {aux.shape[0]} aux rows")
         b = grid.shape[0]
-        ws = _workspace(self._shapes, b)
+        if self._ws is None or self._ws.b < b:
+            self._ws = None  # free the smaller workspace before building its successor
+            self._ws = _Workspace(self, b)
+        ws = self._ws
         (w, c), (c1, c2, _) = self.grid_shape[1:], self.widths
         lay = _layout(grid)
         n = len(lay.sample)
@@ -307,13 +320,13 @@ class QNet:
         x[:, :, lay.seps] = 0
         p1 = _im2col(x, ws.packed(ws.cols1, n, 3, 3, c), pad1)
         z1 = ws.packed(ws.z1, n, c1)
-        np.matmul(p1.reshape(-1, 9 * c), _tap_major(p["w1"], c), out=z1.reshape(-1, c1))
+        np.matmul(p1.reshape(-1, 9 * c), p["w1"], out=z1.reshape(-1, c1))
         z1 += p["b1"]
         a1 = np.maximum(z1, 0.0, out=ws.packed(ws.a1, n, c1))
         a1[:, :, lay.seps] = 0
         p2 = _im2col(a1, ws.packed(ws.cols2, n, 3, 3, c1), pad2)
         z2 = ws.packed(ws.z2, n, c2)
-        np.matmul(p2.reshape(-1, 9 * c1), _tap_major(p["w2"], c1), out=z2.reshape(-1, c2))
+        np.matmul(p2.reshape(-1, 9 * c1), p["w2"], out=z2.reshape(-1, c2))
         z2 += p["b2"]
         a2 = np.maximum(z2, 0.0, out=ws.packed(ws.a2, n, c2))
         # the mean over a crop: its separator adds nothing, and its deep
@@ -340,28 +353,29 @@ class QNet:
         return q, cache
 
     def backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss with upstream derivative dq = dL/dQ.
+        """Gradients of a scalar loss with upstream derivative dq = dL/dQ, as
+        views into `grad`.
 
         Consumes the cache: the conv2 patch gradient overwrites its patches.
         """
         p = self.params
         p1, z1, a1, p2, z2, lay, rows, flat, z3, a3 = cache
         b = flat.shape[0]
-        ws = _workspace(self._shapes, b)
+        ws = self._ws
         dq = np.asarray(dq, dtype=self.dtype)
-        g = {}
+        g = self.views(self.grad)
         # dueling combination: dA = dQ - mean_a dQ, dV = sum_a dQ
         dval = dq.sum(axis=1, keepdims=True)
         dadv = dq - dq.mean(axis=1, keepdims=True)
-        g["wa"] = a3.T @ dadv
-        g["ba"] = dadv.sum(axis=0)
-        g["wv"] = a3.T @ dval
-        g["bv"] = dval.sum(axis=0)
+        np.matmul(a3.T, dadv, out=g["wa"])
+        dadv.sum(axis=0, out=g["ba"])
+        np.matmul(a3.T, dval, out=g["wv"])
+        dval.sum(axis=0, out=g["bv"])
         da3 = np.matmul(dadv, p["wa"].T, out=ws.da3[:b])
         da3 += np.matmul(dval, p["wv"].T, out=ws.dz3[:b])
         dz3 = np.multiply(da3, ws.positive(z3), out=ws.dz3[:b])
-        g["w3"] = flat.T @ dz3
-        g["b3"] = dz3.sum(axis=0)
+        np.matmul(flat.T, dz3, out=g["w3"])
+        dz3.sum(axis=0, out=g["b3"])
         np.matmul(dz3, p["w3"].T, out=ws.dflat[:b])
         # the mean spreads its gradient evenly over a crop's moments, the
         # deep column taking its weight's share, and the read moment adds
@@ -380,28 +394,18 @@ class QNet:
         dz2 = np.multiply(da2, ws.positive(z2), out=da2)
         dz2_rows = dz2.reshape(-1, c2)
         p2_rows = p2.reshape(-1, p2.shape[-1])
-        g["w2"] = _channel_major(p2_rows.T @ dz2_rows, c1)
-        g["b2"] = dz2.sum(axis=(0, 1, 2))
+        np.matmul(p2_rows.T, dz2_rows, out=g["w2"])
+        dz2.sum(axis=(0, 1, 2), out=g["b2"])
         # one 2-D product over the (H*L, c2) rows, written over the patches
-        np.matmul(dz2_rows, _tap_major(p["w2"], c1).T, out=p2_rows)
+        np.matmul(dz2_rows, p["w2"].T, out=p2_rows)
         da1 = _col2im(p2, a1.shape, ws.packed(ws.da1, n, c1))
         dz1 = np.multiply(da1, ws.positive(z1), out=da1)
         dz1[:, :, lay.seps] = 0
-        g["w1"] = _channel_major(p1.reshape(-1, p1.shape[-1]).T @ dz1.reshape(-1, c1), c)
-        g["b1"] = dz1.sum(axis=(0, 1, 2))
+        np.matmul(p1.reshape(-1, p1.shape[-1]).T, dz1.reshape(-1, c1), out=g["w1"])
+        dz1.sum(axis=(0, 1, 2), out=g["b1"])
         return g
 
-    # --- parameter management --------------------------------------------
-
-    def copy_params_from(self, other: "QNet") -> None:
-        for k, v in other.params.items():
-            np.copyto(self.params[k], v)
-
-    def clone(self) -> "QNet":
-        twin = QNet(self.grid_shape, self.aux_dim, self.n_actions,
-                    np.random.default_rng(0), *self.widths, dtype=self.dtype)
-        twin.copy_params_from(self)
-        return twin
+    # --- checkpoints --------------------------------------------------------
 
     def meta(self) -> dict:
         return {"grid_shape": list(self.grid_shape), "aux_dim": self.aux_dim,
@@ -409,11 +413,13 @@ class QNet:
                 "dtype": self.dtype.name}
 
     def save(self, path, extra: dict | None = None) -> None:
+        """One array per parameter, a conv weight with its (C,3,3) rows."""
         header = {"version": CHECKPOINT_VERSION, "net": self.meta(), "extra": extra or {}}
+        arrays = {k: _channel_major(v, self._conv_in[k]) if k in self._conv_in else v
+                  for k, v in self.params.items()}
         with open(path, "wb") as fh:
             np.savez(fh, __header__=np.frombuffer(
-                json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
-                **self.params)
+                json.dumps(header, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
     @classmethod
     def load(cls, path) -> tuple["QNet", dict]:
@@ -429,51 +435,46 @@ class QNet:
             net = cls(tuple(meta["grid_shape"]), meta["aux_dim"], meta["n_actions"],
                       np.random.default_rng(0), *meta["widths"],
                       dtype=np.dtype(meta["dtype"]))
-            for k in net.params:
-                np.copyto(net.params[k], data[k])
+            for k, view in net.params.items():
+                c = net._conv_in.get(k)
+                view[...] = _tap_major(data[k], c) if c else data[k]
         return net, header["extra"]
 
 
-class Adam:
-    """Standard first/second-moment optimizer with bias correction.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-    A parameter is updated in chunks of rows, each with the same operations
-    in the same order as the plain expression, computed in one scratch array
-    per parameter that holds a chunk's numerator and denominator. So a step
-    allocates nothing, and a chunk's passes stay in cache. Grads are
-    expected in the params' dtype, as QNet.backward returns them.
+
+class Adam:
+    """Standard first/second-moment optimizer with bias correction, over
+    one flat weight vector.
+
+    The vector is updated in chunks, each with the same operations in the
+    same order as the plain expression, computed in one scratch array that
+    holds a chunk's numerator and denominator. So a step allocates
+    nothing, and a chunk's passes stay in cache. The gradient is expected
+    in the weights' dtype, as QNet.backward writes it.
     """
 
-    def __init__(self, params: dict[str, np.ndarray],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, weights: np.ndarray):
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.scratch = {}
-        for k, v in params.items():
-            rows = min(len(v), max(1, _ADAM_CHUNK // v[0].size))
-            self.scratch[k] = np.empty((2, rows) + v.shape[1:], v.dtype)
+        self.m = np.zeros_like(weights)
+        self.v = np.zeros_like(weights)
+        self.scratch = np.empty((2, min(weights.size, _ADAM_CHUNK)), weights.dtype)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float) -> None:
+    def step(self, weights: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for k, grad in grads.items():
-            scratch = self.scratch[k]
-            chunk = scratch.shape[1]
-            for lo in range(0, len(grad), chunk):
-                rows = slice(lo, lo + chunk)
-                m, v, g = self.m[k][rows], self.v[k][rows], grad[rows]
-                num, den = scratch[:, :len(g)]
-                m *= b1
-                m += np.multiply(1.0 - b1, g, out=num)
-                v *= b2
-                v += np.multiply(np.multiply(1.0 - b2, g, out=den), g, out=den)
-                # params -= lr * (m / c1) / (sqrt(v / c2) + eps)
-                np.multiply(lr, np.divide(m, c1, out=num), out=num)
-                np.sqrt(np.divide(v, c2, out=den), out=den)
-                den += self.eps
-                params[k][rows] -= np.divide(num, den, out=num)
+        c1 = 1.0 - _BETA1 ** self.t
+        c2 = 1.0 - _BETA2 ** self.t
+        for lo in range(0, weights.size, _ADAM_CHUNK):
+            span = slice(lo, lo + _ADAM_CHUNK)
+            m, v, g = self.m[span], self.v[span], grad[span]
+            num, den = self.scratch[:, :len(g)]
+            m *= _BETA1
+            m += np.multiply(1.0 - _BETA1, g, out=num)
+            v *= _BETA2
+            v += np.multiply(np.multiply(1.0 - _BETA2, g, out=den), g, out=den)
+            # weights -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.multiply(lr, np.divide(m, c1, out=num), out=num)
+            np.sqrt(np.divide(v, c2, out=den), out=den)
+            den += _EPS
+            weights[span] -= np.divide(num, den, out=num)

@@ -148,7 +148,7 @@ class _FixedNet:
         self.row = np.asarray(row, dtype=float)
         self.n_actions = len(self.row)
 
-    def forward(self, grids, aux):
+    def forward(self, grids, aux, weights=None):
         return np.tile(self.row, (grids.shape[0], 1))
 
 
@@ -190,7 +190,7 @@ def test_07_learning_stack_numerics():
 
         # double-Q target: online argmax (action 1), target price 20
         obs = Observation(np.zeros((2, 2, 9)), np.zeros(4))
-        replay = ReplayBuffer(1, _FixedNet([5.0, 20.0, 7.0]))  # the target net
+        replay = ReplayBuffer(1, _FixedNet([5.0, 20.0, 7.0]), None)  # the target's prices
         replay.push(Transition(obs, 0, 1.0, obs, False, False, np.ones(3, dtype=bool)))
         batch = replay.sample(1, np.random.default_rng(0), 2.0)
         q_next = np.array([[0.1, 0.9, 0.3]])  # the online net's Q on the next state
@@ -202,7 +202,7 @@ def test_07_learning_stack_numerics():
 def test_08_replay_prioritizes_entangling_transitions():
     with _verdict(8):
         obs = Observation(np.zeros((2, 2, 9)), np.zeros(4))
-        buf = ReplayBuffer(2000, _FixedNet(np.zeros(5)))
+        buf = ReplayBuffer(2000, _FixedNet(np.zeros(5)), None)
         for i in range(2000):  # exactly half entangling, actions 0-999
             buf.push(Transition(obs, i, 0.0, obs, False, i < 1000,
                                 np.ones(5, dtype=bool)))

@@ -21,7 +21,6 @@ from qsopt.circuit import (
     emit_file,
     gate_count,
     ghz,
-    insert_gate,
     moments,
     parse,
     parse_file,
@@ -93,11 +92,8 @@ def test_composition_fractions():
 def test_positional_edits():
     c = Circuit(2).h(0).cx(0, 1)
     g = Gate(GateKind.H, (1,))
-    assert insert_gate(c, g, 1).gates[1] == g
     assert remove_gate(c, 0).gates[0].kind is GateKind.CX
     assert replace_gate(c, 0, g).gates[0] == g
-    with pytest.raises(CircuitError):
-        insert_gate(c, g, 3)
     with pytest.raises(CircuitError):
         remove_gate(c, 2)
     with pytest.raises(CircuitError):

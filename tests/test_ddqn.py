@@ -175,13 +175,40 @@ def test_float32_default_dtype():
     assert q.dtype == np.float32
 
 
-def test_clone_and_copy_are_independent():
+def test_params_view_the_weights_and_draw_repeats_the_init_draw():
     net = tiny_net()
-    twin = net.clone()
-    for k in net.params:
-        assert np.array_equal(net.params[k], twin.params[k])
-    twin.params["b3"] += 1.0
-    assert not np.array_equal(net.params["b3"], twin.params["b3"])
+    assert all(np.shares_memory(p, net.weights) for p in net.params.values())
+    assert sum(p.size for p in net.params.values()) == net.weights.size
+    drawn = net.draw(np.random.default_rng(0))  # tiny_net's seed
+    assert drawn.dtype == net.dtype and np.array_equal(drawn, net.weights)
+    drawn[:] += 1.0
+    assert not np.array_equal(drawn, net.weights)
+
+
+def test_checkpoint_layout_is_the_init_draw_with_channel_major_conv_rows(tmp_path):
+    # the arrays of checkpoint v2, drawn as the net drew them before it held
+    # its conv weights in patch order: each weight matrix Xavier-uniform in
+    # parameter order, conv rows in (C,3,3) order, every bias zero
+    c, c1, c2, hidden, flat = 2, 3, 4, 8, 2 * 3 * 4 + 3
+    net = QNet((3, 4, c), 3, 5, np.random.default_rng(7), conv1=c1, conv2=c2, hidden=hidden)
+    rng = np.random.default_rng(7)
+    want = {
+        "w1": xavier_uniform(rng, 9 * c, 9 * c1, (9 * c, c1)), "b1": np.zeros(c1),
+        "w2": xavier_uniform(rng, 9 * c1, 9 * c2, (9 * c1, c2)), "b2": np.zeros(c2),
+        "w3": xavier_uniform(rng, flat, hidden, (flat, hidden)), "b3": np.zeros(hidden),
+        "wa": xavier_uniform(rng, hidden, 5, (hidden, 5)), "ba": np.zeros(5),
+        "wv": xavier_uniform(rng, hidden, 1, (hidden, 1)), "bv": np.zeros(1),
+    }
+    path = tmp_path / "ckpt.bin"
+    net.save(path)
+    with np.load(path) as data:
+        assert sorted(data.files) == sorted([*want, "__header__"])
+        for k, v in want.items():
+            assert data[k].dtype == np.float32 and data[k].shape == v.shape
+            assert data[k].tobytes() == v.astype(np.float32).tobytes()
+    loaded, _ = QNet.load(path)
+    grid, aux = rand_batch_inputs(np.random.default_rng(8), b=3)
+    assert loaded.forward(grid, aux).tobytes() == net.forward(grid, aux).tobytes()
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -224,21 +251,21 @@ def test_checkpoint_version_guard(tmp_path):
 
 def test_adam_first_step_closed_form():
     # with fresh moments the bias corrections cancel: dp = lr * g/(|g|+eps)
-    params = {"w": np.array([1.0, -2.0, 3.0])}
-    grads = {"w": np.array([0.5, -0.25, 0.0])}
-    opt = Adam(params)
-    opt.step(params, grads, lr=0.1)
-    expected = np.array([1.0, -2.0, 3.0]) - 0.1 * grads["w"] / (np.abs(grads["w"]) + 1e-8)
-    assert params["w"] == pytest.approx(expected, abs=1e-9)
+    weights = np.array([1.0, -2.0, 3.0])
+    grad = np.array([0.5, -0.25, 0.0])
+    opt = Adam(weights)
+    opt.step(weights, grad, lr=0.1)
+    expected = np.array([1.0, -2.0, 3.0]) - 0.1 * grad / (np.abs(grad) + 1e-8)
+    assert weights == pytest.approx(expected, abs=1e-9)
 
 
 def test_adam_accumulates_momentum():
-    params = {"w": np.zeros(1)}
-    opt = Adam(params)
+    weights = np.zeros(1)
+    opt = Adam(weights)
     for _ in range(10):
-        opt.step(params, {"w": np.ones(1)}, lr=0.01)
+        opt.step(weights, np.ones(1), lr=0.01)
     assert opt.t == 10
-    assert params["w"][0] == pytest.approx(-0.1, abs=1e-3)  # ~lr per step
+    assert weights[0] == pytest.approx(-0.1, abs=1e-3)  # ~lr per step
 
 
 # --- schedules ------------------------------------------------------------
@@ -303,7 +330,7 @@ class StubNet:
         self.row = np.asarray(row, dtype=float)
         self.n_actions = len(self.row)
 
-    def forward(self, grids, aux):
+    def forward(self, grids, aux, weights=None):
         return np.tile(self.row, (grids.shape[0], 1))
 
 
@@ -313,16 +340,16 @@ def _dummy_transition(i, entangling=False):
                       np.ones(5, dtype=bool))
 
 
-def _replayed(target, *transitions):
-    """The transitions as one batch, each priced by `target` on its push."""
-    buf = ReplayBuffer(len(transitions), target)
+def _replayed(net, *transitions):
+    """The transitions as one batch, each priced by `net` on its push."""
+    buf = ReplayBuffer(len(transitions), net, None)
     for t in transitions:
         buf.push(t)
     return buf.sample(len(transitions), np.random.default_rng(0), 1.0)
 
 
 def test_ring_buffer_eviction_order():
-    buf = ReplayBuffer(3, StubNet(np.zeros(5)))
+    buf = ReplayBuffer(3, StubNet(np.zeros(5)), None)
     for i in range(5):
         buf.push(_dummy_transition(i))
     assert len(buf) == 3
@@ -331,7 +358,7 @@ def test_ring_buffer_eviction_order():
 
 
 def test_sample_without_replacement():
-    buf = ReplayBuffer(10, StubNet(np.zeros(5)))
+    buf = ReplayBuffer(10, StubNet(np.zeros(5)), None)
     for i in range(10):
         buf.push(_dummy_transition(i))
     batch = buf.sample(10, np.random.default_rng(0), entangling_weight=2.0)
@@ -341,7 +368,7 @@ def test_sample_without_replacement():
 
 
 def test_entangling_transitions_oversampled():
-    buf = ReplayBuffer(400, StubNet(np.zeros(5)))
+    buf = ReplayBuffer(400, StubNet(np.zeros(5)), None)
     for i in range(400):
         buf.push(_dummy_transition(i, entangling=i < 200))
     rng = np.random.default_rng(8)
@@ -362,28 +389,30 @@ def _random_transition(rng, net, i):
 
 
 def test_pushed_row_is_a_batch1_target_forward():
-    target = tiny_net(dtype=np.float32, seed=1)
+    net = tiny_net(dtype=np.float32)
+    target = net.draw(np.random.default_rng(1))
     rng = np.random.default_rng(10)
-    buf = ReplayBuffer(4, target)
+    buf = ReplayBuffer(4, net, target)
     for i in range(4):
-        t = _random_transition(rng, target, i)
+        t = _random_transition(rng, net, i)
         buf.push(t)
-        want = target.forward(t.next_obs.grid[None], t.next_obs.aux[None])[0]
+        want = net.forward(t.next_obs.grid[None], t.next_obs.aux[None], target)[0]
         assert buf.next_q.dtype == want.dtype
         assert np.array_equal(buf.next_q[i], want)
 
 
 def test_eviction_keeps_each_row_with_its_slot():
-    target = tiny_net(dtype=np.float32, seed=1)
+    net = tiny_net(dtype=np.float32)
+    target = net.draw(np.random.default_rng(1))
     rng = np.random.default_rng(11)
-    buf = ReplayBuffer(3, target)
-    pushed = [_random_transition(rng, target, i) for i in range(7)]
+    buf = ReplayBuffer(3, net, target)
+    pushed = [_random_transition(rng, net, i) for i in range(7)]
     for t in pushed:
         buf.push(t)
     for slot, t in zip((1, 2, 0), pushed[4:]):  # push k lands in slot k mod 3
         assert buf.action[slot] == t.action and buf.reward[slot] == t.reward
         assert np.array_equal(buf.next_grid[slot], t.next_obs.grid.astype(np.float32))
-        want = target.forward(t.next_obs.grid[None], t.next_obs.aux[None])[0]
+        want = net.forward(t.next_obs.grid[None], t.next_obs.aux[None], target)[0]
         assert np.array_equal(buf.next_q[slot], want)
 
 
@@ -396,25 +425,25 @@ class _CountedNet:
     def __getattr__(self, name):
         return getattr(self.net, name)
 
-    def forward(self, grids, aux):
+    def forward(self, grids, aux, weights=None):
         self.sizes.append(len(grids))
-        return self.net.forward(grids, aux)
+        return self.net.forward(grids, aux, weights)
 
 
 @pytest.mark.parametrize("pushes,batch", [(7, 3), (7, 7), (13, 4), (2, 2)])
 def test_sync_reprices_every_drawn_row(pushes, batch):
-    main, target = tiny_net(dtype=np.float32, seed=0), tiny_net(dtype=np.float32, seed=1)
+    main = tiny_net(dtype=np.float32)
+    target = main.draw(np.random.default_rng(1))
     rng = np.random.default_rng(12)
-    counted = _CountedNet(target)
-    buf = ReplayBuffer(10, counted)
+    counted = _CountedNet(main)
+    buf = ReplayBuffer(10, counted, target)
     for i in range(pushes):
-        buf.push(_random_transition(rng, target, i))
+        buf.push(_random_transition(rng, main, i))
     filled = len(buf)
     old = buf.next_q[:filled].copy()
     counted.sizes.clear()
-    sync_target(main, buf)
-    for k in target.params:
-        assert np.array_equal(target.params[k], main.params[k])
+    sync_target(buf)
+    assert buf.target is target and np.array_equal(target, main.weights)
     assert buf.stale[:filled].all() and not buf.stale[filled:].any()
     assert counted.sizes == []  # a sync itself runs no forward
 
@@ -436,7 +465,7 @@ def test_sync_reprices_every_drawn_row(pushes, batch):
     assert np.all(buf.next_q[:filled] != old)
     assert not buf.next_q[filled:].any()  # unfilled slots stay untouched
     # a push after the sync is priced by the new target and is not stale
-    t = _random_transition(rng, target, 99)
+    t = _random_transition(rng, main, 99)
     buf.push(t)
     k = pushes % 10
     assert not buf.stale[k]
@@ -465,7 +494,7 @@ if given is not None:
             obs_keys.append(next_keys[-1] if cont and j else key)
             next_keys.append(next_key)
             dones.append(done)
-        buf = ReplayBuffer(capacity, StubNet(np.zeros(5)))
+        buf = ReplayBuffer(capacity, StubNet(np.zeros(5)), None)
         for j, (key, next_key, done) in enumerate(zip(obs_keys, next_keys, dones)):
             buf.push(Transition(_pool_obs(key), j, 0.0, _pool_obs(next_key), done, False,
                                 np.ones(5, dtype=bool)))
@@ -522,7 +551,7 @@ def test_select_action_greedy_respects_mask():
 
 
 def test_td_targets_hand_example():
-    # online net argmax picks action 1; target net prices it at 20
+    # the online argmax picks action 1; the target prices it at 20
     obs = Observation(np.zeros((2, 2, 9)), np.zeros(4))
     batch = _replayed(StubNet([5.0, 20.0, 7.0]),
                       Transition(obs, 0, 1.0, obs, False, False, np.ones(3, dtype=bool)))
@@ -546,18 +575,18 @@ def test_td_targets_terminal_and_masked():
 
 
 def test_sync_target_copies_everything():
-    a, b = tiny_net(seed=0), tiny_net(seed=1)
-    sync_target(a, ReplayBuffer(4, b))
-    for k in a.params:
-        assert np.array_equal(a.params[k], b.params[k])
+    net = tiny_net()
+    buf = ReplayBuffer(4, net, net.draw(np.random.default_rng(1)))
+    sync_target(buf)
+    assert np.array_equal(buf.target, net.weights)
+    assert not np.shares_memory(buf.target, net.weights)
 
 
 def test_train_step_reduces_loss_on_fixed_batch():
     rng = np.random.default_rng(9)
     main = tiny_net(seed=0)
-    target = tiny_net(seed=1)
-    opt = Adam(main.params)
-    buf = ReplayBuffer(8, target)
+    opt = Adam(main.weights)
+    buf = ReplayBuffer(8, main, main.draw(np.random.default_rng(1)))
     for i in range(8):
         obs = Observation(rng.normal(size=(3, 4, 2)), rng.normal(size=3))
         nxt = Observation(rng.normal(size=(3, 4, 2)), rng.normal(size=3))
@@ -573,10 +602,9 @@ def test_train_step_reduces_loss_on_fixed_batch():
 
 def test_train_step_raises_on_nonfinite():
     main = tiny_net(seed=0)
-    target = tiny_net(seed=1)
-    opt = Adam(main.params)
+    opt = Adam(main.weights)
     obs = Observation(np.zeros((3, 4, 2)), np.zeros(3))
-    bad = _replayed(target, Transition(obs, 0, float("inf"), obs, True, False,
+    bad = _replayed(main, Transition(obs, 0, float("inf"), obs, True, False,
                                        np.ones(5, dtype=bool)))
     with pytest.raises(RuntimeError):
         train_step(main, opt, bad, gamma=0.95, lr=1e-3)
@@ -597,7 +625,8 @@ def _two_forward_train_step(main, optimizer, buf, batch, gamma, lr):
     loss = float(np.mean(err ** 2))
     dq = np.zeros_like(q)
     dq[rows, batch.action] = 2.0 * err / len(batch)
-    optimizer.step(main.params, main.backward(cache, dq), lr)
+    main.backward(cache, dq)
+    optimizer.step(main.weights, main.grad, lr)
     return y, loss
 
 
@@ -626,11 +655,10 @@ def test_train_step_matches_the_two_forward_step(monkeypatch):
     # from another observation
     shapes = dict(grid_shape=(5, 30, N_CHANNELS), aux_dim=7, n_actions=55)
     rng = np.random.default_rng(21)
-    main = QNet(rng=np.random.default_rng(0), **shapes)
-    ref_main = main.clone()
-    opt, ref_opt = Adam(main.params), Adam(ref_main.params)
-    buf = ReplayBuffer(96, QNet(rng=np.random.default_rng(1), **shapes))
-    ref_buf = ReplayBuffer(96, buf.target.clone())
+    main, ref_main = (QNet(rng=np.random.default_rng(0), **shapes) for _ in range(2))
+    opt, ref_opt = Adam(main.weights), Adam(ref_main.weights)
+    buf = ReplayBuffer(96, main, main.draw(np.random.default_rng(1)))
+    ref_buf = ReplayBuffer(96, ref_main, buf.target.copy())
     for episode in range(12):
         obs = _episode_observations(rng, 5, 30, 7, 10)
         for t in range(9):
@@ -652,8 +680,8 @@ def test_train_step_matches_the_two_forward_step(monkeypatch):
     draw, ref_draw = np.random.default_rng(3), np.random.default_rng(3)
     for step in range(6):
         if step in (2, 4):  # stale rows are repriced by the new target
-            sync_target(main, buf)
-            sync_target(ref_main, ref_buf)
+            sync_target(buf)
+            sync_target(ref_buf)
         batch = buf.sample(64, draw, 2.0)
         ref_batch = ref_buf.sample(64, ref_draw, 2.0)
         assert np.array_equal(batch.next_q, ref_batch.next_q)
@@ -665,8 +693,7 @@ def test_train_step_matches_the_two_forward_step(monkeypatch):
                                                    0.95, 1e-3)
         assert np.array_equal(targets[-1], ref_y)
         assert loss == ref_loss
-        for k in main.params:
-            assert np.array_equal(main.params[k], ref_main.params[k])
+        assert np.array_equal(main.weights, ref_main.weights)
     assert min(seen.values()) > 0
 
 

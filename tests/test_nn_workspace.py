@@ -6,10 +6,12 @@ over the packed grid: each sample cropped to min(W, depth + 5) moments,
 the crops side by side with one zero column after each, built one sample
 at a time. Patches are tap-major: `_im2col` and `_col2im` lay patch
 columns out as (3,3,C), and the conv weights, stored with (C,3,3) rows,
-are reordered to match. The per-qubit readout finds each qubit's last
-occupied moment with a Python loop. The workspace version must give
-bitwise-equal Q values, cache entries, gradients and parameters, and hand
-out nothing that a later pass overwrites.
+are reordered to match; the net holds its conv weights in the patch
+order, so they are compared in the stored order (`_stored`). The
+per-qubit readout finds each qubit's last occupied moment with a Python
+loop. The workspace version must give bitwise-equal Q values, cache
+entries, gradients and parameters, and hand out nothing that a later
+pass overwrites before the net's next backward.
 
 `ref_forward` and `ref_backward` run the net over the full grid, every
 moment of every sample. The packed net must match them in float64 up to
@@ -27,7 +29,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from qsopt.ddqn import QNet, ReplayBuffer, Transition, nn, train_step
+from qsopt.ddqn import QNet, ReplayBuffer, Transition, train_step
 from qsopt.ddqn.nn import Adam, _layout
 from qsopt.ddqn.nn import _Layout as Layout
 from qsopt.env import CH_ANGLE, CH_EMPTY, N_CHANNELS, Observation
@@ -286,9 +288,17 @@ NETS = {
 }
 
 
-def _reference(net):
-    return SimpleNamespace(params={k: v.copy() for k, v in net.params.items()},
-                           dtype=net.dtype, aux_dim=net.aux_dim, grid_shape=net.grid_shape)
+def _stored(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Copies of the net's parameters or gradients, the conv weights with
+    their stored (C,3,3) rows, as the references hold them."""
+    return {k: _channel_major(v) if k in ("w1", "w2") else v.copy() for k, v in params.items()}
+
+
+def _reference(net, weights=None):
+    """The reference's stand-in for `net` running `weights`, or its own."""
+    params = net.params if weights is None else net.views(weights)
+    return SimpleNamespace(params=_stored(params), dtype=net.dtype, aux_dim=net.aux_dim,
+                           grid_shape=net.grid_shape)
 
 
 def _inputs(rng, net, b):
@@ -316,9 +326,9 @@ def _assert_same(got, want):
 @pytest.mark.parametrize("kind", sorted(NETS))
 def test_workspace_matches_allocating_reference_bitwise(kind, batch):
     main = QNet(rng=np.random.default_rng(0), **NETS[kind])
-    target = QNet(rng=np.random.default_rng(1), **NETS[kind])
-    ref_main, ref_target = _reference(main), _reference(target)
-    opt, ref_opt = Adam(main.params), RefAdam(ref_main.params)
+    target = main.draw(np.random.default_rng(1))
+    ref_main, ref_target = _reference(main), _reference(main, target)
+    opt, ref_opt = Adam(main.weights), RefAdam(ref_main.params)
     rng = np.random.default_rng(batch)
     other = 2 if batch != 2 else 5
     for _ in range(3):
@@ -333,46 +343,53 @@ def test_workspace_matches_allocating_reference_bitwise(kind, batch):
         grads = main.backward(cache, dq)
         ref_grads = packed_backward(ref_main, ref_cache, dq)
         assert grads.keys() == ref_grads.keys()
+        stored_grads = _stored(grads)
         for k in grads:
-            _assert_same(grads[k], ref_grads[k])
-        opt.step(main.params, grads, lr=1e-3)
+            _assert_same(stored_grads[k], ref_grads[k])
+        opt.step(main.weights, main.grad, lr=1e-3)
         ref_opt.step(ref_main.params, ref_grads, lr=1e-3)
+        stored = _stored(main.params)
         for k in main.params:
-            _assert_same(main.params[k], ref_main.params[k])
+            _assert_same(stored[k], ref_main.params[k])
 
-        # main and target share the workspace at each batch size; what one
-        # pass returned must survive the next
+        # the online and the target weights share the net's workspace at
+        # each batch size; what one pass returned must survive the next
+        # forwards
         kept_q, kept_grads = q.copy(), {k: v.copy() for k, v in grads.items()}
         for b in (batch, other, batch):
             grid, aux = _inputs(rng, main, b)
-            for net, ref in ((main, ref_main), (target, ref_target)):
-                _assert_same(net.forward(grid, aux), packed_forward(ref, grid, aux, False)[0])
-            q2, cache2 = target.forward_cached(grid, aux)
-            _assert_same(q2, packed_forward(ref_target, grid, aux, False)[0])
-            target.backward(cache2, rng.normal(size=q2.shape))
+            for weights, ref in ((None, ref_main), (target, ref_target)):
+                _assert_same(main.forward(grid, aux, weights),
+                             packed_forward(ref, grid, aux, False)[0])
+            q2, _ = main.forward_cached(grid, aux)
+            _assert_same(q2, packed_forward(ref_main, grid, aux, False)[0])
         _assert_same(q, kept_q)
         for k in grads:
             _assert_same(grads[k], kept_grads[k])
 
 
-def test_one_workspace_per_net_shapes_grows_to_the_largest_batch():
+def test_each_net_owns_a_workspace_grown_to_its_largest_batch():
     main = QNet(rng=np.random.default_rng(0), **NETS["exact-f32"])
-    target = QNet(rng=np.random.default_rng(1), **NETS["exact-f32"])
+    other = QNet(rng=np.random.default_rng(1), **NETS["exact-f32"])
     ref = _reference(main)
-    nn._WORKSPACES.pop(main._shapes, None)  # start from no workspace
     rng = np.random.default_rng(4)
     built, rows = [], []
     for b in (1, 7, 31, 128, 1):
         grid, aux = _inputs(rng, main, b)
-        target.forward(*_inputs(rng, main, b))  # the other net of these shapes
         dq = rng.normal(size=(b, main.n_actions))
         q, cache = main.forward_cached(grid, aux)
+        # another net of the same shapes, at the largest batch, between the
+        # cached forward and its backward
+        other.forward(*_inputs(rng, main, 128))
         ref_q, ref_cache = packed_forward(ref, grid, aux, keep=True)
         _assert_same(q, ref_q)
+        for got, want in zip(cache, ref_cache, strict=True):
+            _assert_same(got, want)
         grads, ref_grads = main.backward(cache, dq), packed_backward(ref, ref_cache, dq)
+        stored_grads = _stored(grads)
         for k in grads:
-            _assert_same(grads[k], ref_grads[k])
-        ws = nn._WORKSPACES[main._shapes]
+            _assert_same(stored_grads[k], ref_grads[k])
+        ws = main._ws
         rows.append(ws.b)
         if not built or built[-1]() is not ws:
             built.append(weakref.ref(ws))
@@ -392,7 +409,7 @@ def test_tap_major_net_matches_channel_major_reference(batch):
     dq = rng.normal(size=(batch, net.n_actions))
     q, cache = net.forward_cached(grid, aux)
     ref_q, ref_cache = ref_forward(ref, grid, aux, keep=True, layout=CHANNEL_MAJOR)
-    grads = net.backward(cache, dq)
+    grads = _stored(net.backward(cache, dq))
     ref_grads = ref_backward(ref, ref_cache, dq, layout=CHANNEL_MAJOR)
     for got, want in [(q, ref_q)] + [(grads[k], ref_grads[k]) for k in ref_grads]:
         assert got.shape == want.shape
@@ -461,7 +478,7 @@ if given is not None:
             full_q, full_cache = ref_forward(ref, grid, aux, keep=True)
             for got, want in zip(cache, packed_cache, strict=True):
                 _assert_same(got, want)
-            grads = net.backward(cache, dq)
+            grads = _stored(net.backward(cache, dq))
             packed_grads = packed_backward(ref, packed_cache, dq)
             full_grads = ref_backward(ref, full_cache, dq)
             _assert_same(q, packed_q)
@@ -476,15 +493,14 @@ def _warm_train_step_peak(grids) -> int:
     replay batch of 128 transitions whose grids `grids(rng)` draws."""
     shapes = NETS["exact-f32"]
     main = QNet(rng=np.random.default_rng(0), **shapes)
-    target = QNet(rng=np.random.default_rng(1), **shapes)
-    opt = Adam(main.params)
+    opt = Adam(main.weights)
     rng = np.random.default_rng(2)
 
     def obs():
         return Observation(grids(rng), rng.normal(size=shapes["aux_dim"]))
 
     n_actions = shapes["n_actions"]
-    buffer = ReplayBuffer(128, target)
+    buffer = ReplayBuffer(128, main, main.draw(np.random.default_rng(1)))
     for i in range(128):
         buffer.push(Transition(obs(), int(rng.integers(n_actions)), float(rng.normal()),
                                obs(), i % 7 == 0, False, rng.random(n_actions) < 0.8))
