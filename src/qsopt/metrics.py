@@ -1,47 +1,70 @@
 """Figures of merit: parameter-shift QFI, entropy aggregate, depth and
 gate ratios, and the multi-objective reward combining them.
 
-QFI is estimated from measurement statistics only: each rotation angle is
-shifted by +-pi/2, the two Z-basis outcome distributions are compared via
+QFI is estimated from measurement statistics only. Each rotation angle
+is shifted by +-pi/2, and the two Z-basis outcome distributions P+ and
+P- are compared via
 
-    sum_i 4 (P+_i - P-_i)^2 / (P+_i + P-_i)
+    sum_x 4 (P+(x) - P-(x))^2 / (P+(x) + P-(x)),
 
-and the per-parameter values are averaged and divided by the analytic
-maximum 8 (each term is bounded by 4(P+ + P-), which sums to 8), so the
-result always lands in [0, 1].
+which each term bounds by 4(P+ + P-), so the sum is at most 8. The
+per-rotation values are averaged and divided by 8, and the result
+lands in [0, 1].
+
+Without noise the two shifted circuits need not run. Here rx and rz are
+exp(-i theta P/2), so R(theta +- pi/2) = R(theta)(I -+ iP)/sqrt(2)
+(Mitarai et al., PRA 98, 032309, 2018). Let psi be the circuit's state
+and xi_k that of the circuit with rotation k shifted by +pi, which
+R(theta + pi) = R(theta)(-iP) gives. The shifted states are then
+(psi +- xi_k)/sqrt(2), so P+ - P- = 2 Re(conj(psi) xi_k) and
+P+ + P- = |psi|^2 + |xi_k|^2. Rotation k's normalized value is
+
+    E_{x ~ Q_k} [delta_k(x)^2],  Q_k = (|psi|^2 + |xi_k|^2) / 2,
+    delta_k = 2 Re(conj(psi) xi_k) / (|psi|^2 + |xi_k|^2) in [-1, 1],
+
+and one row per rotation holds what two shifted circuits held.
 
 A circuit's evaluation is one state of rows (`Rows`). Row 0 is the
 circuit itself, the base row: its bond entropies, read from a one-row
-copy, give the record's entropy figures. Without noise the 2R shifted
-circuits follow, ordered (rotation k, sign +-): every gate but rotation
-k acts on their rows as on the base row, and rotation k is laid out as
-at most four row runs (its angle before the pair, +pi/2 and -pi/2 on the
-pair, its angle after). The rows are a dense batch or an MPS stack whose
-tensors hold them over one chain.
+copy, give the record's entropy figures. Without noise row 1 + k, the
+circuit with rotation k shifted by +pi, follows for every rotation:
+every gate but rotation k acts on it as on the base row. The rows are a
+dense batch or an MPS stack whose tensors hold them over one chain.
 
 `Rows.update` brings the rows to any circuit through one gate loop, and
 the env carries them between steps this way. A circuit that only
 appends gates runs its new gates: each acts on every row, and a new
-rotation first appends two copies of the base row. Any other circuit
-restarts the state from |0..0> with all 1 + 2R rows allocated up front,
+rotation first appends one copy of the base row. Any other circuit
+restarts the state from |0..0> with all 1 + R rows allocated up front,
 since appending rows copies every MPS site tensor, and runs every gate.
-Under noise the rows hold the base row only, and the noisy QFI lays the
-2R shifted circuits out in its own rows (`_row_runs`) as
-`noise.density_rows` picks: one density row each
-(`noise.density_probabilities`), or (circuit, shot) trajectories
-(`noise.sample_bits`) whose events each circuit draws from its own child
-generator, as a per-circuit `sample_counts` would.
 
-The QFI reads the shifted circuits, never the base row, one of two ways:
-* Distributions, on the statevector: one (2R, 2^n) array, the shifted
-  rows' probabilities or, under noise, the density rows'. Shots 0 reads
-  it as it is; else circuit c's shots are drawn from its row at
-  default_rng(child c).random(shots) (`_sampled`).
-* Bits, from the MPS rows (one `measure_at` call at the same uniforms)
-  and the noisy trajectories, ranked by one sort of their packed keys
-  (`statevector.distinct_outcomes`). Each pair's frequencies span only
-  the outcomes its rows saw: an unseen one adds +0.0 to the statistic,
-  which sums in bitstring order.
+The noiseless QFI reads the 1 + R rows one of two ways:
+* Exact (shots 0, the statevector): the sum of Q_k delta_k^2 over all
+  2^n outcomes, from the rows' amplitudes.
+* Sampled: the mixture estimator. Rotation k's shots are drawn at the
+  uniforms default_rng(child k).random(shots), the first ceil(N/2)
+  from row 0 and the rest from row k. Each drawn x scores delta_k(x)^2,
+  read from both rows' amplitudes at x, and each half's mean is weighted
+  1/2: the figure is unbiased and bounded, so its error is O(1/sqrt(N))
+  at any width. A single shot draws from row 0 when its uniform is below
+  1/2 and from row k otherwise, at the uniform halved into [0, 1)
+  (`_mixture`). On the statevector the drawn rows' amplitudes are
+  indexed directly; on the MPS one `measure_at` walk over row 0's copies
+  and the rows k, each with its partner row, gives the amplitude ratio
+  at every drawn x (Ferris & Vidal, PRB 85, 165146, 2012).
+
+Under noise the identity does not hold, so the noisy QFI keeps the 2R
+shifted circuits and the plug-in statistic above over their sampled
+frequencies. The rows hold the base row only, and the noisy QFI lays
+the 2R shifted circuits out in its own rows (`_row_runs`) as
+`noise.density_rows` picks: one density row each
+(`noise.density_probabilities`), whose shots are drawn from the exact
+distributions, or (circuit, shot) trajectories (`noise.sample_bits`)
+whose events each circuit draws from its own child generator, as a
+per-circuit `sample_counts` would. Trajectory bits are ranked by one sort
+of their packed keys (`statevector.distinct_outcomes`), and each pair's
+frequencies span only the outcomes its rows saw: an unseen one adds
++0.0 to the statistic, which sums in bitstring order.
 """
 
 from __future__ import annotations
@@ -176,16 +199,17 @@ def _shift_statistic(p_plus: np.ndarray, p_minus: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _rotation_runs(gate: Gate, plus: int, group: int, total: int) -> tuple:
-    """The runs of rotation `gate` over rows 0..total-1 when rows
-    plus..plus+group-1 shift it by +pi/2 and the next `group` rows by
-    -pi/2: every other row keeps its angle."""
-    minus, end = plus + group, plus + 2 * group
-    return tuple(run for run in (
-        (0, plus, gate),
-        (plus, minus, _shifted(gate, SHIFT)),
-        (minus, end, _shifted(gate, -SHIFT)),
-        (end, total, gate)) if run[0] < run[1])
+def _rotation_runs(gate: Gate, first: int, shifts: tuple, group: int, total: int) -> tuple:
+    """The runs of rotation `gate` over rows 0..total-1 when the `group`
+    rows from row `first` on shift its angle by shifts[0], the next
+    `group` rows by shifts[1], and so on: every other row keeps its
+    angle."""
+    stop = first + group * len(shifts)
+    runs = [(0, first, gate)]
+    runs += [(lo, lo + group, _shifted(gate, d)) for lo, d in zip(range(first, stop, group),
+                                                                 shifts)]
+    runs.append((stop, total, gate))
+    return tuple(run for run in runs if run[0] < run[1])
 
 
 def _row_runs(circuit: Circuit, positions: list[int], group: int) -> list[tuple]:
@@ -198,22 +222,25 @@ def _row_runs(circuit: Circuit, positions: list[int], group: int) -> list[tuple]
     total = 2 * len(positions) * group
     runs = whole_runs(circuit, total)
     for k, pos in enumerate(positions):
-        runs[pos] = _rotation_runs(circuit.gates[pos], 2 * k * group, group, total)
+        runs[pos] = _rotation_runs(circuit.gates[pos], 2 * k * group, (SHIFT, -SHIFT), group,
+                                   total)
     return runs
 
 
 class Rows:
     """The rows of one circuit's evaluation, as one state of `spec`'s
     backend. Row 0 is the circuit itself, the base row, whose bond
-    entropies the record reads. With `shifted`, rows 1 + 2k and 2 + 2k
-    follow: the circuit with rotation k shifted by +pi/2 and -pi/2, whose
-    outcome distributions the QFI compares.
+    entropies the record reads. With `shifted`, row 1 + k follows for
+    each rotation k: the circuit with rotation k shifted by +pi, which
+    with the base row gives both of its +-pi/2 shifted states (see the
+    module docstring). The noiseless QFI reads these 1 + R rows; a noisy
+    evaluation holds the base row only.
 
     `update` is the one way the rows reach a circuit, and one gate loop
     serves it: a circuit that only appends gates to the rows' circuit
-    runs its new gates, any other restarts from |0..0> with all 1 + 2R
-    rows allocated and runs every gate. A rotation whose rows are not held
-    yet first appends two copies of the base row."""
+    runs its new gates, any other restarts from |0..0> with all 1 + R
+    rows allocated and runs every gate. A rotation whose row is not held
+    yet first appends one copy of the base row."""
 
     def __init__(self, circuit: Circuit, spec: BackendSpec, shifted: bool = True):
         self.circuit, self.spec, self.shifted = None, spec, shifted
@@ -230,16 +257,16 @@ class Rows:
         else:
             gates, k = circuit.gates, 0
             self.rotations = len(rotation_positions(circuit)) if self.shifted else 0
-            self.state = self.spec.fresh(circuit.n_qubits, batch=1 + 2 * self.rotations)
+            self.state = self.spec.fresh(circuit.n_qubits, batch=1 + self.rotations)
         for gate in gates:
             if not (self.shifted and gate.kind.has_angle):
                 self.state.apply_gate(gate)
                 continue
-            if k == self.rotations:  # rotation k's rows are not held yet
-                self.state.append_rows(0, 2)
+            if k == self.rotations:  # rotation k's row is not held yet
+                self.state.append_rows(0, 1)
                 self.rotations += 1
-            held = 1 + 2 * self.rotations
-            self.state.apply_runs(_rotation_runs(gate, 1 + 2 * k, 1, held), 0, held)
+            held = 1 + self.rotations
+            self.state.apply_runs(_rotation_runs(gate, 1 + k, (math.pi,), 1, held), 0, held)
             k += 1
         # even an empty update drops the record: the QFI's readout moves
         # the MPS centre, and the next record reads the stack as it is then
@@ -269,8 +296,9 @@ class Rows:
 
 
 def _uniforms(children, shots: int) -> np.ndarray:
-    """The (2R, shots) measurement uniforms of the shifted circuits, one
-    default_rng(child).random(shots) each, as `sample_counts` draws them."""
+    """The (len(children), shots) measurement uniforms, one
+    default_rng(child).random(shots) per child, as `sample_counts` draws
+    them."""
     return np.stack([np.random.default_rng(child).random(shots) for child in children])
 
 
@@ -304,6 +332,32 @@ def _pair_frequencies(bits: np.ndarray, pairs: int, shots: int) -> tuple[np.ndar
     return out[0], out[1]
 
 
+def _mixture(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shots of the mixture estimator from each rotation's uniforms v,
+    (R, N): (u, weights), both (2R, ceil(N/2)). Row k of u holds the
+    uniforms drawn from base row 0, row R + k those drawn from shifted row
+    k, and a shot's weight is its share of rotation k's figure.
+
+    N >= 2: the first ceil(N/2) uniforms go to row 0, the other floor(N/2)
+    to row k, and each half's mean is weighted 1/2. An odd N fills row k's
+    last column with a copy of its last uniform, of weight 0; equal
+    uniforms walk equal bits, so the copy adds no node to an MPS walk.
+    N = 1: the shot draws from row 0 at 2u if u < 1/2, else from row k at
+    2u - 1. Both rows walk that uniform, and the other row's shot has
+    weight 0."""
+    rotations, shots = v.shape
+    if shots == 1:
+        upper = v >= 0.5
+        u = np.concatenate((2.0 * v - upper,) * 2)
+        return u, np.concatenate((~upper, upper)).astype(float)
+    half = (shots + 1) // 2
+    rest = np.concatenate((v[:, half:], v[:, -1:].repeat(2 * half - shots, axis=1)), axis=1)
+    weights = np.zeros((2 * rotations, half))
+    weights[:rotations] = 0.5 / half
+    weights[rotations:, :shots - half] = 0.5 / (shots - half)
+    return np.concatenate((v[:, :half], rest)), weights
+
+
 def check_qfi_mode(shots: int, spec: BackendSpec, noise: NoiseParams | None) -> None:
     """Refuse a QFI mode that does not exist: shots must be >= 0, and
     shots = 0, the exact mode, reads the statevector's distributions
@@ -316,48 +370,79 @@ def check_qfi_mode(shots: int, spec: BackendSpec, noise: NoiseParams | None) -> 
         raise ValueError("exact QFI mode (shots=0) cannot model noise; use shots >= 1")
 
 
+def _seed_children(seed, count: int) -> list:
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return root.spawn(count)
+
+
+def _noisy_qfi(circuit: Circuit, positions: list[int], shots: int, spec: BackendSpec,
+               noise: NoiseParams, seed) -> float:
+    """The plug-in figure over the sampled frequencies of the 2R shifted
+    circuits, run as density rows or trajectories (`noise.density_rows`),
+    circuit c's shots drawn at child c of `seed`."""
+    pairs = 2 * len(positions)
+    children = _seed_children(seed, pairs)
+    if density_rows(spec, circuit.n_qubits, shots):
+        probs = density_probabilities(circuit, spec, noise, _row_runs(circuit, positions, 1),
+                                      pairs)
+        freqs = _sampled(probs, children, shots)
+        plus, minus = freqs[0::2], freqs[1::2]
+    else:
+        bits = sample_bits(circuit, spec, noise, shots, children,
+                           _row_runs(circuit, positions, shots))
+        plus, minus = _pair_frequencies(bits.reshape(-1, circuit.n_qubits), pairs, shots)
+    stats = _shift_statistic(plus, minus)
+    return float(np.cumsum(stats)[-1] / len(positions) / QFI_MAX)
+
+
 def qfi(circuit: Circuit, shots: int, spec: BackendSpec,
         noise: NoiseParams | None = None, seed=0, rows: Rows | None = None) -> float:
-    """Normalized parameter-shift QFI in [0, 1].
+    """Normalized parameter-shift QFI in [0, 1] (see the module
+    docstring).
 
-    shots = 0 selects exact-distribution mode, which needs no RNG;
-    shots >= 1 samples measurement outcomes (per-parameter child seeds
-    keep results independent of evaluation order); `check_qfi_mode`
-    refuses every other mode. Without noise the 2R shifted
-    circuits are the shifted rows of `rows`, the circuit's `Rows`, built
-    here when not given; under noise they run as density rows or as
-    trajectories (`noise.density_rows`), and `rows` is not read.
+    shots = 0 selects the exact mode, which needs no RNG: the sum over
+    every outcome of the 1 + R rows' figure. shots >= 1 samples
+    measurement outcomes, each rotation's (or, under noise, each shifted
+    circuit's) at its own child seed, so results do not depend on
+    evaluation order; `check_qfi_mode` refuses every other mode. Without
+    noise the rows are `rows`, the circuit's `Rows`, built here when not
+    given, and the sampled figure is the mixture estimator. Under noise
+    the 2R shifted circuits run as density rows or as trajectories
+    (`noise.density_rows`) and give the plug-in figure; `rows` is not
+    read.
     """
     positions = rotation_positions(circuit)
     if not positions:
         raise QfiUndefinedError("circuit has no RX/RZ gate; QFI undefined")
     check_qfi_mode(shots, spec, noise)
-    noisy = noise is not None
-    if not noisy:
-        if rows is None:
-            rows = Rows(circuit, spec)
-        elif not (rows.shifted and rows.spec == spec and rows.circuit == circuit):
-            raise ValueError("rows of another circuit or without shifted rows")
-    pairs = 2 * len(positions)
-    if shots:  # exact mode spawns nothing
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = root.spawn(pairs)
-    trajectories = noisy and not density_rows(spec, circuit.n_qubits, shots)
-    if spec.kind == "statevector" and not trajectories:  # distributions
-        probs = (density_probabilities(circuit, spec, noise, _row_runs(circuit, positions, 1),
-                                       pairs) if noisy else rows.state.probabilities()[1:])
-        if shots:
-            probs = _sampled(probs, children, shots)
-        plus, minus = probs[0::2], probs[1::2]
-    else:  # bits
-        if trajectories:
-            bits = sample_bits(circuit, spec, noise, shots, children,
-                               _row_runs(circuit, positions, shots))
-        else:
-            bits = rows.state.measure_at(_uniforms(children, shots), rows=slice(1, None))
-        plus, minus = _pair_frequencies(bits.reshape(-1, circuit.n_qubits), pairs, shots)
-    stats = _shift_statistic(plus, minus)
-    return float(np.cumsum(stats)[-1] / len(positions) / QFI_MAX)
+    if noise is not None:
+        return _noisy_qfi(circuit, positions, shots, spec, noise, seed)
+    if rows is None:
+        rows = Rows(circuit, spec)
+    elif not (rows.shifted and rows.spec == spec and rows.circuit == circuit):
+        raise ValueError("rows of another circuit or without shifted rows")
+    rotations = len(positions)
+    if not shots:  # the statevector's amplitudes, summed over every outcome
+        psi, xi = rows.state.amps[0], rows.state.amps[1:]
+        total = np.abs(psi) ** 2 + np.abs(xi) ** 2
+        terms = np.zeros_like(total)
+        np.divide(2.0 * (psi.conj() * xi).real ** 2, total, out=terms, where=total != 0.0)
+        return float(np.sum(terms) / rotations)
+    u, weights = _mixture(_uniforms(_seed_children(seed, rotations), shots))
+    # the rows read: row 0 once per rotation, then rows 1..R; each one's
+    # partner is the other row of its rotation
+    shifted = np.arange(1, rotations + 1)
+    read = np.concatenate((0 * shifted, shifted))
+    partner = np.roll(read, rotations)
+    if spec.kind == "statevector":  # the drawn rows' amplitudes, indexed directly
+        amps = rows.state.amps
+        index = outcome_index(np.abs(amps[read]) ** 2, u)
+        ratio = (np.take_along_axis(amps[partner], index, axis=1)
+                 / np.take_along_axis(amps[read], index, axis=1))
+    else:
+        _, ratio = rows.state.measure_at(u, rows=read, partners=partner)
+    delta = 2.0 * ratio.real / (1.0 + np.abs(ratio) ** 2)
+    return float(np.sum(weights * delta ** 2) / rotations)
 
 
 # --- combined evaluation --------------------------------------------------

@@ -43,7 +43,11 @@ all rows and shots, each bit drawn from its conditional probability
 keeps one node per distinct (row, bit prefix): shots that share a prefix
 share its left vector, so the complex work per site follows the number of
 distinct prefixes, and only the comparison and rescaling of the uniforms
-run per shot.
+run per shot. Given a partner row for each row it reads, the walk also
+carries each node's left vector of the partner row, over the same bits
+and at the same scale, and returns the partner's amplitude over the row's
+own at every drawn outcome: the noiseless QFI scores each outcome drawn
+from its base row or a shifted row with both rows' amplitudes this way.
 """
 
 from __future__ import annotations
@@ -294,14 +298,24 @@ class MpsState(QubitState):
 
     # --- measurement ------------------------------------------------------
 
-    def measure_at(self, u, rows: slice = slice(None)) -> np.ndarray:
+    def measure_at(self, u, rows=slice(None), partners=None):
         """Z-basis outcomes fixed by uniforms in [0, 1): the basis state
         whose interval of the cumulative distribution (basis order, qubit
         0 most significant) contains u, found site by site from the
         conditional bit probabilities, with u rescaled into the chosen
         bit's interval. A single state takes any number of uniforms, a
-        batch a leading row axis over its rows in the slice `rows`: (rows,)
-        or (rows, shots). Returns bits of shape u.shape + (n,).
+        batch a leading row axis over the stack rows `rows`, a slice or an
+        index array: (rows,) or (rows, shots). Returns bits of shape
+        u.shape + (n,).
+
+        With `partners`, an index array of one stack row per row read, it
+        returns (bits, ratio): ratio, of shape u.shape, is at each drawn
+        outcome the amplitude of the row's partner over the row's own. The
+        walk carries each node's left vector of the partner row beside its
+        own, over the same bits and at the same scale, so the two leaf
+        values are the amplitudes times one factor. The own amplitude of a
+        drawn outcome is nonzero, since each bit is drawn with positive
+        probability.
 
         The walk keeps one node per distinct (row, bit prefix), not one per
         shot. Each row's shots are sorted by u once; the rescaling keeps
@@ -314,6 +328,11 @@ class MpsState(QubitState):
         self.move_center(0)
         tensors = [t[rows] for t in self.tensors]
         rows = len(tensors[0])
+        # sides: the rows read, then their partners, as one stack
+        sides = 1
+        if partners is not None:
+            sides = 2
+            tensors = [np.concatenate((t, s[partners])) for t, s in zip(tensors, self.tensors)]
         u = self._row_uniforms(u, rows)
         shape = u.shape
         u = u.reshape(rows, -1)
@@ -325,16 +344,17 @@ class MpsState(QubitState):
         bits = np.empty((u.size, self.n_qubits), dtype=np.uint8)
         # candidate nodes: first one per row, then after each site the two
         # children of every node, (node, 0) before (node, 1), with their
-        # shot counts, rows, and left vectors m of squared norm p
+        # shot counts, rows, and left vectors m (per side) of squared norm
+        # p on the own side
         sizes = np.full(rows, shots)
         parent_row = np.arange(rows)
-        m = np.ones((rows, 1), dtype=complex)
+        m = np.ones((sides, rows, 1), dtype=complex)
         p = np.ones(rows)
         for site in range(self.n_qubits):
             kept = np.flatnonzero(sizes)  # the nodes: candidates that some shot reached
             size = np.take(sizes, kept)
             node_row = np.take(parent_row, kept)
-            vec = np.take(m, kept, axis=0) / np.sqrt(np.take(p, kept))[:, None]
+            vec = np.take(m, kept, axis=1) / np.sqrt(np.take(p, kept))[:, None]
             # node i is cell flat[i] of a (rows, width) grid, in row
             # node_row[i]; pos names the node of every cell (node 0 where a
             # row has fewer), so one batched product per site serves all nodes
@@ -346,9 +366,10 @@ class MpsState(QubitState):
             pos[flat] = index
             a = tensors[site]
             _, l, _, r = a.shape
-            grid = np.take(vec, pos, axis=0).reshape(rows, width, l) @ a.reshape(rows, l, 2 * r)
-            m = np.take(grid.reshape(-1, 2 * r), flat, axis=0).reshape(-1, r)
-            x = m.view(float)
+            grid = (np.take(vec, pos, axis=1).reshape(sides * rows, width, l)
+                    @ a.reshape(sides * rows, l, 2 * r))
+            m = np.take(grid.reshape(sides, -1, 2 * r), flat, axis=1).reshape(sides, -1, r)
+            x = m[0].view(float)
             p = (x * x) @ np.ones(2 * r)  # |m|^2 of every (node, bit)
             pr0 = p[0::2] / (p[0::2] + p[1::2])
             at = pr0.repeat(size)
@@ -364,7 +385,13 @@ class MpsState(QubitState):
             parent_row = node_row.repeat(2)
         out = np.empty_like(bits)
         out[order] = bits
-        return out.reshape(shape + (self.n_qubits,))
+        out = out.reshape(shape + (self.n_qubits,))
+        if partners is None:
+            return out
+        leaf = 2 * np.arange(len(size)).repeat(size) + one  # each shot's (node, bit)
+        ratio = np.empty(u.size, dtype=complex)
+        ratio[order] = m[1, leaf, 0] / m[0, leaf, 0]
+        return out, ratio.reshape(shape)
 
     def to_dense(self) -> np.ndarray:
         """Contract to the full 2^n amplitude vector (small n only), one

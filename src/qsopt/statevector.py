@@ -46,6 +46,8 @@ from .circuit import Circuit, Gate
 
 DEFAULT_MAX_QUBITS = 14
 ENTROPY_FLOOR = 1e-12
+# the columns a BLAS product computes together (see `DenseState.apply_unitary`)
+_BLOCK = 4
 # the Pauli of event code c (1 x, 2 y, 3 z) is _PAULI_XYZ[c - 1]
 _PAULI_XYZ = np.stack([G.X, G.Y, G.Z])
 
@@ -249,15 +251,27 @@ class DenseState(QubitState):
         the first listed qubit is the matrix's most significant bit. A
         (rows, 2^k, 2^k) stack applies one matrix to each row of the slice.
         The moved amplitudes and the product go through the scratch
-        buffer."""
+        buffer.
+
+        A row's product must not depend on how many rows the batch holds
+        or where the row lies in it: `metrics.Rows` gives equal rows
+        whether it was built at once or grown by appended rows. BLAS
+        computes a product's columns in blocks of `_BLOCK`, and the
+        columns of a last, partial block round differently. So a batch
+        whose rows hold fewer than `_BLOCK` columns each, that is states
+        of fewer than _BLOCK * 2^k amplitudes, keeps its row axis in front
+        as the product's batch axis: each row is a product of its own.
+        Larger rows span whole blocks, and all rows run as one product."""
         amps = self.amps[rows]
         lead = amps.ndim - 1
         view = amps.reshape(amps.shape[:-1] + (2,) * self.n_qubits)
         moved = [lead + q for q in qubits]
         shape = (len(matrix), -1)
-        if matrix.ndim == 3:  # a stack keeps the row axis in front, as the product's batch axis
+        if matrix.ndim == 3 or (lead and amps.shape[-1] < _BLOCK << len(qubits)):
+            # the row axis in front, as the product's batch axis: a stack
+            # gives each row its own matrix
             moved.insert(0, 0)
-            shape = matrix.shape[:-1] + (-1,)
+            shape = (len(amps), matrix.shape[-1], -1)
         front = view.transpose(moved + [a for a in range(view.ndim) if a not in moved])
         size = amps.size
         packed = self._scratch[:size].reshape(front.shape)
@@ -320,9 +334,9 @@ class DenseState(QubitState):
     def measure_at(self, u, rows: slice = slice(None)) -> np.ndarray:
         """Z-basis outcomes fixed by uniforms in [0, 1), as `outcome_index`
         picks them from this state's probabilities. A single state takes
-        any number of uniforms, a batch a leading row axis over its rows in
-        the slice `rows`: (rows,) or (rows, shots). Returns bits of shape
-        u.shape + (n,)."""
+        any number of uniforms, a batch a leading row axis over its rows
+        `rows`, a slice or an index array: (rows,) or (rows, shots).
+        Returns bits of shape u.shape + (n,)."""
         probs = np.abs(self.amps[rows]) ** 2
         index = outcome_index(probs, self._row_uniforms(u, len(probs)))
         shifts = np.arange(self.n_qubits - 1, -1, -1)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kraus_reference import shifted_probabilities
+from qfi_reference import plugin_qfi
 from qsopt import metrics, mps, noise, statevector
 from qsopt.backend import BackendSpec
 from qsopt.circuit import (Circuit, Gate, GateKind, cancel_pairs, emit, ghz, parse,
@@ -259,13 +260,7 @@ def edit_chains(draw, max_qubits=5, max_gates=16):
 def _assert_same_state(got, want):
     if isinstance(want, statevector.DenseState):
         assert got.amps.shape == want.amps.shape
-        if want.n_qubits == 1:
-            # a gate on one row of one qubit is a (2, 2) x (2, 1) product,
-            # which BLAS may run as a matrix-vector product that rounds
-            # differently from a batch's; no env has fewer than 2 qubits
-            assert np.allclose(got.amps, want.amps, rtol=0.0, atol=1e-12)
-        else:
-            assert np.array_equal(got.amps, want.amps)
+        assert np.array_equal(got.amps, want.amps)
     else:
         assert len(got.tensors) == len(want.tensors)
         for a, b in zip(got.tensors, want.tensors):
@@ -293,3 +288,40 @@ def test_updated_rows_equal_fresh_rows(name, shifted, chain):
         fresh = metrics.Rows(new, spec, shifted)
         assert rows.circuit == new and rows.rotations == fresh.rotations
         _assert_same_state(rows.state, fresh.state)
+
+
+# --- the noiseless QFI over 1 + R rows -----------------------------------
+
+SV = BackendSpec(kind="statevector")
+
+
+@st.composite
+def sensor_circuits(draw, max_qubits=6):
+    """An RX on every qubit, then a random circuit: 2 to max_qubits qubits,
+    at least one rotation per qubit, entangled from the first 2q gate."""
+    return _seeded_circuit(draw, draw(st.integers(2, max_qubits)), 16)
+
+
+@given(sensor_circuits())
+def test_exact_qfi_equals_the_plugin_figure_of_the_shifted_circuits(c):
+    assert abs(metrics.qfi(c, 0, SV) - plugin_qfi(c)) <= 1e-12
+
+
+@given(sensor_circuits(), st.sampled_from([1, 2, 3, 16, 33]), st.integers(0, 2 ** 32 - 1))
+def test_mps_sampled_qfi_equals_the_dense_one(c, shots, seed):
+    exact = BackendSpec(kind="mps", chi_max=2 ** (c.n_qubits // 2), trunc_tol=0.0)
+    assert abs(metrics.qfi(c, shots, exact, seed=seed) - metrics.qfi(c, shots, SV, seed=seed)
+               ) <= 1e-12
+
+
+SEEDS = 400
+
+
+@settings(max_examples=25)
+@given(sensor_circuits(max_qubits=5), st.sampled_from([1, 3, 8]))
+def test_sampled_qfi_is_unbiased(c, shots):
+    # the mean over seeds lies within 5 standard errors of the exact figure
+    rows = metrics.Rows(c, SV)
+    values = np.array([metrics.qfi(c, shots, SV, seed=s, rows=rows) for s in range(SEEDS)])
+    bound = 5.0 * values.std(ddof=1) / math.sqrt(SEEDS) + 1e-12
+    assert abs(values.mean() - metrics.qfi(c, 0, SV, rows=rows)) <= bound

@@ -1,24 +1,30 @@
 """The row-layout QFI against the per-circuit one it replaced.
 
-`metrics.qfi` runs the 2R shifted circuits as the rows of one layout on
-either backend: dense batches on the statevector, stacked MPS (rows over
-one chain, sharing its center) on the MPS; under noise each row is one
-shot of one shifted circuit.
-`ref_qfi` below is the earlier per-circuit estimator, kept verbatim with
-its shift statistic and noisy evolution loop: each shifted circuit was run
-(and, under noise, its shots evolved) on its own, each noise event was
-applied to copies of the rows it hit, and the sampled outcomes of a pair
-were matched as bitstrings. Both estimators must agree bit for bit on the
+`metrics.qfi` runs its circuits as the rows of one layout on either
+backend: dense batches on the statevector, stacked MPS (rows over one
+chain, sharing its center) on the MPS. Without noise the rows are the
+circuit and one pi-shifted circuit per rotation, and `ref_qfi` is
+`qfi_reference.mixture_qfi`, which runs each of these circuits on its
+own and contracts each drawn outcome's amplitudes directly; the two
+agree within 1e-12. The exact figure also equals the plug-in figure of
+the 2R circuits shifted by +-pi/2 (`qfi_reference.plugin_qfi`) within
+1e-12.
+
+Under noise each row is one shot of one of the 2R shifted circuits, and
+`ref_qfi` is the earlier per-circuit estimator, kept verbatim with its
+shift statistic and noisy evolution loop: each shifted circuit was run
+(and its shots evolved) on its own, each noise event was applied to
+copies of the rows it hit, and the sampled outcomes of a pair were
+matched as bitstrings. Both estimators must agree bit for bit on the
 statevector and on an untruncated MPS. Where the bond cap truncates,
 stacked noisy MPS rows of unequal rank round differently from one-row
 runs, and their QFI can differ (ROADMAP, item 6).
 
-Under noise the reference holds for trajectories: on the MPS, and on the
-statevector where the method rule (`noise.density_rows`) sends the QFI to
-them, with shots < 2^n or a dense cap below 2n. Where the rule picks
-density rows, the QFI is checked against `ref_density_qfi`, which draws
-the same shots from the distributions of the Kraus reference
-(`kraus_reference.py`).
+The reference holds for trajectories: on the MPS, and on the statevector
+where the method rule (`noise.density_rows`) sends the QFI to them, with
+shots < 2^n or a dense cap below 2n. Where the rule picks density rows,
+the QFI is checked against `ref_density_qfi`, which draws the same shots
+from the distributions of the Kraus reference (`kraus_reference.py`).
 """
 
 import copy
@@ -28,6 +34,7 @@ import numpy as np
 import pytest
 
 from kraus_reference import shifted_probabilities
+from qfi_reference import mixture_qfi, plugin_qfi, ref_shift_statistic
 from qsopt import gates as G
 from qsopt import metrics, noise, statevector
 from qsopt.backend import BackendSpec
@@ -51,17 +58,6 @@ def _trajectory_spec(n):
 # --- the per-circuit reference --------------------------------------------
 
 _PAULI_NAMES = ("x", "y", "z")
-
-
-def ref_shift_statistic(p_plus: dict[str, float], p_minus: dict[str, float]) -> float:
-    total = 0.0
-    for outcome in sorted(p_plus.keys() | p_minus.keys()):
-        a = p_plus.get(outcome, 0.0)
-        b = p_minus.get(outcome, 0.0)
-        if a + b == 0.0:
-            continue
-        total += 4.0 * (a - b) ** 2 / (a + b)
-    return total
 
 
 def _frequencies(counts: dict[str, int], shots: int) -> dict[str, float]:
@@ -128,19 +124,19 @@ def ref_sample_counts(circuit, spec, shots, seed, params=None):
 
 
 def ref_qfi(circuit, shots, spec, noise_params=None, seed=0) -> float:
+    """The per-circuit QFI: `mixture_qfi` without noise, else the plug-in
+    statistic over each shifted circuit's sampled frequencies."""
+    if noise_params is None:
+        return mixture_qfi(circuit, shots, spec, seed)
     positions = rotation_positions(circuit)
-    if shots == 0:
-        def distribution(c, _seed):
-            return spec.run(c).distribution()
-    else:
-        def distribution(c, child):
-            return _frequencies(ref_sample_counts(c, spec, shots, child, noise_params), shots)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = iter(root.spawn(2 * len(positions)))
     raw = 0.0
     for pos in positions:
-        p_plus = distribution(shift_angle(circuit, pos, SHIFT), next(children))
-        p_minus = distribution(shift_angle(circuit, pos, -SHIFT), next(children))
+        p_plus, p_minus = (
+            _frequencies(ref_sample_counts(shift_angle(circuit, pos, sign * SHIFT), spec, shots,
+                                           next(children), noise_params), shots)
+            for sign in (1, -1))
         raw += ref_shift_statistic(p_plus, p_minus)
     return raw / len(positions) / QFI_MAX
 
@@ -191,19 +187,65 @@ def test_batched_qfi_equals_per_circuit_qfi(n, mode):
     for i, c in enumerate(_circuits(n, 6, 10 * n)):
         for spec in specs:
             want = ref_qfi(c, shots, spec, params, seed=i)
-            assert repr(qfi(c, shots, spec, params, seed=i)) == repr(want), (n, mode, i,
-                                                                              spec.kind)
+            got = qfi(c, shots, spec, params, seed=i)
+            if params is None:
+                assert abs(got - want) <= 1e-12, (n, mode, i, spec.kind)
+            else:
+                assert repr(got) == repr(want), (n, mode, i, spec.kind)
+        if params is None and not shots:  # the figure of the 2R shifted circuits
+            assert abs(qfi(c, 0, SV) - plugin_qfi(c)) <= 1e-12, (n, i)
         if params is not None and 2 ** n <= shots:
             want = ref_density_qfi(c, shots, params, seed=i)
             assert abs(qfi(c, shots, SV, params, seed=i) - want) <= 1e-12, (n, i)
 
 
+@pytest.mark.parametrize("shots", [1, 2, 3, 47])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_odd_and_single_shot_counts_follow_the_reference(n, shots):
+    # an odd count draws ceil(N/2) shots from the base row and floor(N/2)
+    # from the shifted row; a single shot draws from one of the two by
+    # its own uniform
+    for i, c in enumerate(_circuits(n, 4, 30 + n)):
+        for spec in (SV, MPS_EXACT):
+            want = mixture_qfi(c, shots, spec, seed=i)
+            assert abs(qfi(c, shots, spec, seed=i) - want) <= 1e-12, (n, shots, i, spec.kind)
+
+
+def test_sampled_shots_split_between_the_base_and_the_shifted_row():
+    # rotation k of a circuit psi scores delta_k(x)^2 at each drawn x, where
+    # delta_k = 2 Re(conj(psi) xi_k) / (|psi|^2 + |xi_k|^2) and xi_k is the
+    # circuit with rotation k shifted by pi; here delta_k^2 varies with x
+    c = _circuits(2, 1, 20)[0]
+    positions = rotation_positions(c)
+    psi = DenseState(2).run(c).amps
+    xis = [DenseState(2).run(shift_angle(c, pos, math.pi)).amps for pos in positions]
+
+    def drawn(amps, u):  # the outcome of uniform u, by the CDF
+        return int(np.searchsorted(np.cumsum(np.abs(amps) ** 2), u, side="right"))
+
+    for seed in range(10):
+        three = one = 0.0
+        for xi, child in zip(xis, np.random.SeedSequence(seed).spawn(len(positions))):
+            delta2 = (2.0 * (psi.conj() * xi).real / (np.abs(psi) ** 2 + np.abs(xi) ** 2)) ** 2
+            v = np.random.default_rng(child).random(3)
+            # 3 shots: the first two from psi, the last from xi, each half weighted 1/2
+            three += (0.25 * (delta2[drawn(psi, v[0])] + delta2[drawn(psi, v[1])])
+                      + 0.5 * delta2[drawn(xi, v[2])])
+            # 1 shot: from psi at 2u below 1/2, else from xi at 2u - 1
+            v = np.random.default_rng(child).random(1)[0]
+            one += delta2[drawn(psi, 2 * v) if v < 0.5 else drawn(xi, 2 * v - 1)]
+        for spec in (SV, MPS_EXACT):
+            assert qfi(c, 3, spec, seed=seed) == pytest.approx(three / len(xis), abs=1e-14)
+            assert qfi(c, 1, spec, seed=seed) == pytest.approx(one / len(xis), abs=1e-14)
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_statevector_qfi_reads_distributions_not_bits(monkeypatch, mode):
-    # on the statevector the exact, sampled and density-row QFIs read the
-    # shifted circuits' distributions as one array (at 4 qubits, 2^n <= 48
-    # shots sends the noisy QFI to density rows): nothing is read out as
-    # bits. The references read bits, so they run before the patch.
+    # on the statevector the exact and sampled QFIs read the rows'
+    # amplitudes, and the density-row QFI the shifted circuits'
+    # distributions as one array (at 4 qubits, 2^n <= 48 shots sends the
+    # noisy QFI to density rows): nothing is read out as bits. The
+    # references read bits, so they run before the patch.
     shots, params = MODES[mode]
     circuits = _circuits(4, 6, 11)
     if params is None:
@@ -219,15 +261,18 @@ def test_statevector_qfi_reads_distributions_not_bits(monkeypatch, mode):
     monkeypatch.setattr(statevector, "distinct_outcomes", refuse)
     for i, c in enumerate(circuits):
         got = qfi(c, shots, SV, params, seed=i)
-        assert repr(got) == repr(want[i]), (mode, i)
+        if params is None:
+            assert abs(got - want[i]) <= 1e-12, (mode, i)
+        else:
+            assert repr(got) == repr(want[i]), (mode, i)
 
 
 @pytest.mark.parametrize("mode", ["exact", "shots"])
 @pytest.mark.parametrize("n", [3, 5])
 def test_extended_rows_give_the_per_circuit_qfi(n, mode):
     # rows built for a prefix of the circuit, then extended gate run by gate
-    # run to all of it, give the per-circuit QFI: the appended rotations'
-    # rows are copies of the base row, and only the shifted rows are read
+    # run to all of it, give the per-circuit QFI and that of fresh rows:
+    # the appended rotations' rows are copies of the base row
     shots, _ = MODES[mode]
     specs = (SV, MPS_EXACT) if shots else (SV,)
     rng = np.random.default_rng(n)
@@ -238,8 +283,9 @@ def test_extended_rows_give_the_per_circuit_qfi(n, mode):
             for stop in (cut[1], len(c)):
                 assert rows.update(Circuit(n, c.gates[:stop]))
             assert rows.rotations == len(rotation_positions(c))
-            want = ref_qfi(c, shots, spec, seed=i)
-            assert repr(qfi(c, shots, spec, seed=i, rows=rows)) == repr(want), (n, i, spec.kind)
+            got = qfi(c, shots, spec, seed=i, rows=rows)
+            assert repr(got) == repr(qfi(c, shots, spec, seed=i)), (n, i, spec.kind)
+            assert abs(got - ref_qfi(c, shots, spec, seed=i)) <= 1e-12, (n, i, spec.kind)
 
 
 def test_rows_refuse_a_circuit_they_do_not_hold():
@@ -257,12 +303,14 @@ def test_rows_refuse_a_circuit_they_do_not_hold():
 
 
 def test_record_reports_the_largest_discarded_weight_of_the_rows():
-    # rx(0) leaves the base row a product state, while the cx entangles
-    # its shifted rows, and chi 1 drops half of their weight
-    c = Circuit(2).rx(0, 0.0).cx(0, 1)
+    # rx(-pi/4) rz(0) rx(pi/4) leaves qubit 0 in |0>, so the base row stays
+    # a product state, and so do the rows of the rx shifted by pi. The
+    # rz's row turns the three into rx(-pi/2) up to a phase, the cx
+    # entangles it, and chi 1 drops half of its weight
+    c = Circuit(2).rx(0, math.pi / 4).rz(0, 0.0).rx(0, -math.pi / 4).cx(0, 1)
     spec = BackendSpec(kind="mps", chi_max=1)
     rows = metrics.Rows(c, spec)
-    assert rows.state.total_discarded.tolist() == pytest.approx([0.0, 0.5, 0.5])
+    assert rows.state.total_discarded.tolist() == pytest.approx([0.0, 0.0, 0.5, 0.0])
     assert rows.record().discarded_weight == float(np.max(rows.state.total_discarded))
     assert metrics.evaluate(c, spec, 8).discarded_weight == rows.record().discarded_weight
     # under noise the rows hold the base row alone; the dense backend drops nothing
@@ -274,7 +322,7 @@ def test_record_reports_the_largest_discarded_weight_of_the_rows():
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_two_qubit_qfi_within_rounding(mode):
     # at two qubits a single state's product takes another BLAS path than
-    # a batch's, so exact probabilities can differ in their last bits
+    # a batch row's, so exact amplitudes can differ in their last bits
     shots, params = MODES[mode]
     spec = SV if params is None else _trajectory_spec(2)
     for i, c in enumerate(_circuits(2, 8, 2)):
@@ -333,7 +381,7 @@ def test_noiseless_qfi_builds_one_state(monkeypatch, spec, shots):
     monkeypatch.setattr(BackendSpec, "fresh", counted)
     c = Circuit(4).h(0).cx(0, 1).rx(1, .4).rz(2, 1.1).cx(2, 3).rx(3, .9)
     qfi(c, shots, spec, None, seed=3)
-    assert batches == [7]  # the base row and 2R shifted rows, R = 3 rotations
+    assert batches == [4]  # the base row and one shifted row per rotation, R = 3
 
 
 @pytest.mark.parametrize("shots,cap,density", [(8, 14, True), (4, 14, False), (8, 5, False)],
@@ -370,7 +418,11 @@ def test_wide_mps_qfi_equals_per_circuit_qfi(params):
     c = Circuit(70).h(0).cx(0, 69).rx(69, .3).rz(5, 1.1)
     want = ref_qfi(c, 16, MPS_EXACT, params, seed=2)
     assert want > 0.0
-    assert repr(qfi(c, 16, MPS_EXACT, params, seed=2)) == repr(want)
+    got = qfi(c, 16, MPS_EXACT, params, seed=2)
+    if params is None:
+        assert abs(got - want) <= 1e-12
+    else:
+        assert repr(got) == repr(want)
 
 
 def test_shift_statistic_squares_like_python():

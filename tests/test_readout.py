@@ -75,7 +75,9 @@ def test_frequencies_match_string_keys_at_65_qubits(monkeypatch):
     c = Circuit(65).h(30).h(64).rx(0, 0.7).rx(63, 1.1).rx(64, 2.0)
     spec = BackendSpec("mps", chi_max=2)
     u = np.random.default_rng(5).random((6, 64))
-    bits = metrics.Rows(c, spec).state.measure_at(u, rows=slice(1, None)).reshape(-1, 65)
+    # three pairs of rows: the base row against each rotation's shifted row
+    read = np.array([0, 1, 0, 2, 0, 3])
+    bits = metrics.Rows(c, spec).state.measure_at(u, rows=read).reshape(-1, 65)
     got = metrics._pair_frequencies(bits, 6, 64)
     monkeypatch.setattr(metrics, "distinct_outcomes", _string_distinct)
     want = metrics._pair_frequencies(bits, 6, 64)
@@ -260,6 +262,26 @@ def test_walk_matches_dense_readout_per_row(data):
                                                       axis=1)
     shuffled = stack.measure_at(np.take_along_axis(u, perm, axis=1))
     assert np.array_equal(shuffled, np.take_along_axis(bits, perm[..., None], axis=1))
+
+
+@given(st.data())
+def test_walk_with_partner_rows_gives_their_amplitude_ratios(data):
+    # rows read by an index array, each with a partner row: the bits are
+    # those of the walk without partners, and ratio is the partner's
+    # amplitude over the row's own at each drawn outcome
+    stack = data.draw(walk_stacks())
+    count = len(stack.tensors[0])
+    read = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=6)))
+    partners = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=len(read),
+                                           max_size=len(read))))
+    u = data.draw(uniforms(len(read)))
+    bits, ratio = stack.measure_at(u, rows=read, partners=partners)
+    assert np.array_equal(bits, stack.measure_at(u, rows=read))
+    amps = stack.to_dense()
+    index = bits.astype(np.intp) @ (1 << np.arange(stack.n_qubits - 1, -1, -1))
+    own = np.take_along_axis(amps[read], index, axis=1)
+    partner = np.take_along_axis(amps[partners], index, axis=1)
+    assert np.abs(ratio * own - partner).max() <= 1e-12
 
 
 @given(st.data())
